@@ -272,8 +272,7 @@ impl FatRunner {
         fault_map: &FaultMap,
         strategy: Mitigation,
     ) -> Result<(Sequential, f32)> {
-        let mut model = self.workbench.model.build(self.workbench.seed)?;
-        model.load_state_dict(base_state)?;
+        let mut model = self.workbench.model.build_from_state(base_state)?;
         let masks = self.derive_masks(&model, fault_map, strategy)?;
         model.set_weight_masks(&masks)?;
         let (mut pruned, mut total) = (0usize, 0usize);
@@ -309,8 +308,7 @@ impl FatRunner {
         fault_map: &FaultMap,
         stuck_value: f32,
     ) -> Result<f32> {
-        let mut model = self.workbench.model.build(self.workbench.seed)?;
-        model.load_state_dict(&pretrained.state)?;
+        let mut model = self.workbench.model.build_from_state(&pretrained.state)?;
         for p in model.weight_params_mut() {
             let corrupted = reduce_systolic::stuck_at_weights(p.value(), fault_map, stuck_value)?;
             p.load_value(corrupted)?;

@@ -7,9 +7,10 @@
 
 use crate::error::{ReduceError, Result};
 use reduce_data::{blobs, spirals, Dataset, SynthImageConfig, SynthTask};
-use reduce_nn::models::{lenet, mlp, vgg11, VggConfig};
+use reduce_nn::models::{lenet_with_init, mlp_with_init, vgg11_with_init, VggConfig};
 use reduce_nn::{
-    evaluate, Adam, CrossEntropyLoss, EvalStats, LrSchedule, Sequential, Sgd, TrainConfig, Trainer,
+    evaluate, Adam, CrossEntropyLoss, EvalStats, Init, LrSchedule, Sequential, Sgd, TrainConfig,
+    Trainer,
 };
 use reduce_tensor::Tensor;
 
@@ -41,14 +42,35 @@ impl ModelSpec {
     ///
     /// Propagates architecture validation errors.
     pub fn build(&self, seed: u64) -> Result<Sequential> {
+        self.build_with_init(seed, Init::KaimingNormal)
+    }
+
+    /// Builds the architecture and loads `state` into it: bit for bit the
+    /// model [`ModelSpec::build`] followed by
+    /// [`Sequential::load_state_dict`] gives, without drawing the initial
+    /// weights the load would overwrite. Layer state a state dict does not
+    /// carry (dropout seeds, batch-norm statistics) never depends on those
+    /// draws, so it comes out the same.
+    ///
+    /// # Errors
+    ///
+    /// Propagates architecture validation errors and the load's
+    /// checkpoint-mismatch errors.
+    pub fn build_from_state(&self, state: &[(String, Tensor)]) -> Result<Sequential> {
+        let mut model = self.build_with_init(0, Init::Zeros)?;
+        model.load_state_dict(state)?;
+        Ok(model)
+    }
+
+    fn build_with_init(&self, seed: u64, init: Init) -> Result<Sequential> {
         Ok(match self {
-            ModelSpec::Mlp { dims } => mlp(dims, seed)?,
-            ModelSpec::Vgg(cfg) => vgg11(cfg, seed)?,
+            ModelSpec::Mlp { dims } => mlp_with_init(dims, seed, init)?,
+            ModelSpec::Vgg(cfg) => vgg11_with_init(cfg, seed, init)?,
             ModelSpec::Lenet {
                 input_hw,
                 in_channels,
                 classes,
-            } => lenet(*input_hw, *in_channels, *classes, seed)?,
+            } => lenet_with_init(*input_hw, *in_channels, *classes, seed, init)?,
         })
     }
 
@@ -487,6 +509,7 @@ impl Workbench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reduce_nn::layers::Mode;
 
     #[test]
     fn toy_workbench_pretrains_to_high_accuracy() {
@@ -536,6 +559,55 @@ mod tests {
         .is_ok());
         assert!(ModelSpec::Vgg(VggConfig::nano(10)).build(0).is_ok());
         assert!(ModelSpec::Mlp { dims: vec![4] }.build(0).is_err());
+    }
+
+    #[test]
+    fn build_from_state_equals_build_then_load() {
+        // Dropout and batch norm carry state a state dict does not: the
+        // dropout stream must come out the same too, which a train-mode
+        // forward pass shows.
+        let mut vgg = VggConfig::nano(10);
+        vgg.dropout = 0.5;
+        vgg.dropout_seed = 3;
+        let specs = [
+            (
+                ModelSpec::Mlp {
+                    dims: vec![8, 48, 32, 4],
+                },
+                vec![4, 8],
+            ),
+            (ModelSpec::Vgg(vgg), vec![2, 3, 16, 16]),
+            (
+                ModelSpec::Lenet {
+                    input_hw: 16,
+                    in_channels: 1,
+                    classes: 4,
+                },
+                vec![2, 1, 16, 16],
+            ),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (spec, input) in specs {
+            let state = spec.build(5).expect("valid spec").state_dict();
+            let mut loaded = spec.build(9).expect("valid spec");
+            loaded.load_state_dict(&state).expect("same architecture");
+            let mut direct = spec.build_from_state(&state).expect("same architecture");
+            let (a, b) = (loaded.state_dict(), direct.state_dict());
+            assert_eq!(a.len(), b.len());
+            for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
+                assert_eq!((ka, bits(va)), (kb, bits(vb)), "{spec:?}");
+            }
+            let x = Tensor::rand_uniform(input, -1.0, 1.0, 6);
+            let ya = loaded.forward(&x, Mode::Train).expect("valid input");
+            let yb = direct.forward(&x, Mode::Train).expect("valid input");
+            assert_eq!(bits(&ya), bits(&yb), "{spec:?}");
+        }
+        // A state dict of another architecture is refused, as the load is.
+        let wrong = ModelSpec::Mlp { dims: vec![4, 3] }
+            .build(0)
+            .expect("valid dims");
+        let mlp = ModelSpec::Mlp { dims: vec![4, 2] };
+        assert!(mlp.build_from_state(&wrong.state_dict()).is_err());
     }
 
     #[test]

@@ -44,8 +44,30 @@ impl Conv2d {
         padding: usize,
         rng: &mut R,
     ) -> Self {
+        Self::with_init(
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            padding,
+            Init::KaimingNormal,
+            rng,
+        )
+    }
+
+    /// Creates a square-kernel convolution with an explicit weight
+    /// initialisation scheme.
+    pub fn with_init<R: Rng>(
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        init: Init,
+        rng: &mut R,
+    ) -> Self {
         let fan_in = in_channels * kernel * kernel;
-        let w = Init::KaimingNormal.tensor(&[out_channels, fan_in], fan_in, out_channels, rng);
+        let w = init.tensor(&[out_channels, fan_in], fan_in, out_channels, rng);
         Conv2d {
             weight: Parameter::new("conv2d.weight", w),
             bias: Parameter::new("conv2d.bias", Tensor::zeros([out_channels])),
@@ -82,6 +104,42 @@ impl Conv2d {
     pub fn weight_mut(&mut self) -> &mut Parameter {
         &mut self.weight
     }
+
+    /// Accumulates the weight and bias gradients of the output gradient
+    /// `grad` and returns `grad` as `(N·OH·OW, OC)` rows, from which
+    /// [`Layer::backward_ws`] goes on to the input gradient.
+    fn backward_param_grads(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+        let cached = self
+            .cached
+            .as_ref()
+            .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
+        let gd = grad.dims();
+        if gd.len() != 4
+            || gd[0] != cached.batch
+            || gd[1] != self.out_channels
+            || gd[2] != cached.geom.out_h
+            || gd[3] != cached.geom.out_w
+        {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                reason: format!("gradient shape {gd:?} does not match forward output"),
+            });
+        }
+        let positions = cached.batch * cached.geom.out_h * cached.geom.out_w;
+        let patch = self.in_channels * self.kernel * self.kernel;
+        let mut grows = ws.take_unzeroed([positions, self.out_channels]);
+        ops::nchw_to_rows_into(grad, &mut grows)?;
+        // dW = growsᵀ · cols — (OC, N·OH·OW)·(N·OH·OW, C·K·K)
+        let mut dw = ws.take_unzeroed([self.out_channels, patch]);
+        ops::matmul_tn_into(&grows, &cached.cols, &mut dw)?;
+        self.weight.grad_mut().axpy(1.0, &dw)?;
+        ws.give(dw);
+        let mut db = ws.take_unzeroed([self.out_channels]);
+        grows.sum_rows_into(&mut db)?;
+        self.bias.grad_mut().axpy(1.0, &db)?;
+        ws.give(db);
+        Ok(grows)
+    }
 }
 
 impl Layer for Conv2d {
@@ -115,12 +173,13 @@ impl Layer for Conv2d {
         let geom = Conv2dGeometry::new(h, w, self.kernel, self.kernel, self.stride, self.padding)?;
         let positions = n * geom.out_h * geom.out_w;
         let patch = self.in_channels * self.kernel * self.kernel;
-        let mut cols = ws.take([positions, patch]);
+        // Every buffer below is fully written by the kernel it feeds.
+        let mut cols = ws.take_unzeroed([positions, patch]);
         ops::im2col_into(x, &geom, &mut cols)?;
-        let mut rows = ws.take([positions, self.out_channels]);
+        let mut rows = ws.take_unzeroed([positions, self.out_channels]);
         ops::matmul_nt_into(&cols, self.weight.value(), &mut rows)?;
         ops::add_bias_rows_in_place(&mut rows, self.bias.value())?;
-        let mut y = ws.take([n, self.out_channels, geom.out_h, geom.out_w]);
+        let mut y = ws.take_unzeroed([n, self.out_channels, geom.out_h, geom.out_w]);
         ops::rows_to_nchw_into(&rows, n, self.out_channels, geom.out_h, geom.out_w, &mut y)?;
         ws.give(rows);
         self.cached = Some(CachedForward {
@@ -132,40 +191,18 @@ impl Layer for Conv2d {
     }
 
     fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+        let grows = self.backward_param_grads(grad, ws)?;
         let cached = self
             .cached
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
-        let gd = grad.dims();
-        if gd.len() != 4
-            || gd[0] != cached.batch
-            || gd[1] != self.out_channels
-            || gd[2] != cached.geom.out_h
-            || gd[3] != cached.geom.out_w
-        {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: format!("gradient shape {gd:?} does not match forward output"),
-            });
-        }
         let positions = cached.batch * cached.geom.out_h * cached.geom.out_w;
         let patch = self.in_channels * self.kernel * self.kernel;
-        let mut grows = ws.take([positions, self.out_channels]);
-        ops::nchw_to_rows_into(grad, &mut grows)?;
-        // dW = growsᵀ · cols — (OC, N·OH·OW)·(N·OH·OW, C·K·K)
-        let mut dw = ws.take([self.out_channels, patch]);
-        ops::matmul_tn_into(&grows, &cached.cols, &mut dw)?;
-        self.weight.grad_mut().axpy(1.0, &dw)?;
-        ws.give(dw);
-        let mut db = ws.take([self.out_channels]);
-        grows.sum_rows_into(&mut db)?;
-        self.bias.grad_mut().axpy(1.0, &db)?;
-        ws.give(db);
         // dcols = grows · W — (N·OH·OW, OC)·(OC, C·K·K)
-        let mut dcols = ws.take([positions, patch]);
+        let mut dcols = ws.take_unzeroed([positions, patch]);
         ops::matmul_into(&grows, self.weight.value(), &mut dcols)?;
         ws.give(grows);
-        let mut gx = ws.take([
+        let mut gx = ws.take_unzeroed([
             cached.batch,
             self.in_channels,
             cached.geom.in_h,
@@ -180,6 +217,12 @@ impl Layer for Conv2d {
         )?;
         ws.give(dcols);
         Ok(gx)
+    }
+
+    fn backward_params_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<()> {
+        let grows = self.backward_param_grads(grad, ws)?;
+        ws.give(grows);
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Parameter> {

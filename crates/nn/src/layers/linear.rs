@@ -80,6 +80,26 @@ impl Linear {
     pub fn weight_mut(&mut self) -> &mut Parameter {
         &mut self.weight
     }
+
+    /// Accumulates the weight and bias gradients of the output gradient
+    /// `grad` (shape `(N, out)`).
+    fn backward_param_grads(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<()> {
+        let x = self
+            .cached_input
+            .as_ref()
+            .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
+        // dW = gradᵀ · x   — (out, N)·(N, in) = (out, in)
+        let mut dw = ws.take_unzeroed([self.out_features, self.in_features]);
+        ops::matmul_tn_into(grad, x, &mut dw)?;
+        self.weight.grad_mut().axpy(1.0, &dw)?;
+        ws.give(dw);
+        // db = column sums of grad
+        let mut db = ws.take_unzeroed([self.out_features]);
+        grad.sum_rows_into(&mut db)?;
+        self.bias.grad_mut().axpy(1.0, &db)?;
+        ws.give(db);
+        Ok(())
+    }
 }
 
 impl Layer for Linear {
@@ -103,32 +123,24 @@ impl Layer for Linear {
         }
         // xtask:allow(hot-path-alloc): O(1) copy-on-write handle clone for the backward cache
         self.cached_input = Some(x.clone());
-        let mut y = ws.take([n, self.out_features]);
+        let mut y = ws.take_unzeroed([n, self.out_features]);
         ops::matmul_nt_into(x, self.weight.value(), &mut y)?;
         ops::add_bias_rows_in_place(&mut y, self.bias.value())?;
         Ok(y)
     }
 
     fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
-        let n = x.dims().first().copied().unwrap_or(0);
-        // dW = gradᵀ · x   — (out, N)·(N, in) = (out, in)
-        let mut dw = ws.take([self.out_features, self.in_features]);
-        ops::matmul_tn_into(grad, x, &mut dw)?;
-        self.weight.grad_mut().axpy(1.0, &dw)?;
-        ws.give(dw);
-        // db = column sums of grad
-        let mut db = ws.take([self.out_features]);
-        grad.sum_rows_into(&mut db)?;
-        self.bias.grad_mut().axpy(1.0, &db)?;
-        ws.give(db);
-        // dx = grad · W   — (N, out)·(out, in) = (N, in)
-        let mut gx = ws.take([n, self.in_features]);
+        self.backward_param_grads(grad, ws)?;
+        // dx = grad · W   — (N, out)·(out, in) = (N, in); the weight
+        // gradient above already checked grad's rows against the input's.
+        let n = grad.dims().first().copied().unwrap_or(0);
+        let mut gx = ws.take_unzeroed([n, self.in_features]);
         ops::matmul_into(grad, self.weight.value(), &mut gx)?;
         Ok(gx)
+    }
+
+    fn backward_params_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<()> {
+        self.backward_param_grads(grad, ws)
     }
 
     fn params(&self) -> Vec<&Parameter> {

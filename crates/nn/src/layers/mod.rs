@@ -51,8 +51,13 @@ pub enum Mode {
 /// (as [`crate::Sequential`] does) runs allocation-free once warm. The
 /// plain [`Layer::forward`]/[`Layer::backward`] conveniences run the same
 /// code against an ephemeral workspace and produce bit-identical results —
-/// [`Workspace::take`] always hands out zeroed buffers, so recycling never
-/// changes numerics.
+/// [`Workspace::take`] always hands out zeroed buffers, and a layer takes
+/// a buffer without the zero-fill only for a kernel that zeroes or
+/// overwrites it, so recycling never changes numerics.
+///
+/// A model's first layer is the one whose input gradient nobody reads: a
+/// training step backpropagates it through [`Layer::backward_params_ws`],
+/// which layers with an expensive input gradient override to skip it.
 pub trait Layer: fmt::Debug + Send {
     /// Diagnostic name, e.g. `"conv2d(16→32, 3x3)"`.
     fn name(&self) -> String;
@@ -74,6 +79,21 @@ pub trait Layer: fmt::Debug + Send {
     /// Returns [`crate::NnError::MissingForwardState`] if no forward pass
     /// preceded this call.
     fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor>;
+
+    /// The backward pass of a model's first layer, whose input gradient no
+    /// caller reads: accumulates exactly the parameter gradients
+    /// [`Layer::backward_ws`] would, bit for bit, but may skip computing
+    /// the input gradient. The default runs the full backward pass and
+    /// returns the input gradient to `ws`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward_ws`].
+    fn backward_params_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<()> {
+        let gx = self.backward_ws(grad, ws)?;
+        ws.give(gx);
+        Ok(())
+    }
 
     /// Convenience forward pass using an ephemeral workspace. Bit-identical
     /// to [`Layer::forward_ws`]; allocates per call.

@@ -166,6 +166,29 @@ impl Sequential {
         Ok(cur)
     }
 
+    /// Backward pass of a training step, which never reads the gradient
+    /// w.r.t. the model input: accumulates the same parameter gradients
+    /// as [`Sequential::backward`], bit for bit, but the first layer runs
+    /// [`Layer::backward_params_ws`] and may skip its input gradient.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first layer error (e.g. backward before forward).
+    pub fn backward_params(&mut self, grad: &Tensor) -> Result<()> {
+        let ws = &mut self.workspace;
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut cur = grad.clone();
+        for layer in rest.iter_mut().rev() {
+            let next = layer.backward_ws(&cur, ws)?;
+            ws.give(std::mem::replace(&mut cur, next));
+        }
+        first.backward_params_ws(&cur, ws)?;
+        ws.give(cur);
+        Ok(())
+    }
+
     /// Takes an O(1) copy-on-write snapshot of every parameter value.
     ///
     /// See [`ModelSnapshot`] for the sharing/isolation semantics.

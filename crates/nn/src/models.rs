@@ -7,6 +7,7 @@
 //! models for tests and fast experiments.
 
 use crate::error::{NnError, Result};
+use crate::init::Init;
 use crate::layers::{BatchNorm2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d, Relu};
 use crate::model::Sequential;
 use rand::rngs::SmallRng;
@@ -86,6 +87,18 @@ impl VggConfig {
 /// # }
 /// ```
 pub fn vgg11(config: &VggConfig, seed: u64) -> Result<Sequential> {
+    vgg11_with_init(config, seed, Init::KaimingNormal)
+}
+
+/// [`vgg11`] with an explicit initialisation for the convolution and
+/// classifier weights. [`Init::Zeros`] builds the architecture without
+/// drawing a single random number — the skeleton a state dict is loaded
+/// into; every other layer comes out exactly as [`vgg11`] builds it.
+///
+/// # Errors
+///
+/// Same conditions as [`vgg11`].
+pub fn vgg11_with_init(config: &VggConfig, seed: u64, init: Init) -> Result<Sequential> {
     if config.width == 0 || config.classes == 0 || config.input_hw == 0 || config.in_channels == 0 {
         return Err(NnError::InvalidConfig {
             what: format!("vgg11 config has a zero field: {config:?}"),
@@ -108,7 +121,7 @@ pub fn vgg11(config: &VggConfig, seed: u64) -> Result<Sequential> {
     let mut channels = config.in_channels;
     let mut hw = config.input_hw;
     for (out_ch, pool) in plan {
-        model.add(Conv2d::new(channels, out_ch, 3, 1, 1, &mut rng));
+        model.add(Conv2d::with_init(channels, out_ch, 3, 1, 1, init, &mut rng));
         if config.batch_norm {
             model.add(BatchNorm2d::new(out_ch));
         }
@@ -122,12 +135,12 @@ pub fn vgg11(config: &VggConfig, seed: u64) -> Result<Sequential> {
     model.add(Flatten::new());
     let feat = channels * hw * hw;
     let hidden = 16 * w; // scales like VGG's 4096 head at w = 256
-    model.add(Linear::new(feat, hidden, &mut rng));
+    model.add(Linear::with_init(feat, hidden, init, &mut rng));
     model.add(Relu::new());
     if config.dropout > 0.0 {
         model.add(Dropout::new(config.dropout, config.dropout_seed)?);
     }
-    model.add(Linear::new(hidden, config.classes, &mut rng));
+    model.add(Linear::with_init(hidden, config.classes, init, &mut rng));
     Ok(model)
 }
 
@@ -141,6 +154,16 @@ pub fn vgg11(config: &VggConfig, seed: u64) -> Result<Sequential> {
 /// Returns [`NnError::InvalidConfig`] if fewer than two dims are given or
 /// any dim is zero.
 pub fn mlp(dims: &[usize], seed: u64) -> Result<Sequential> {
+    mlp_with_init(dims, seed, Init::KaimingNormal)
+}
+
+/// [`mlp`] with an explicit weight initialisation; see
+/// [`vgg11_with_init`].
+///
+/// # Errors
+///
+/// Same conditions as [`mlp`].
+pub fn mlp_with_init(dims: &[usize], seed: u64, init: Init) -> Result<Sequential> {
     if dims.len() < 2 || dims.contains(&0) {
         return Err(NnError::InvalidConfig {
             what: format!("mlp needs >= 2 nonzero dims, got {dims:?}"),
@@ -149,7 +172,7 @@ pub fn mlp(dims: &[usize], seed: u64) -> Result<Sequential> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut model = Sequential::new();
     for i in 0..dims.len() - 1 {
-        model.add(Linear::new(dims[i], dims[i + 1], &mut rng));
+        model.add(Linear::with_init(dims[i], dims[i + 1], init, &mut rng));
         if i + 2 < dims.len() {
             model.add(Relu::new());
         }
@@ -167,6 +190,22 @@ pub fn mlp(dims: &[usize], seed: u64) -> Result<Sequential> {
 /// Returns [`NnError::InvalidConfig`] if the input is smaller than 12×12 or
 /// any size is zero.
 pub fn lenet(input_hw: usize, in_channels: usize, classes: usize, seed: u64) -> Result<Sequential> {
+    lenet_with_init(input_hw, in_channels, classes, seed, Init::KaimingNormal)
+}
+
+/// [`lenet`] with an explicit weight initialisation; see
+/// [`vgg11_with_init`].
+///
+/// # Errors
+///
+/// Same conditions as [`lenet`].
+pub fn lenet_with_init(
+    input_hw: usize,
+    in_channels: usize,
+    classes: usize,
+    seed: u64,
+    init: Init,
+) -> Result<Sequential> {
     if input_hw < 12 || in_channels == 0 || classes == 0 {
         return Err(NnError::InvalidConfig {
             what: format!("lenet needs input_hw >= 12, got {input_hw}"),
@@ -177,16 +216,16 @@ pub fn lenet(input_hw: usize, in_channels: usize, classes: usize, seed: u64) -> 
     let hw_after = input_hw / 2 / 2;
     let feat = 16 * hw_after * hw_after;
     Ok(Sequential::new()
-        .push(Conv2d::new(in_channels, 6, 5, 1, 2, &mut rng))
+        .push(Conv2d::with_init(in_channels, 6, 5, 1, 2, init, &mut rng))
         .push(Relu::new())
         .push(MaxPool2d::new(2, 2))
-        .push(Conv2d::new(6, 16, 5, 1, 2, &mut rng))
+        .push(Conv2d::with_init(6, 16, 5, 1, 2, init, &mut rng))
         .push(Relu::new())
         .push(MaxPool2d::new(2, 2))
         .push(Flatten::new())
-        .push(Linear::new(feat, 120, &mut rng))
+        .push(Linear::with_init(feat, 120, init, &mut rng))
         .push(Relu::new())
-        .push(Linear::new(120, classes, &mut rng)))
+        .push(Linear::with_init(120, classes, init, &mut rng)))
 }
 
 #[cfg(test)]

@@ -144,7 +144,9 @@ pub fn evaluate(
         let end = (start + batch_size).min(n);
         // Batch input comes from (and returns to) the model's workspace;
         // labels are borrowed straight from the caller's slice.
-        let mut bx = model.workspace_mut().take(batch_dims(x, end - start)?);
+        let mut bx = model
+            .workspace_mut()
+            .take_unzeroed(batch_dims(x, end - start)?);
         slice_samples_into(x, start, end, &mut bx)?;
         let by = &labels[start..end];
         let logits = model.forward(&bx, Mode::Eval)?;
@@ -235,7 +237,9 @@ impl Trainer {
         // One label buffer reused across batches; the loss borrows it.
         let mut by: Vec<usize> = Vec::with_capacity(self.config.batch_size);
         for chunk in order.chunks(self.config.batch_size) {
-            let mut bx = model.workspace_mut().take(batch_dims(x, chunk.len())?);
+            let mut bx = model
+                .workspace_mut()
+                .take_unzeroed(batch_dims(x, chunk.len())?);
             gather_samples_into(x, chunk, &mut bx)?;
             by.clear();
             by.extend(chunk.iter().map(|&i| labels[i]));
@@ -246,8 +250,7 @@ impl Trainer {
             correct += accuracy(&logits, &by)? as f64 * chunk.len() as f64;
             model.workspace_mut().give(logits);
             model.zero_grad();
-            let gx = model.backward(&out.grad)?;
-            model.workspace_mut().give(gx);
+            model.backward_params(&out.grad)?;
             model.workspace_mut().give(out.grad);
             let mut params = model.params_mut();
             self.optimizer.step(&mut params)?;

@@ -81,11 +81,29 @@ impl Workspace {
     /// recycled buffer last held, so `take` is a drop-in replacement for
     /// `Tensor::zeros` — results cannot depend on recycling history.
     pub fn take<S: Into<Shape>>(&mut self, shape: S) -> Tensor {
-        let shape = shape.into();
+        self.take_buffer(shape.into(), true)
+    }
+
+    /// Like [`Workspace::take`] but skips the zero-fill: a recycled
+    /// buffer keeps whatever it last held. Only for a buffer passed
+    /// straight to a kernel that zeroes it itself or overwrites every
+    /// element (the GEMM `_into` entry points, `im2col_into`,
+    /// `col2im_into`, `rows_to_nchw_into`, `nchw_to_rows_into`,
+    /// `sum_rows_into`, a full batch copy), so results still cannot
+    /// depend on recycling history. Counts hits and misses like `take`.
+    pub(crate) fn take_unzeroed<S: Into<Shape>>(&mut self, shape: S) -> Tensor {
+        self.take_buffer(shape.into(), false)
+    }
+
+    /// A pooled buffer of `shape`'s volume (zeroed if `zero`), or a fresh
+    /// zeroed one.
+    fn take_buffer(&mut self, shape: Shape, zero: bool) -> Tensor {
         let n = shape.volume();
         if let Some(mut buf) = self.pools.get_mut(&n).and_then(Vec::pop) {
             self.stats.hits += 1;
-            buf.iter_mut().for_each(|x| *x = 0.0);
+            if zero {
+                buf.fill(0.0);
+            }
             // Volume matches by construction, so from_vec cannot fail; the
             // fallback allocation keeps this panic-free regardless.
             match Tensor::from_vec(buf, shape.clone()) {
@@ -149,6 +167,18 @@ mod tests {
         assert_eq!(u.data(), &[0.0; 4]);
         assert_eq!(ws.stats().hits, 1);
         assert_eq!(ws.stats().misses, 1);
+    }
+
+    #[test]
+    fn take_unzeroed_recycles_as_is_and_counts_like_take() {
+        let mut ws = Workspace::new();
+        let mut t = ws.take_unzeroed([3]);
+        assert_eq!(t.data(), &[0.0; 3], "a fresh buffer is still zeroed");
+        t.fill(7.0);
+        ws.give(t);
+        let u = ws.take_unzeroed([3]);
+        assert_eq!(u.data(), &[7.0; 3], "a recycled buffer keeps its contents");
+        assert_eq!((ws.stats().hits, ws.stats().misses), (1, 1));
     }
 
     #[test]

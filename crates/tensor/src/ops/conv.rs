@@ -8,6 +8,7 @@
 
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 
 /// Spatial geometry of a 2-D convolution or pooling window.
 ///
@@ -128,8 +129,14 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 }
 
 /// Like [`im2col`] but writing into a caller-provided scratch tensor of
-/// shape `(N·OH·OW, C·KH·KW)`. `out` is zeroed first (padding taps must
-/// read zero); results are bit-identical to [`im2col`].
+/// shape `(N·OH·OW, C·KH·KW)`. Every element of `out` is overwritten, so
+/// its prior contents do not matter; results are bit-identical to
+/// [`im2col`] and to the scatter-loop oracle
+/// [`super::conv_reference::im2col_into`].
+///
+/// Each image is first copied into a per-thread zero-padded scratch
+/// buffer; every patch row is then filled with `KH` window copies of `KW`
+/// elements per channel, with no per-element bounds test.
 ///
 /// # Errors
 ///
@@ -143,46 +150,114 @@ pub fn im2col_into(x: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Resul
             rhs: vec![h, w],
         });
     }
-    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
-    let (oh, ow) = (geom.out_h, geom.out_w);
-    let row_len = c * kh * kw;
-    if out.dims() != [n * oh * ow, row_len] {
+    let rows = n * geom.out_h * geom.out_w;
+    let row_len = c * geom.kernel_h * geom.kernel_w;
+    if out.dims() != [rows, row_len] {
         return Err(TensorError::ShapeMismatch {
             op: "im2col_into",
-            lhs: vec![n * oh * ow, row_len],
+            lhs: vec![rows, row_len],
             rhs: out.dims().to_vec(),
         });
     }
-    out.fill_zero();
-    let xd = x.data();
     let od = out.data_mut();
-    for img in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (img * oh + oy) * ow + ox;
-                let base = row * row_len;
-                for ch in 0..c {
-                    let chan_base = (img * c + ch) * h * w;
-                    for ky in 0..kh {
-                        let iy = (oy * s + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // padding row stays zero
-                        }
-                        let iy = iy as usize;
-                        for kx in 0..kw {
-                            let ix = (ox * s + kx) as isize - p as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            od[base + (ch * kh + ky) * kw + kx] =
-                                xd[chan_base + iy * w + ix as usize];
-                        }
-                    }
+    if od.is_empty() {
+        return Ok(());
+    }
+    if h * w == 0 {
+        // Every tap of an empty image is padding.
+        od.fill(0.0);
+        return Ok(());
+    }
+    PADDED.with_borrow_mut(|pad| match geom.kernel_w {
+        3 => im2col_windows::<3>(x.data(), c, geom, pad, od),
+        _ => im2col_windows::<0>(x.data(), c, geom, pad, od),
+    });
+    Ok(())
+}
+
+thread_local! {
+    /// Per-thread scratch holding one zero-padded image,
+    /// `C × (H + 2P) × (W + 2P)`, for [`im2col_into`] and [`col2im_into`].
+    /// It grows to the largest padded image the thread has seen and is
+    /// then reused, so neither kernel allocates once warm. Each call
+    /// re-zeroes it before use, so results never depend on what it held.
+    /// A scratch-free version that clips each window row to the image
+    /// was measured slower (DESIGN.md §12, "Convolution lowering").
+    static PADDED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Zeroes `pad` for one padded image of `c` channels.
+fn reset_padded(pad: &mut Vec<f32>, c: usize, geom: &Conv2dGeometry) {
+    let p = geom.padding;
+    pad.clear();
+    pad.resize(c * (geom.in_h + 2 * p) * (geom.in_w + 2 * p), 0.0);
+}
+
+/// Copies the `K`-wide window (`K = 0`: as wide as `dst`) at the start
+/// of `src` into `dst`. Only width 3, the width of every VGG kernel, is
+/// fixed at compile time: it measured faster than the generic body
+/// (DESIGN.md §12, "Convolution lowering").
+#[inline(always)]
+fn copy_window<const K: usize>(dst: &mut [f32], src: &[f32]) {
+    let k = if K == 0 { dst.len() } else { K };
+    // xtask:allow(index): callers pass windows of exactly `kernel_w` elements inside the padded plane
+    dst[..k].copy_from_slice(&src[..k]);
+}
+
+/// Adds the `K`-wide window `src` (`K = 0`: as wide as `src`)
+/// elementwise into the start of `dst`.
+#[inline(always)]
+fn add_window<const K: usize>(dst: &mut [f32], src: &[f32]) {
+    let k = if K == 0 { src.len() } else { K };
+    // xtask:allow(index): callers pass windows of exactly `kernel_w` elements inside the padded plane
+    for (d, &v) in dst[..k].iter_mut().zip(&src[..k]) {
+        *d += v;
+    }
+}
+
+/// The [`im2col_into`] body for a non-empty `out` and image; `K` is the
+/// kernel width when it is a compile-time constant, else 0.
+fn im2col_windows<const K: usize>(
+    xd: &[f32],
+    c: usize,
+    geom: &Conv2dGeometry,
+    pad: &mut Vec<f32>,
+    od: &mut [f32],
+) {
+    let (h, w, kh, kw) = (geom.in_h, geom.in_w, geom.kernel_h, geom.kernel_w);
+    let (s, p, ow) = (geom.stride, geom.padding, geom.out_w);
+    let (plane, pw) = (h * w, w + 2 * p);
+    let padded_plane = (h + 2 * p) * pw;
+    let row_len = c * kh * kw;
+    reset_padded(pad, c, geom);
+    let image_rows = geom.out_positions() * row_len;
+    for (image, cols) in xd
+        .chunks_exact(c * plane)
+        .zip(od.chunks_exact_mut(image_rows))
+    {
+        // Only the interior is written, so the border stays zero.
+        for (src, dst) in image
+            .chunks_exact(plane)
+            .zip(pad.chunks_exact_mut(padded_plane))
+        {
+            for (src_row, dst_row) in src.chunks_exact(w).zip(dst.chunks_exact_mut(pw).skip(p)) {
+                // xtask:allow(index): the interior p..p + w of a (w + 2p)-wide padded row
+                dst_row[p..p + w].copy_from_slice(src_row);
+            }
+        }
+        for (pos, patch) in cols.chunks_exact_mut(row_len).enumerate() {
+            let corner = (pos / ow) * s * pw + (pos % ow) * s;
+            for (padded, taps) in pad
+                .chunks_exact(padded_plane)
+                .zip(patch.chunks_exact_mut(kh * kw))
+            {
+                for (ky, dst) in taps.chunks_exact_mut(kw).enumerate() {
+                    // xtask:allow(index): the window's padded rows and columns lie inside the plane by the geometry
+                    copy_window::<K>(dst, &padded[corner + ky * pw..]);
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// Scatters column gradients back: the adjoint of [`im2col`].
@@ -199,9 +274,15 @@ pub fn col2im(cols: &Tensor, n: usize, c: usize, geom: &Conv2dGeometry) -> Resul
     Ok(out)
 }
 
-/// Like [`col2im`] but accumulating into a caller-provided tensor of shape
-/// `(N, C, H, W)`. `out` is zeroed first; results are bit-identical to
-/// [`col2im`].
+/// Like [`col2im`] but writing into a caller-provided tensor of shape
+/// `(N, C, H, W)`. Every element of `out` is overwritten, so its prior
+/// contents do not matter; results are bit-identical to [`col2im`] and to
+/// the scatter-loop oracle [`super::conv_reference::col2im_into`].
+///
+/// Each image's taps are added into a per-thread zero-padded scratch
+/// buffer one `KW`-wide window at a time, in ascending row order, and the
+/// interior is then copied out: every input pixel still sums its taps
+/// from `+0.0` in ascending output-row order, as the oracle does.
 ///
 /// # Errors
 ///
@@ -214,7 +295,7 @@ pub fn col2im_into(
     out: &mut Tensor,
 ) -> Result<()> {
     let (rows, row_len) = cols.shape().as_matrix()?;
-    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
+    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
     let (oh, ow, h, w) = (geom.out_h, geom.out_w, geom.in_h, geom.in_w);
     if rows != n * oh * ow || row_len != c * kh * kw {
         return Err(TensorError::ShapeMismatch {
@@ -230,36 +311,60 @@ pub fn col2im_into(
             rhs: out.dims().to_vec(),
         });
     }
-    out.fill_zero();
-    let cd = cols.data();
     let od = out.data_mut();
-    for img in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (img * oh + oy) * ow + ox;
-                let base = row * row_len;
-                for ch in 0..c {
-                    let chan_base = (img * c + ch) * h * w;
-                    for ky in 0..kh {
-                        let iy = (oy * s + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for kx in 0..kw {
-                            let ix = (ox * s + kx) as isize - p as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            od[chan_base + iy * w + ix as usize] +=
-                                cd[base + (ch * kh + ky) * kw + kx];
-                        }
-                    }
+    if od.is_empty() {
+        return Ok(());
+    }
+    PADDED.with_borrow_mut(|pad| match kw {
+        3 => col2im_windows::<3>(cols.data(), c, geom, pad, od),
+        _ => col2im_windows::<0>(cols.data(), c, geom, pad, od),
+    });
+    Ok(())
+}
+
+/// The [`col2im_into`] body for a non-empty `out`; `K` as in
+/// [`im2col_windows`].
+fn col2im_windows<const K: usize>(
+    cd: &[f32],
+    c: usize,
+    geom: &Conv2dGeometry,
+    pad: &mut Vec<f32>,
+    od: &mut [f32],
+) {
+    let (h, w, kh, kw) = (geom.in_h, geom.in_w, geom.kernel_h, geom.kernel_w);
+    let (s, p, ow) = (geom.stride, geom.padding, geom.out_w);
+    let (plane, pw) = (h * w, w + 2 * p);
+    let padded_plane = (h + 2 * p) * pw;
+    let row_len = c * kh * kw;
+    let image_rows = geom.out_positions() * row_len;
+    for (cols, image) in cd
+        .chunks_exact(image_rows)
+        .zip(od.chunks_exact_mut(c * plane))
+    {
+        reset_padded(pad, c, geom);
+        for (pos, patch) in cols.chunks_exact(row_len).enumerate() {
+            let corner = (pos / ow) * s * pw + (pos % ow) * s;
+            for (padded, taps) in pad
+                .chunks_exact_mut(padded_plane)
+                .zip(patch.chunks_exact(kh * kw))
+            {
+                for (ky, src) in taps.chunks_exact(kw).enumerate() {
+                    // xtask:allow(index): the window's padded rows and columns lie inside the plane by the geometry
+                    add_window::<K>(&mut padded[corner + ky * pw..], src);
                 }
             }
         }
+        // Taps that landed on the border belong to padding and are dropped.
+        for (src, dst) in pad
+            .chunks_exact(padded_plane)
+            .zip(image.chunks_exact_mut(plane))
+        {
+            for (src_row, dst_row) in src.chunks_exact(pw).skip(p).zip(dst.chunks_exact_mut(w)) {
+                // xtask:allow(index): the interior p..p + w of a (w + 2p)-wide padded row
+                dst_row.copy_from_slice(&src_row[p..p + w]);
+            }
+        }
     }
-    Ok(())
 }
 
 /// Reorders a `(N·OH·OW, OC)` GEMM output into NCHW `(N, OC, OH, OW)`.

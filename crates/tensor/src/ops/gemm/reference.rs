@@ -6,12 +6,13 @@
 //!   other kernel is checked against (by the `reduce-bench` harness and
 //!   the property tests) and deliberately has no blocking or skipping
 //!   cleverness to get wrong.
-//! * [`blocked_into`] — the pre-packing production kernels: cache-blocked
-//!   over the reduction dimension with an `ikj` loop order (plus the
-//!   exact-zero skip that makes FAP-masked operands cheap). This is what
-//!   [`super::dispatch_into`] still runs for shapes too small to
-//!   amortise packing, and the baseline the kernel-comparison harness
-//!   measures speedups against.
+//! * [`blocked_into`] — the production kernels for shapes too small to
+//!   amortise packing, which [`super::dispatch_into`] runs: `NN`/`TN`
+//!   cache-blocked over the reduction dimension with an `ikj` loop order
+//!   (plus the exact-zero skip that makes FAP-masked operands cheap),
+//!   `NT` register-tiled over a stack-resident `B` panel. They are also
+//!   the baseline the kernel-comparison harness measures speedups
+//!   against.
 //!
 //! Both accumulate every output element in ascending reduction order
 //! with separate multiply-then-add, so their results are bit-identical
@@ -80,9 +81,10 @@ pub(crate) fn naive_slices(
     }
 }
 
-/// Slice-level blocked kernels; `cd` must be pre-zeroed. These are the
-/// original `matmul*_into` loop bodies, moved here verbatim when the
-/// packed path became the large-shape default.
+/// Slice-level blocked kernels; `cd` must be pre-zeroed. `NN` and `TN`
+/// are the original `matmul*_into` loop bodies, moved here verbatim when
+/// the packed path became the large-shape default; `NT` is
+/// [`blocked_nt`].
 pub(crate) fn blocked_slices(
     variant: GemmVariant,
     m: usize,
@@ -146,22 +148,109 @@ fn blocked_tn(m: usize, k: usize, n: usize, ad: &[f32], bd: &[f32], cd: &mut [f3
     }
 }
 
-/// `C = A · Bᵀ` as row-by-row dot products over the shared contiguous
-/// `k` axis.
+/// Rows of `C` per register tile of [`blocked_nt`].
+const NT_MR: usize = 8;
+
+/// Columns of `C` per register tile of [`blocked_nt`]: one f32x8 vector.
+const NT_NR: usize = 8;
+
+/// Reduction steps per stack-resident `B` panel of [`blocked_nt`].
+const NT_KC: usize = 256;
+
+/// `C = A · Bᵀ`, register-tiled for the small shapes [`super::use_packed`]
+/// leaves here (few output columns, such as a first convolution or a
+/// classifier, or few multiply-adds).
+///
+/// `NT_NR` rows of `B` are transposed into a stack panel `NT_KC` reduction
+/// steps at a time, and [`NtPanel::update_rows`] carries `NT_MR` rows of
+/// `C` at a time (single rows for the last `m % NT_MR`) across each panel
+/// in registers. A ragged last column block repeats the last row of `B`
+/// in its unused lanes, which are never stored. `C` is overwritten, not
+/// accumulated into.
 fn blocked_nt(m: usize, k: usize, n: usize, ad: &[f32], bd: &[f32], cd: &mut [f32]) {
-    for i in 0..m {
-        // xtask:allow(index): i < m over m*k / m*n buffers validated by the entry points
-        let arow = &ad[i * k..(i + 1) * k];
-        // xtask:allow(index): same bound as arow
-        let crow = &mut cd[i * n..(i + 1) * n];
-        for (j, cx) in crow.iter_mut().enumerate() {
-            // xtask:allow(index): j < n over an n*k buffer
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&ax, &bx) in arow.iter().zip(brow) {
-                acc += ax * bx;
+    let mut panel = [0.0f32; NT_KC * NT_NR];
+    let tiled_rows = m - m % NT_MR;
+    for j0 in (0..n).step_by(NT_NR) {
+        // k == 0 still runs one empty panel, which stores the zeros.
+        for k0 in (0..k.max(1)).step_by(NT_KC) {
+            let kc = NT_KC.min(k - k0);
+            for c in 0..NT_NR {
+                let j = (j0 + c).min(n - 1);
+                // xtask:allow(index): j < n and k0 + kc <= k over an n*k buffer validated by the entry points
+                let brow = &bd[j * k + k0..j * k + k0 + kc];
+                for (dst, &b) in panel.iter_mut().skip(c).step_by(NT_NR).zip(brow) {
+                    *dst = b;
+                }
             }
-            *cx = acc;
+            let block = NtPanel {
+                // xtask:allow(index): kc <= NT_KC steps of NT_NR values were packed above
+                values: &panel[..kc * NT_NR],
+                k,
+                k0,
+                n,
+                j0,
+                nr: NT_NR.min(n - j0),
+            };
+            for i0 in (0..tiled_rows).step_by(NT_MR) {
+                block.update_rows::<NT_MR>(ad, cd, i0);
+            }
+            for i0 in tiled_rows..m {
+                block.update_rows::<1>(ad, cd, i0);
+            }
+        }
+    }
+}
+
+/// One packed `B` panel of [`blocked_nt`]: reduction steps
+/// `k0..k0 + kc` of output columns `j0..j0 + nr`, step-major.
+struct NtPanel<'a> {
+    values: &'a [f32],
+    k: usize,
+    k0: usize,
+    n: usize,
+    j0: usize,
+    nr: usize,
+}
+
+impl NtPanel<'_> {
+    /// Carries rows `i0..i0 + R` of `C` across this panel. Each element's
+    /// chain resumes from `C` (from `+0.0` on the first panel), adds one
+    /// product per step in ascending `k` — a separate multiply, then an
+    /// add, exactly as [`naive_slices`] does, so the two are
+    /// bit-identical — and is stored back; a store and reload between
+    /// panels rounds nothing.
+    #[inline(always)]
+    fn update_rows<const R: usize>(&self, ad: &[f32], cd: &mut [f32], i0: usize) {
+        let Self {
+            k, k0, n, j0, nr, ..
+        } = *self;
+        let kc = self.values.len() / NT_NR;
+        let arows: [&[f32]; R] = std::array::from_fn(|r| {
+            let at = (i0 + r) * k + k0;
+            // xtask:allow(index): row i0 + r < m and k0 + kc <= k over an m*k buffer validated by the entry points
+            &ad[at..at + kc]
+        });
+        let mut acc = [[0.0f32; NT_NR]; R];
+        if k0 > 0 {
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let at = (i0 + r) * n + j0;
+                // xtask:allow(index): row i0 + r < m, columns j0..j0 + nr <= n of an m*n buffer
+                acc_row[..nr].copy_from_slice(&cd[at..at + nr]);
+            }
+        }
+        for (p, bv) in self.values.chunks_exact(NT_NR).enumerate() {
+            for (acc_row, arow) in acc.iter_mut().zip(&arows) {
+                // xtask:allow(index): p < kc, the length of every row slice
+                let a = arow[p];
+                for (c, &b) in acc_row.iter_mut().zip(bv) {
+                    *c += a * b;
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let at = (i0 + r) * n + j0;
+            // xtask:allow(index): row i0 + r < m, columns j0..j0 + nr <= n of an m*n buffer
+            cd[at..at + nr].copy_from_slice(&acc_row[..nr]);
         }
     }
 }
@@ -172,18 +261,33 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive_bitwise() {
-        for (variant, adim, bdim) in [
-            (GemmVariant::NN, [7, 130], [130, 5]),
-            (GemmVariant::TN, [130, 7], [130, 5]),
-            (GemmVariant::NT, [7, 130], [5, 130]),
-        ] {
-            let a = Tensor::rand_uniform(adim, -1.0, 1.0, 3);
-            let b = Tensor::rand_uniform(bdim, -1.0, 1.0, 4);
-            let mut blocked = Tensor::zeros([7, 5]);
-            blocked_into(variant, &a, &b, &mut blocked).expect("conformable");
-            let mut naive = Tensor::zeros([7, 5]);
-            naive_into(variant, &a, &b, &mut naive).expect("conformable");
-            assert_eq!(blocked, naive, "variant {}", variant.name());
+        // Every ragged edge of the register-tiled NT kernel (n up to two
+        // column blocks plus one; m below, off and past the row tile), a
+        // one-step reduction, a conv0-like 27 and reductions past a panel.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for m in [1usize, 7, 13, 19] {
+            for n in 1usize..=17 {
+                for k in [1usize, 27, 130, NT_KC + 44] {
+                    for (variant, adim, bdim) in [
+                        (GemmVariant::NN, [m, k], [k, n]),
+                        (GemmVariant::TN, [k, m], [k, n]),
+                        (GemmVariant::NT, [m, k], [n, k]),
+                    ] {
+                        let a = Tensor::rand_uniform(adim, -1.0, 1.0, 3);
+                        let b = Tensor::rand_uniform(bdim, -1.0, 1.0, 4);
+                        let mut blocked = Tensor::full([m, n], f32::NAN);
+                        blocked_into(variant, &a, &b, &mut blocked).expect("conformable");
+                        let mut naive = Tensor::full([m, n], f32::NAN);
+                        naive_into(variant, &a, &b, &mut naive).expect("conformable");
+                        assert_eq!(
+                            bits(&blocked),
+                            bits(&naive),
+                            "variant {} shape {m}x{k}x{n}",
+                            variant.name()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -7,6 +7,7 @@
 //! bit-identical results.
 
 mod conv;
+pub mod conv_reference;
 pub mod gemm;
 mod matmul;
 mod softmax;

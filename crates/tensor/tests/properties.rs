@@ -71,6 +71,12 @@ fn matrix_pair(max_dim: usize) -> impl Strategy<Value = (Tensor, Tensor)> {
     })
 }
 
+/// The bit patterns of a tensor's elements: a stricter equality than
+/// `f32 ==`, which treats `-0.0` as `+0.0` and NaN as unequal to itself.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -256,5 +262,34 @@ proptest! {
                 "variant {} shape {}x{}x{} fill {}", variant.name(), m, k, n, fill
             );
         }
+    }
+
+    #[test]
+    fn conv_lowering_matches_the_scatter_oracles_bit_for_bit(
+        (n, c, h, w) in (1usize..=3, 1usize..=4, 1usize..=9, 1usize..=9),
+        (kh, kw, stride, padding) in (1usize..=5, 1usize..=5, 1usize..=3, 0usize..=2),
+        seed in 0u64..1000,
+    ) {
+        // Heights and widths drawn apart cover H != W; growing them to
+        // the kernel keeps every draw a valid geometry. Outputs start
+        // NaN-poisoned, so an element the kernel fails to write shows.
+        let (h, w) = (h.max(kh), w.max(kw));
+        let geom = ops::Conv2dGeometry::new(h, w, kh, kw, stride, padding)
+            .expect("the input covers the kernel");
+        let cols_dims = [n * geom.out_positions(), c * kh * kw];
+        let x = Tensor::rand_uniform([n, c, h, w], -10.0, 10.0, seed);
+        let mut cols = Tensor::full(cols_dims, f32::NAN);
+        ops::im2col_into(&x, &geom, &mut cols).expect("geometry matches");
+        let mut want = Tensor::full(cols_dims, f32::NAN);
+        ops::conv_reference::im2col_into(&x, &geom, &mut want).expect("geometry matches");
+        prop_assert_eq!(bits(&cols), bits(&want), "im2col {:?}", geom);
+
+        let dcols = Tensor::rand_uniform(cols_dims, -10.0, 10.0, seed.wrapping_add(1));
+        let mut gx = Tensor::full([n, c, h, w], f32::NAN);
+        ops::col2im_into(&dcols, n, c, &geom, &mut gx).expect("geometry matches");
+        let mut want = Tensor::full([n, c, h, w], f32::NAN);
+        ops::conv_reference::col2im_into(&dcols, n, c, &geom, &mut want)
+            .expect("geometry matches");
+        prop_assert_eq!(bits(&gx), bits(&want), "col2im {:?}", geom);
     }
 }

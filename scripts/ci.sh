@@ -5,6 +5,7 @@
 #   analysis) → clippy -D warnings → fmt check
 #   → smoke determinism gate (parallel ≡ sequential artifacts)
 #   → kill-and-resume + storage-fault sweep (every IO op crash-tested)
+#   → perfbench output gate (the benchmark builds; seed-1 outputs exact)
 #
 # Run from anywhere inside the repo. Fails fast on the first broken stage.
 set -euo pipefail
@@ -243,5 +244,25 @@ jt verify "$efat_dir/cut" >/dev/null || {
     echo "resumed eFAT journal did not verify clean"; exit 1; }
 echo "    clustered artifacts are byte-identical across thread counts and"
 echo "    across kill-and-resume (journal verifies clean after resume)"
+
+echo "==> perfbench output gate (every workload once at the recorded seed)"
+# perfbench/ is its own cargo package, so nothing above builds it: an API
+# change that breaks the benchmark, or a kernel change that moves one bit
+# of a recorded output, would otherwise surface only when the benchmark
+# runs. One round per workload at seed 1 is checked bit for bit against
+# perfbench/expected/; the JSON line must report it correct, with no
+# failed job.
+bench() { cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- "$@"; }
+bench_err="$det_dir/perfbench.stderr"
+for workload in characterize-vgg fleet-vgg-efat fleet-fap-resume; do
+    line=$(bench --workload "$workload" --seed 1 --seconds 0.001 2>"$bench_err" | grep '^{' || true)
+    if ! grep -q '"correct": true' <<<"$line" || ! grep -q '"failed": 0,' <<<"$line"; then
+        # Compiler errors and perfbench's own diagnostics go to stderr.
+        cat "$bench_err"
+        echo "perfbench $workload failed its output check: ${line:-no JSON line}"
+        exit 1
+    fi
+    echo "    $workload: outputs match perfbench/expected/, 0 failed"
+done
 
 echo "ci: all stages green"
