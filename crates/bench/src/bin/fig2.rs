@@ -12,7 +12,7 @@
 //!     [--scale smoke|default|full] [--part a|b|both] [--threads N] \
 //!     [--csv DIR] [--table-out PATH] [--out DIR] [--redact-timing] \
 //!     [--retries N] [--chaos-rate P] [--chaos-seed S] \
-//!     [--resume DIR] [--halt-after N] \
+//!     [--resume DIR] \
 //!     [--io-fault KIND@INDEX] [--io-fault-seed S]
 //! ```
 //!
@@ -27,11 +27,10 @@
 //! Fault tolerance: `--retries N` retries each failing grid cell up to `N`
 //! times with a deterministically derived retry seed before quarantining
 //! it; `--chaos-rate P --chaos-seed S` injects seeded failures to exercise
-//! that path. An interrupted run (e.g. via `--halt-after N`, which exits
-//! the process after `N` journal appends) is continued with
-//! `--resume DIR`: journaled cells are replayed, only missing cells are
-//! computed, and the rewritten redacted artifacts are byte-identical to an
-//! uninterrupted run's.
+//! that path. An interrupted run (e.g. killed by an `--io-fault` crash
+//! point, below) is continued with `--resume DIR`: journaled cells are
+//! replayed, only missing cells are computed, and the rewritten redacted
+//! artifacts are byte-identical to an uninterrupted run's.
 //!
 //! Storage faults: `--io-fault KIND@INDEX` (with optional
 //! `--io-fault-seed S`) injects one deterministic storage fault — `torn`,
@@ -93,7 +92,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         &args,
         ExecConfig::new(threads).with_observer(observer.clone()),
     )?;
-    let journal = open_journal(&args, out_dir.as_deref(), resuming)?;
+    let journal = open_journal(out_dir.as_deref(), resuming)?;
     if resuming {
         if let Some(cp) = &journal {
             println!(

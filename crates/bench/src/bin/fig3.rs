@@ -13,7 +13,7 @@
 //!     [--chips N | --fleet-size N] [--threads N] [--table PATH] [--csv DIR] \
 //!     [--out DIR] [--redact-timing] [--cost] [--early-stop] [--per-chip] \
 //!     [--retries N] [--chaos-rate P] [--chaos-seed S] \
-//!     [--resume DIR] [--halt-after N] \
+//!     [--resume DIR] \
 //!     [--io-fault KIND@INDEX] [--io-fault-seed S]
 //! ```
 //!
@@ -21,7 +21,7 @@
 //! the per-chip fleet retraining on the deterministic executor (`0` =
 //! auto-size); reports are byte-identical at any thread count. `--out DIR`
 //! writes a JSON-lines `run_log.jsonl`, a `manifest.json` and a
-//! `journal.jsonl` of completed grid cells and chips; with
+//! `journal.jsonl` of completed grid cells and fleet batches; with
 //! `--redact-timing` the log and manifest are byte-identical at any
 //! thread count too.
 //!
@@ -29,9 +29,9 @@
 //! to `N` times with a deterministically derived retry seed before
 //! quarantining it (a quarantined chip is reported, not fatal);
 //! `--chaos-rate P --chaos-seed S` injects seeded failures to exercise
-//! that path. An interrupted run (e.g. via `--halt-after N`) is continued
-//! with `--resume DIR`: journaled jobs are replayed and only missing ones
-//! are computed. `--io-fault KIND@INDEX` (`torn`|`short`|`enospc`|
+//! that path. An interrupted run (e.g. killed by an `--io-fault` crash
+//! point) is continued with `--resume DIR`: journaled jobs are replayed
+//! and only missing ones are computed. `--io-fault KIND@INDEX` (`torn`|`short`|`enospc`|
 //! `rename-fail`, optional `--io-fault-seed S`) injects one deterministic
 //! storage fault at the `INDEX`-th artifact IO operation in the run
 //! directory and exits with code **4** when it fires — the crash half of
@@ -210,7 +210,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         &args,
         ExecConfig::new(threads).with_observer(observer.clone()),
     )?;
-    let journal = open_journal(&args, out_dir.as_deref(), resuming)?;
+    let journal = open_journal(out_dir.as_deref(), resuming)?;
     if resuming {
         if let Some(cp) = &journal {
             println!(

@@ -45,10 +45,9 @@ fn verify(path: &Path, verbose: bool) -> ExitCode {
         }
     };
     println!(
-        "{}: {} (v{}, {} record(s), {} sealed shard(s), {} B)",
+        "{}: {} ({} record(s), {} sealed shard(s), {} B)",
         path.display(),
         health.status.name(),
-        health.version,
         health.records,
         health.sealed_shards,
         health.total_bytes,

@@ -159,20 +159,18 @@ impl Scale {
 /// * `--resume DIR` — replay `DIR/journal.jsonl`, run only missing jobs,
 ///   and rewrite the artifacts in `DIR` (conflicts with `--out`; pass the
 ///   same remaining flags as the interrupted run);
-/// * `--halt-after N` — exit the process after `N` journal appends
-///   (deterministic mid-run "kill" for crash testing);
 /// * `--io-fault KIND@INDEX` / `--io-fault-seed S` — inject one storage
 ///   fault (`torn`, `short`, `enospc` or `rename-fail`) at the `INDEX`-th
 ///   artifact IO operation inside the run directory, after which the
-///   backend stays offline — an ALICE-style crash point. The binary exits
+///   backend stays offline — an ALICE-style crash point, and the
+///   deterministic mid-run "kill" for crash testing. The binary exits
 ///   with code 4 when the fault fires, or prints `io-fault: unfired` to
 ///   stderr when `INDEX` lies beyond the run's operation count.
-pub const FAULT_VALUE_KEYS: [&str; 7] = [
+pub const FAULT_VALUE_KEYS: [&str; 6] = [
     "--resume",
     "--retries",
     "--chaos-rate",
     "--chaos-seed",
-    "--halt-after",
     "--io-fault",
     "--io-fault-seed",
 ];
@@ -364,42 +362,28 @@ impl Observer for HealNotices {
 }
 
 /// Opens the journal for a run directory: fresh for `--out`, replayed for
-/// `--resume`, with `--halt-after` applied. `None` when the run has no
-/// directory (nothing to checkpoint into). Resume verifies the journal
-/// and self-heals tail damage, reporting heals on stderr via
-/// [`HealNotices`].
+/// `--resume`. `None` when the run has no directory (nothing to
+/// checkpoint into). Resume verifies the journal and self-heals tail
+/// damage, reporting heals on stderr via [`HealNotices`].
 ///
 /// # Errors
 ///
-/// Returns [`ReduceError::InvalidConfig`] for a malformed journal or a
-/// non-numeric `--halt-after`, and [`ReduceError::JournalCorrupt`] for
-/// damage `journal-tool repair` must clear first.
+/// Returns [`ReduceError::InvalidConfig`] for an unreadable journal, and
+/// [`ReduceError::JournalCorrupt`] for damage `journal-tool repair` must
+/// clear first (a pre-v3 journal is refused this way too).
 pub fn open_journal(
-    args: &ParsedArgs,
     dir: Option<&std::path::Path>,
     resuming: bool,
 ) -> Result<Option<Checkpoint>, ReduceError> {
     let Some(dir) = dir else {
-        if args.value("--halt-after").is_some() {
-            return Err(ReduceError::InvalidConfig {
-                what: "--halt-after needs a journal (pass --out or --resume)".to_string(),
-            });
-        }
         return Ok(None);
     };
     let path = dir.join("journal.jsonl");
-    let checkpoint = if resuming {
+    Ok(Some(if resuming {
         Checkpoint::resume_observed(&path, &HealNotices)?
     } else {
         Checkpoint::create(&path)
-    };
-    if let Some(s) = args.value("--halt-after") {
-        let n: usize = s.parse().map_err(|_| ReduceError::InvalidConfig {
-            what: format!("bad --halt-after value {s:?} (expected a count)"),
-        })?;
-        checkpoint.set_halt_after(n);
-    }
-    Ok(Some(checkpoint))
+    }))
 }
 
 /// Strictly parsed command-line arguments for the experiment binaries.
@@ -844,15 +828,5 @@ mod tests {
         assert!(install_io_fault(&args, Some(Path::new("/tmp/run"))).is_err());
         let args = fault_parse(&["--io-fault", "torn@3"]).expect("parses as strings");
         assert!(install_io_fault(&args, None).is_err());
-    }
-
-    #[test]
-    fn halt_after_needs_a_journal() {
-        let args = fault_parse(&["--halt-after", "3"]).expect("parses as strings");
-        assert!(open_journal(&args, None, false).is_err());
-        let args = fault_parse(&[]).expect("valid");
-        assert!(open_journal(&args, None, false)
-            .expect("no dir, no journal")
-            .is_none());
     }
 }

@@ -7,10 +7,10 @@
 //! a sibling temporary file which is `fsync`ed, renamed over the
 //! destination, and sealed with an `fsync` of the parent directory. On
 //! POSIX filesystems the rename is atomic and the two syncs make it
-//! *durable*: a crash (or a deliberate `--halt-after` interrupt, or a
-//! power loss) leaves either the previous complete artifact or the new
-//! complete artifact on disk — never a torn half-write, and never a
-//! renamed-but-empty file that only existed in the page cache.
+//! *durable*: a crash (or a power loss) leaves either the previous
+//! complete artifact or the new complete artifact on disk — never a torn
+//! half-write, and never a renamed-but-empty file that only existed in the
+//! page cache.
 //!
 //! # The `IoPolicy` seam
 //!

@@ -45,7 +45,7 @@ pub enum ReduceError {
     /// typed error instead of guessing; `journal-tool repair` performs the
     /// explicit, operator-sanctioned truncation.
     JournalCorrupt {
-        /// 0-based shard index (0 for single-file v1 journals).
+        /// 0-based shard index (0 when the manifest itself is damaged).
         shard: usize,
         /// 0-based record index within the shard where damage was found.
         record: usize,

@@ -648,9 +648,7 @@ impl<'a> FleetEvaluation<'a> {
 
     /// Checkpoint journal for crash recovery: every sealed batch is
     /// appended, and batches already journaled under this policy are
-    /// replayed bit-identically instead of re-run. Per-chip records from
-    /// legacy (version 1) journals replay too, when a batch's chips are
-    /// all present.
+    /// replayed bit-identically instead of re-run.
     #[must_use]
     pub fn journal(mut self, journal: &'a Checkpoint) -> Self {
         self.journal = Some(journal);
@@ -747,19 +745,13 @@ impl<'a> FleetEvaluation<'a> {
         let policy_label = self.label();
         let n = source.len();
 
-        // Index the journal: batch-keyed records from this format, plus
-        // chip-keyed records from legacy single-file journals.
+        // Index the journal's batch records under this evaluation's label.
         let mut replayed: BTreeMap<(usize, usize, usize), JournalRecord> = BTreeMap::new();
-        let mut legacy: BTreeMap<usize, JournalRecord> = BTreeMap::new();
         if let Some(cp) = self.journal {
             for record in cp.records()? {
                 if let Some((policy, window, budget, chunk)) = record.batch_key() {
                     if policy == policy_label {
                         replayed.insert((window, budget, chunk), record);
-                    }
-                } else if let Some((policy, chip_id)) = record.chip_key() {
-                    if policy == policy_label {
-                        legacy.insert(chip_id, record);
                     }
                 }
             }
@@ -781,7 +773,6 @@ impl<'a> FleetEvaluation<'a> {
                     &policy_label,
                     &plans,
                     &replayed,
-                    &legacy,
                     &mut acc,
                     &mut stage_ws,
                 )?;
@@ -863,19 +854,13 @@ impl<'a> FleetEvaluation<'a> {
         policy_label: &str,
         plans: &[BatchPlan],
         replayed: &BTreeMap<(usize, usize, usize), JournalRecord>,
-        legacy: &BTreeMap<usize, JournalRecord>,
         acc: &mut ReportAccumulator,
         stage_ws: &mut WorkspaceStats,
     ) -> Result<()> {
         // Partition into journal-replayable and fresh batches.
         let fresh: Vec<&BatchPlan> = plans
             .iter()
-            .filter(|plan| {
-                replayed
-                    .get(&(plan.window, plan.budget, plan.chunk))
-                    .is_none()
-                    && !plan.members.iter().all(|m| legacy.contains_key(&m.id))
-            })
+            .filter(|plan| !replayed.contains_key(&(plan.window, plan.budget, plan.chunk)))
             .collect();
         let fresh_results = exec::parallel_map(&fresh, exec.threads, |_, plan| {
             self.run_batch(runner, pretrained, source, exec, policy_label, plan)
@@ -885,8 +870,6 @@ impl<'a> FleetEvaluation<'a> {
             let result = if let Some(record) = replayed.get(&(plan.window, plan.budget, plan.chunk))
             {
                 replay_batch(record)?
-            } else if plan.members.iter().all(|m| legacy.contains_key(&m.id)) {
-                replay_legacy_batch(plan, legacy)?
             } else {
                 fresh_iter.next().ok_or_else(|| ReduceError::Internal {
                     invariant: "every scheduled batch is either replayed or freshly run"
@@ -1202,59 +1185,6 @@ fn replay_batch(record: &JournalRecord) -> Result<BatchResult> {
             invariant: "batch-keyed journal records are fleet-batch records".to_string(),
         }),
     }
-}
-
-/// Reconstructs a batch's output from legacy per-chip (version 1) journal
-/// records; callable only when every member chip is journaled. Workspace
-/// counters reflect the original unpooled runs.
-fn replay_legacy_batch(
-    plan: &BatchPlan,
-    legacy: &BTreeMap<usize, JournalRecord>,
-) -> Result<BatchResult> {
-    let mut chips = Vec::with_capacity(plan.members.len());
-    let mut workspace = WorkspaceStats::default();
-    let mut events = Vec::new();
-    for member in &plan.members {
-        match legacy.get(&member.id) {
-            Some(JournalRecord::Chip {
-                outcome,
-                workspace: ws,
-                events: chip_events,
-                ..
-            }) => {
-                events.extend(chip_events.iter().cloned());
-                workspace.merge(ws);
-                chips.push(SealedChip::Retrained(outcome.clone()));
-            }
-            Some(JournalRecord::ChipFailed {
-                chip_id,
-                fault_rate,
-                attempts,
-                error,
-                events: chip_events,
-                ..
-            }) => {
-                events.extend(chip_events.iter().cloned());
-                chips.push(SealedChip::Quarantined(QuarantinedChip {
-                    chip_id: *chip_id,
-                    fault_rate: *fault_rate,
-                    attempts: *attempts,
-                    error: error.clone(),
-                }));
-            }
-            _ => {
-                return Err(ReduceError::Internal {
-                    invariant: "chip-keyed journal records are chip records".to_string(),
-                })
-            }
-        }
-    }
-    Ok(BatchResult {
-        clusters: Vec::new(),
-        chips,
-        workspace,
-        events,
-    })
 }
 
 #[cfg(test)]

@@ -1,21 +1,21 @@
 //! Checkpoint journal — the pipeline's crash-recovery log.
 //!
 //! A [`Checkpoint`] records every *sealed* job outcome (a finished grid
-//! cell, retrained chip, or fleet batch, successful or quarantined) as one
-//! framed JSON line. The current (version 3) format splits the journal
-//! into fixed-size *shard* segments: `journal.jsonl` holds only a one-line
-//! manifest naming the shard size and each sealed shard's whole-file
-//! digest, and records live in `journal-00000.jsonl`,
-//! `journal-00001.jsonl`, … files beside it. Each append atomically
-//! rewrites only the active shard (through
+//! cell or fleet batch, successful or quarantined) as one framed JSON
+//! line. The journal format (version 3, the only one this code reads or
+//! writes) splits the journal into fixed-size *shard* segments:
+//! `journal.jsonl` holds only a one-line manifest naming the shard size
+//! and each sealed shard's whole-file digest, and records live in
+//! `journal-00000.jsonl`, `journal-00001.jsonl`, … files beside it. Each
+//! append atomically rewrites only the active shard (through
 //! [`crate::artifact::write_atomic`]), so the I/O cost of sealing a job is
 //! bounded by the shard size — not by the total number of records — while
 //! a killed process still always leaves a complete, parseable journal: the
 //! worst case loses the in-flight jobs, never corrupts the finished ones.
 //!
-//! # Version-3 integrity framing
+//! # Integrity framing
 //!
-//! Every v3 line is framed as `CCCCCCCC LEN JSON\n`: eight lowercase hex
+//! Every line is framed as `CCCCCCCC LEN JSON\n`: eight lowercase hex
 //! digits of the payload's CRC-32 (IEEE), the payload's byte length in
 //! decimal, one space, and the JSON payload. A sealed shard ends with a
 //! framed footer `{"footer":"reduce-shard","records":N}` asserting its
@@ -23,9 +23,11 @@
 //! shard's whole-file CRC-32 digest. The shard is sealed on disk *before*
 //! the manifest names it, so a crash between the two leaves a footered
 //! shard the manifest lags behind — resume detects and heals that without
-//! data loss. A single flipped or lost byte anywhere in a v3 journal is
+//! data loss. A single flipped or lost byte anywhere in a journal is
 //! therefore *detected* (frame length, frame CRC, footer count, or
-//! manifest digest), never silently replayed.
+//! manifest digest), never silently replayed: without the frames a torn
+//! tail is indistinguishable from damage in the middle, and a bitflip
+//! that keeps the JSON valid is silently wrong data.
 //!
 //! # Self-healing resume
 //!
@@ -45,18 +47,10 @@
 //! disagrees with the manifest (every record may verify individually, but
 //! the content is not what the manifest committed to — repair adopts it
 //! and recomputes the digest), and an unreadable manifest whose shard
-//! files contain no v3-framed line at all (a corrupted v1/v2 journal, or
-//! not a journal — never adopted and truncated as an empty v3 one).
-//! Resume never panics on journal bytes and never replays a record that
-//! fails verification.
-//!
-//! Version-1 journals (a single header-prefixed file rewritten whole on
-//! every append) and version-2 journals (unframed shards) are still read,
-//! healed, and extended transparently in their own layouts: resume
-//! detects the header and keeps the journal in the format it was created
-//! with. For v1/v2, record validity means "parses as a journal record" —
-//! a bitflip that keeps the JSON valid is undetectable there, which is
-//! precisely why v3 adds the CRC framing.
+//! files contain no framed line at all (a pre-v3 journal, whose bare-JSON
+//! manifest and unframed lines are not frames, or not a journal — never
+//! adopted and truncated as an empty one). Resume never panics on journal
+//! bytes and never replays a record that fails verification.
 //!
 //! On `--resume`, [`Checkpoint::resume`] reloads the journal and the
 //! resumable entry points ([`crate::ResilienceAnalysis::run_resumable`],
@@ -81,16 +75,10 @@ use reduce_systolic::Cluster;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-const V1_HEADER: &str = "{\"journal\":\"reduce-journal\",\"version\":1}\n";
-
 /// Default records per shard segment: large enough that a shard rewrite
 /// stays one buffered write, small enough that per-append I/O is trivially
 /// bounded even for million-chip journals.
 pub const DEFAULT_SHARD_RECORDS: usize = 256;
-
-fn render_manifest(shard_records: usize) -> String {
-    format!("{{\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":{shard_records}}}\n")
-}
 
 /// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bit-reflected. A
 /// hand-rolled bitwise implementation: journal lines are short and shard
@@ -156,7 +144,7 @@ fn parse_footer(payload: &str) -> Option<usize> {
     value.field("records").and_then(JsonValue::as_usize)
 }
 
-fn render_manifest_v3(shard_records: usize, sealed: &[String]) -> String {
+fn render_manifest(shard_records: usize, sealed: &[String]) -> String {
     let mut json = format!(
         "{{\"journal\":\"reduce-journal\",\"version\":3,\"shard_records\":{shard_records},\"sealed\":["
     );
@@ -173,8 +161,8 @@ fn render_manifest_v3(shard_records: usize, sealed: &[String]) -> String {
 }
 
 /// `Some((shard_records, sealed digests))` if the (already unframed)
-/// payload is a v3 manifest.
-fn parse_manifest_v3(payload: &str) -> Option<(usize, Vec<String>)> {
+/// payload is a manifest.
+fn parse_manifest(payload: &str) -> Option<(usize, Vec<String>)> {
     let value = parse(payload).ok()?;
     if value.field("journal").and_then(JsonValue::as_str) != Some("reduce-journal") {
         return None;
@@ -239,37 +227,6 @@ pub enum JournalRecord {
         /// The cell's failure telemetry, in emission order.
         events: Vec<Event>,
     },
-    /// A successfully retrained chip.
-    Chip {
-        /// Stable job id (the chip id).
-        job: u64,
-        /// Label of the policy the chip was retrained under (one journal
-        /// can hold several policies' outcomes, as `fig3` sweeps them).
-        policy: String,
-        /// The chip's outcome.
-        outcome: ChipOutcome,
-        /// The chip's model-workspace counters.
-        workspace: WorkspaceStats,
-        /// The chip's buffered telemetry events, in emission order.
-        events: Vec<Event>,
-    },
-    /// A chip that exhausted its retry budget.
-    ChipFailed {
-        /// Stable job id (the chip id).
-        job: u64,
-        /// Label of the policy the chip was retrained under.
-        policy: String,
-        /// The quarantined chip's id.
-        chip_id: usize,
-        /// The quarantined chip's fault rate.
-        fault_rate: f64,
-        /// Attempts consumed (budget + 1).
-        attempts: u32,
-        /// The final attempt's error.
-        error: String,
-        /// The chip's failure telemetry, in emission order.
-        events: Vec<Event>,
-    },
     /// One sealed batch of the streaming fleet evaluator: every chip the
     /// epoch-budget scheduler ran through one shared workspace, with the
     /// batch's pooled workspace counters and buffered telemetry. The
@@ -277,7 +234,8 @@ pub enum JournalRecord {
     /// evaluation config, so a resumed run recomputes the same batches and
     /// replays the sealed ones.
     FleetBatch {
-        /// Label of the policy the batch was retrained under.
+        /// Label of the policy the batch was retrained under (one journal
+        /// can hold several policies' batches, as `fig3` sweeps them).
         policy: String,
         /// Intake-window index the batch belongs to.
         window: usize,
@@ -286,8 +244,7 @@ pub enum JournalRecord {
         /// Chunk index within the window's budget group.
         chunk: usize,
         /// Fault-similarity clusters the batch formed (empty for per-chip
-        /// runs and for records written before the eFAT extension — the
-        /// parser defaults the field, so v2 journals stay readable).
+        /// runs).
         clusters: Vec<Cluster>,
         /// Sealed per-chip fates, in ascending chip-id order.
         chips: Vec<SealedChip>,
@@ -306,20 +263,6 @@ impl JournalRecord {
             JournalRecord::PointFailed {
                 rate_index, repeat, ..
             } => Some((*rate_index, *repeat)),
-            _ => None,
-        }
-    }
-
-    /// `(policy label, chip id)` for per-chip records (the version-1
-    /// fleet journal granularity).
-    pub fn chip_key(&self) -> Option<(&str, usize)> {
-        match self {
-            JournalRecord::Chip {
-                policy, outcome, ..
-            } => Some((policy.as_str(), outcome.chip_id)),
-            JournalRecord::ChipFailed {
-                policy, chip_id, ..
-            } => Some((policy.as_str(), *chip_id)),
             _ => None,
         }
     }
@@ -348,60 +291,34 @@ pub struct IoStats {
     /// Total bytes handed to the atomic writer across all appends.
     pub bytes_written: u64,
     /// Largest single append's bytes — bounded by one shard's rendered
-    /// size in the sharded layout.
+    /// size plus the manifest.
     pub max_append_bytes: u64,
 }
 
-/// On-disk layout of a journal.
-enum Store {
-    /// Legacy version 1: header plus every record in one atomically
-    /// rewritten file.
-    Single {
-        /// Rendered record lines, each newline-terminated.
-        lines: Vec<String>,
-    },
-    /// Legacy version 2: a one-line manifest at the journal path, unframed
-    /// records in fixed-size shard segments beside it.
-    Sharded {
-        /// Records per shard segment.
-        shard_records: usize,
-        /// Whether the manifest file exists on disk yet (it is written
-        /// lazily with the first append).
-        manifest_written: bool,
-        /// Fully sealed shard files on disk; the active shard has this
-        /// index.
-        sealed_shards: usize,
-        /// Rendered lines of the active (partial) shard.
-        active: Vec<String>,
-    },
-    /// Version 3: CRC-framed lines, footered shards, digest-bearing
-    /// manifest.
-    Sharded3 {
-        /// Records per shard segment.
-        shard_records: usize,
-        /// Whether the manifest file exists on disk yet (it is written
-        /// lazily with the first append).
-        manifest_written: bool,
-        /// Whole-file digest of each sealed shard, in shard order; the
-        /// active shard's index is `sealed.len()`.
-        sealed: Vec<String>,
-        /// Framed lines of the active (partial) shard, exactly as on
-        /// disk.
-        active: Vec<String>,
-    },
+/// In-memory state of the on-disk layout: a manifest at the journal path
+/// and CRC-framed records in fixed-size, footered shard segments beside
+/// it.
+struct Store {
+    /// Records per shard segment.
+    shard_records: usize,
+    /// Whether the manifest file exists on disk yet (it is written lazily
+    /// with the first append).
+    manifest_written: bool,
+    /// Whole-file digest of each sealed shard, in shard order; the active
+    /// shard's index is `sealed.len()`.
+    sealed: Vec<String>,
+    /// Framed lines of the active (partial) shard, exactly as on disk.
+    active: Vec<String>,
 }
 
 struct CheckpointState {
     records: Vec<JournalRecord>,
     store: Store,
-    appended: usize,
-    halt_after: Option<usize>,
     io: IoStats,
 }
 
 /// An append-only journal of sealed job outcomes backed by an atomically
-/// maintained manifest-plus-shards layout (or, for resumed version-1
-/// journals, one whole-file-rewritten `journal.jsonl`).
+/// maintained manifest-plus-shards layout.
 ///
 /// Appends are serialised through an internal mutex, so a `Checkpoint` can
 /// be shared by the executor's worker threads (the `on_sealed` hook of
@@ -421,21 +338,19 @@ impl std::fmt::Debug for Checkpoint {
 }
 
 impl Checkpoint {
-    /// A fresh sharded (version 3) journal whose manifest lives at `path`.
-    /// Nothing is written until the first [`Checkpoint::append`].
+    /// A fresh journal whose manifest lives at `path`. Nothing is written
+    /// until the first [`Checkpoint::append`].
     pub fn create(path: &Path) -> Self {
         Checkpoint {
             path: path.to_path_buf(),
             state: Mutex::new(CheckpointState {
                 records: Vec::new(),
-                store: Store::Sharded3 {
+                store: Store {
                     shard_records: DEFAULT_SHARD_RECORDS,
                     manifest_written: false,
                     sealed: Vec::new(),
                     active: Vec::new(),
                 },
-                appended: 0,
-                halt_after: None,
                 io: IoStats::default(),
             }),
         }
@@ -443,39 +358,25 @@ impl Checkpoint {
 
     /// Overrides the records-per-shard size of a fresh journal. Must be
     /// called before the first append; ignored once the manifest is on
-    /// disk (resumed journals keep the shard size they were created with)
-    /// and for legacy single-file journals. Zero is ignored.
+    /// disk (resumed journals keep the shard size they were created with).
+    /// Zero is ignored.
     #[must_use]
     pub fn with_shard_records(self, n: usize) -> Self {
         if n > 0 {
             if let Ok(mut state) = self.state.lock() {
-                match &mut state.store {
-                    Store::Sharded {
-                        shard_records,
-                        manifest_written: false,
-                        active,
-                        ..
-                    }
-                    | Store::Sharded3 {
-                        shard_records,
-                        manifest_written: false,
-                        active,
-                        ..
-                    } if active.is_empty() => {
-                        *shard_records = n;
-                    }
-                    _ => {}
+                let store = &mut state.store;
+                if !store.manifest_written && store.active.is_empty() {
+                    store.shard_records = n;
                 }
             }
         }
         self
     }
 
-    /// Reloads the journal at `path`; a missing file is an empty journal
-    /// (resuming a run that was killed before its first checkpoint). A
-    /// version-1 header keeps the journal in the legacy single-file
-    /// layout; a version-2 manifest loads every unframed shard segment; a
-    /// version-3 manifest verifies frames, footers, and digests.
+    /// Reloads the journal at `path`, verifying the manifest and every
+    /// shard's frames, footers, and digests; a missing file is an empty
+    /// journal (resuming a run that was killed before its first
+    /// checkpoint).
     ///
     /// Healable tail damage is truncated away silently — use
     /// [`Checkpoint::resume_observed`] to watch it happen.
@@ -487,8 +388,9 @@ impl Checkpoint {
     /// silently discard completed work — [`repair_journal`] performs it
     /// explicitly), when a sealed shard's content digest disagrees with
     /// the manifest, or when nothing in the directory is recognisably a
-    /// v3 journal; [`ReduceError::InvalidConfig`] for an unreadable file
-    /// or an unrecognised v1/v2 header.
+    /// v3 journal (a pre-v3 journal is refused this way, with
+    /// [`CorruptKind::Manifest`], and left untouched);
+    /// [`ReduceError::InvalidConfig`] for an unreadable file.
     pub fn resume(path: &Path) -> Result<Self> {
         Self::resume_observed(path, &NullObserver)
     }
@@ -511,8 +413,6 @@ impl Checkpoint {
             state: Mutex::new(CheckpointState {
                 records: healed.records,
                 store: healed.store,
-                appended: 0,
-                halt_after: None,
                 io: IoStats::default(),
             }),
         })
@@ -547,19 +447,8 @@ impl Checkpoint {
         Ok(self.lock()?.io)
     }
 
-    /// Arms the CI kill switch: the process exits (code 3) immediately
-    /// after the `n`-th successful [`Checkpoint::append`] of this run,
-    /// simulating a hard mid-fan-out kill with a complete journal prefix
-    /// on disk. Counts appends only — replayed records don't trigger it.
-    pub fn set_halt_after(&self, n: usize) {
-        if let Ok(mut state) = self.state.lock() {
-            state.halt_after = Some(n);
-        }
-    }
-
     /// Appends one sealed outcome, atomically rewriting only the active
-    /// shard (or, for legacy journals, the whole file) so the on-disk
-    /// journal is complete after every append.
+    /// shard so the on-disk journal is complete after every append.
     ///
     /// # Errors
     ///
@@ -568,112 +457,43 @@ impl Checkpoint {
     /// silently broken).
     pub fn append(&self, record: JournalRecord) -> Result<()> {
         let mut state = self.lock()?;
-        let line = render_record(&record);
+        let line = frame_line(&render_record(&record));
         state.records.push(record);
+        let store = &mut state.store;
         let mut bytes: u64 = 0;
-        match &mut state.store {
-            Store::Single { lines } => {
-                lines.push(line);
-                let mut contents = String::with_capacity(
-                    V1_HEADER.len() + lines.iter().map(String::len).sum::<usize>(),
-                );
-                contents.push_str(V1_HEADER);
-                for l in lines.iter() {
-                    contents.push_str(l);
-                }
-                bytes += contents.len() as u64;
-                write_atomic(&self.path, &contents)?;
-            }
-            Store::Sharded {
-                shard_records,
-                manifest_written,
-                sealed_shards,
-                active,
-            } => {
-                if !*manifest_written {
-                    let manifest = render_manifest(*shard_records);
-                    bytes += manifest.len() as u64;
-                    write_atomic(&self.path, &manifest)?;
-                    *manifest_written = true;
-                }
-                active.push(line);
-                let contents = active.concat();
-                bytes += contents.len() as u64;
-                write_atomic(&shard_path(&self.path, *sealed_shards), &contents)?;
-                if active.len() >= *shard_records {
-                    *sealed_shards += 1;
-                    active.clear();
-                }
-            }
-            Store::Sharded3 {
-                shard_records,
-                manifest_written,
-                sealed,
-                active,
-            } => {
-                if !*manifest_written {
-                    let manifest = render_manifest_v3(*shard_records, sealed);
-                    bytes += manifest.len() as u64;
-                    write_atomic(&self.path, &manifest)?;
-                    *manifest_written = true;
-                }
-                active.push(frame_line(line.trim_end()));
-                if active.len() >= *shard_records {
-                    // Seal: the footered shard goes to disk *before* the
-                    // manifest that names its digest — a crash between
-                    // the two leaves a footered shard resume detects and
-                    // adopts without data loss.
-                    let mut contents = active.concat();
-                    contents.push_str(&render_footer(active.len()));
-                    bytes += contents.len() as u64;
-                    write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
-                    sealed.push(shard_digest(&contents));
-                    active.clear();
-                    let manifest = render_manifest_v3(*shard_records, sealed);
-                    bytes += manifest.len() as u64;
-                    write_atomic(&self.path, &manifest)?;
-                } else {
-                    let contents = active.concat();
-                    bytes += contents.len() as u64;
-                    write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
-                }
-            }
+        if !store.manifest_written {
+            let manifest = render_manifest(store.shard_records, &store.sealed);
+            bytes += manifest.len() as u64;
+            write_atomic(&self.path, &manifest)?;
+            store.manifest_written = true;
         }
-        state.appended += 1;
+        store.active.push(line);
+        if store.active.len() >= store.shard_records {
+            // Seal: the footered shard goes to disk *before* the manifest
+            // that names its digest — a crash between the two leaves a
+            // footered shard resume detects and adopts without data loss.
+            let mut contents = store.active.concat();
+            contents.push_str(&render_footer(store.active.len()));
+            bytes += contents.len() as u64;
+            write_atomic(&shard_path(&self.path, store.sealed.len()), &contents)?;
+            store.sealed.push(shard_digest(&contents));
+            store.active.clear();
+            let manifest = render_manifest(store.shard_records, &store.sealed);
+            bytes += manifest.len() as u64;
+            write_atomic(&self.path, &manifest)?;
+        } else {
+            let contents = store.active.concat();
+            bytes += contents.len() as u64;
+            write_atomic(&shard_path(&self.path, store.sealed.len()), &contents)?;
+        }
         state.io.appends += 1;
         state.io.bytes_written += bytes;
         state.io.max_append_bytes = state.io.max_append_bytes.max(bytes);
-        if let Some(n) = state.halt_after {
-            if state.appended >= n {
-                // The CI kill switch: die *hard*, mid-fan-out, without
-                // unwinding — exactly what the resume path must survive.
-                eprintln!(
-                    "journal: halting after {} checkpoint append(s) as requested",
-                    state.appended
-                );
-                std::process::exit(3);
-            }
-        }
         Ok(())
     }
 }
 
-fn parse_manifest(header: &str) -> Option<usize> {
-    let value = parse(header).ok()?;
-    if value.field("journal").and_then(JsonValue::as_str) != Some("reduce-journal") {
-        return None;
-    }
-    if value.field("version").and_then(JsonValue::as_u64) != Some(2) {
-        return None;
-    }
-    value
-        .field("shard_records")
-        .and_then(JsonValue::as_usize)
-        .filter(|&n| n > 0)
-}
-
-/// Read-only verification scan of one shard file (or, for v1, the whole
-/// record section of the single journal file).
+/// Read-only verification scan of one shard file.
 struct ShardScan {
     /// Whether the file exists (`false` only for manifest-named shards
     /// whose file is gone).
@@ -682,8 +502,8 @@ struct ShardScan {
     bytes: usize,
     /// The valid record prefix: `(on-disk line incl. newline, record)`.
     valid: Vec<(String, JournalRecord)>,
-    /// v3: footer record-count, when a well-formed footer follows the
-    /// valid prefix.
+    /// Footer record-count, when a well-formed footer follows the valid
+    /// prefix.
     footer: Option<usize>,
     /// First damage: `(record index, kind)`. Record index equals the
     /// valid-prefix length at the point of damage.
@@ -691,12 +511,12 @@ struct ShardScan {
     /// Fully valid record lines found *after* the damage — if nonzero,
     /// truncation would discard completed work (corrupt middle).
     valid_after: usize,
-    /// Cleanly sealed (v3: footer verifies; v2: holds a full shard).
+    /// Cleanly sealed (the footer verifies).
     sealed: bool,
-    /// v3: footered but absent from the manifest (crash between the
-    /// shard seal and the manifest update) — healed by adding its digest.
+    /// Footered but absent from the manifest (crash between the shard
+    /// seal and the manifest update) — healed by adding its digest.
     needs_manifest_entry: bool,
-    /// v3: the manifest's digest disagrees with an otherwise-valid sealed
+    /// The manifest's digest disagrees with an otherwise-valid sealed
     /// shard. The append path's ordered seal protocol never leaves this
     /// behind (the footered shard reaches disk *before* the manifest
     /// names it), so the content is not what the manifest committed to —
@@ -706,13 +526,13 @@ struct ShardScan {
     /// shard and recomputes the digest (per-record CRCs are
     /// authoritative).
     digest_mismatch: bool,
-    /// v3: lines whose `CRC LEN payload` frame structure parsed (CRC
-    /// match or not). Zero across a contentful directory means the files
-    /// are not recognisably v3 at all — e.g. a v1/v2 journal whose
-    /// manifest first byte was corrupted — and must not be adopted (and
-    /// truncated) as a v3 journal.
+    /// Lines whose `CRC LEN payload` frame structure parsed (CRC match
+    /// or not). Zero across a contentful directory means the files are
+    /// not recognisably v3 at all — a pre-v3 journal, whose unframed
+    /// lines never parse as frames, or not a journal — and must not be
+    /// adopted (and truncated) as an empty journal.
     framed_lines: usize,
-    /// v3: whole-file CRC-32 digest, as eight hex digits.
+    /// Whole-file CRC-32 digest, as eight hex digits.
     digest: String,
 }
 
@@ -771,8 +591,8 @@ fn split_file_lines(bytes: &[u8]) -> Vec<&[u8]> {
     lines
 }
 
-/// Scans one v3 shard: framed lines, optionally terminated by a footer.
-fn scan_v3_shard(bytes: &[u8]) -> ShardScan {
+/// Scans one shard: framed lines, optionally terminated by a footer.
+fn scan_shard(bytes: &[u8]) -> ShardScan {
     enum Line<'a> {
         Footer(usize),
         Rec(&'a str, JournalRecord),
@@ -795,7 +615,7 @@ fn scan_v3_shard(bytes: &[u8]) -> ShardScan {
                 }
                 Err(kind) => {
                     // A CRC mismatch still means the frame *structure*
-                    // parsed — only a framed v3 line fails that way.
+                    // parsed — only a framed line fails that way.
                     if kind == CorruptKind::BadCrc {
                         scan.framed_lines += 1;
                     }
@@ -830,41 +650,14 @@ fn scan_v3_shard(bytes: &[u8]) -> ShardScan {
     scan
 }
 
-/// Scans one v2 shard (or the v1 record section): unframed JSON record
-/// lines, blank lines skipped (v1/v2 never wrote them, but always
-/// tolerated them).
-fn scan_v2_shard(bytes: &[u8]) -> ShardScan {
-    let mut scan = ShardScan::empty(true, bytes.len());
-    for raw in split_file_lines(bytes) {
-        let parsed = match std::str::from_utf8(raw) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => parse_record(line).ok().map(|r| (line, r)),
-            Err(_) => None,
-        };
-        match (&scan.damage, parsed) {
-            (None, Some((line, r))) => scan.valid.push((format!("{line}\n"), r)),
-            (None, None) => {
-                scan.damage = Some((scan.valid.len(), CorruptKind::BadRecord));
-            }
-            (Some(_), parsed) => {
-                if parsed.is_some() {
-                    scan.valid_after += 1;
-                }
-            }
-        }
-    }
-    scan
-}
-
 /// The full verification scan [`Checkpoint::resume_observed`],
 /// [`inspect_journal`], and [`repair_journal`] share.
 struct JournalScan {
-    version: u8,
-    /// Records per shard (0 for v1).
+    /// Records per shard.
     shard_records: usize,
-    /// Number of sealed digests the v3 manifest names.
+    /// Number of sealed digests the manifest names.
     manifest_sealed: usize,
-    /// `Some` when the v3 manifest itself is unreadable (rebuilt from the
+    /// `Some` when the manifest itself is unreadable (rebuilt from the
     /// shard files when any exist).
     manifest_damage: Option<CorruptKind>,
     manifest_bytes: usize,
@@ -882,9 +675,9 @@ impl JournalScan {
     /// Errors out for damage self-healing must not touch: a missing
     /// sealed shard, valid records after the damage point, a sealed
     /// shard whose content digest disagrees with the manifest, or a
-    /// manifest that is unreadable with no v3-framed shard content to
-    /// rebuild it from — a corrupted v1/v2 journal (or a non-journal)
-    /// must never be adopted, and truncated, as an empty v3 one.
+    /// manifest that is unreadable with no framed shard content to
+    /// rebuild it from — a pre-v3 journal (or a non-journal) must never
+    /// be adopted, and truncated, as an empty one.
     fn corrupt_error(&self) -> Result<()> {
         if self.manifest_damage.is_some() && self.shards.iter().all(|s| s.framed_lines == 0) {
             return Err(ReduceError::JournalCorrupt {
@@ -971,18 +764,14 @@ fn last_shard_on_disk(manifest: &Path) -> Option<usize> {
 /// by explicit repair) instead of being silently ignored and eventually
 /// overwritten by the writer. Trailing placeholders and empty files
 /// beyond the named range are harmless and dropped from the scan.
-fn scan_shard_files(path: &Path, named: usize, v3: bool) -> Result<Vec<ShardScan>> {
+fn scan_shard_files(path: &Path, named: usize) -> Result<Vec<ShardScan>> {
     let last_on_disk = last_shard_on_disk(path);
     let mut shards = Vec::new();
     let mut index = 0;
     while index < named || last_on_disk.is_some_and(|last| index <= last) {
         let shard = shard_path(path, index);
         match std::fs::read(&shard) {
-            Ok(bytes) => shards.push(if v3 {
-                scan_v3_shard(&bytes)
-            } else {
-                scan_v2_shard(&bytes)
-            }),
+            Ok(bytes) => shards.push(scan_shard(&bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 shards.push(ShardScan::missing());
             }
@@ -1025,8 +814,7 @@ fn mark_orphans(shards: &mut [ShardScan]) {
 ///
 /// # Errors
 ///
-/// [`ReduceError::InvalidConfig`] for filesystem read failures and for
-/// unrecognised v1/v2-style (`{`-headed) files.
+/// [`ReduceError::InvalidConfig`] for filesystem read failures.
 fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
     let manifest_bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -1037,61 +825,18 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
             })
         }
     };
-    if manifest_bytes.first() == Some(&b'{') {
-        // v1 or v2: both start with a bare JSON header line. Lossy UTF-8
-        // only alters damaged bytes — valid lines pass through untouched.
-        let text = String::from_utf8_lossy(&manifest_bytes);
-        let (header, rest) = match text.split_once('\n') {
-            Some((header, rest)) => (header, rest),
-            None => (text.as_ref(), ""),
-        };
-        if format!("{header}\n") == V1_HEADER {
-            let mut shard = scan_v2_shard(rest.as_bytes());
-            shard.bytes = manifest_bytes.len();
-            return Ok(Some(JournalScan {
-                version: 1,
-                shard_records: 0,
-                manifest_sealed: 0,
-                manifest_damage: None,
-                manifest_bytes: 0,
-                shards: vec![shard],
-            }));
-        }
-        let shard_records = parse_manifest(header).ok_or_else(|| ReduceError::InvalidConfig {
-            what: format!(
-                "unrecognised journal header {header:?} in {}",
-                path.display()
-            ),
-        })?;
-        let mut shards = scan_shard_files(path, 0, false)?;
-        for shard in &mut shards {
-            if shard.exists && shard.damage.is_none() && shard.valid.len() >= shard_records {
-                shard.sealed = true;
-            }
-        }
-        mark_orphans(&mut shards);
-        return Ok(Some(JournalScan {
-            version: 2,
-            shard_records,
-            manifest_sealed: 0,
-            manifest_damage: None,
-            manifest_bytes: manifest_bytes.len(),
-            shards,
-        }));
-    }
-    // v3: a framed manifest line.
     let manifest = std::str::from_utf8(&manifest_bytes).ok().and_then(|text| {
         let (first, rest) = text.split_once('\n').unwrap_or((text, ""));
         if !rest.trim().is_empty() {
             return None; // a manifest is exactly one line
         }
-        parse_frame(first).ok().and_then(parse_manifest_v3)
+        parse_frame(first).ok().and_then(parse_manifest)
     });
     let (mut shard_records, digests, manifest_damage) = match manifest {
         Some((shard_records, digests)) => (shard_records, digests, None),
         None => (0, Vec::new(), Some(CorruptKind::Manifest)),
     };
-    let mut shards = scan_shard_files(path, digests.len(), true)?;
+    let mut shards = scan_shard_files(path, digests.len())?;
     for (i, shard) in shards.iter_mut().enumerate() {
         if !shard.exists || shard.damage.is_some() {
             continue;
@@ -1121,7 +866,6 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
             .unwrap_or(DEFAULT_SHARD_RECORDS);
     }
     Ok(Some(JournalScan {
-        version: 3,
         shard_records,
         manifest_sealed: digests.len(),
         manifest_damage,
@@ -1146,7 +890,6 @@ struct HealedLayout {
 /// unconditionally.
 fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Result<HealedLayout> {
     let JournalScan {
-        version,
         shard_records,
         manifest_sealed,
         manifest_damage,
@@ -1159,49 +902,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
     let mut dropped_records = 0usize;
     let mut dropped_bytes = 0usize;
 
-    if version == 1 {
-        let Some(shard) = shards.into_iter().next() else {
-            return Err(ReduceError::Internal {
-                invariant: "a v1 scan always carries one pseudo-shard".to_string(),
-            });
-        };
-        let dropped_slots = shard.dropped_record_slots();
-        let mut lines = Vec::with_capacity(shard.valid.len());
-        for (line, record) in shard.valid {
-            lines.push(line);
-            records.push(record);
-        }
-        if shard.damage.is_some() {
-            let mut contents = String::from(V1_HEADER);
-            for line in &lines {
-                contents.push_str(line);
-            }
-            write_atomic(path, &contents)?;
-            let dropped = shard.bytes.saturating_sub(contents.len());
-            observer.on_event(&Event::ShardTruncated {
-                shard: 0,
-                kept: lines.len(),
-                dropped_bytes: dropped,
-            });
-            for record in lines.len()..lines.len() + dropped_slots {
-                observer.on_event(&Event::RecordDropped { shard: 0, record });
-            }
-            dropped_records += shard.valid_after;
-            dropped_bytes += dropped;
-        }
-        let kept = records.len();
-        return Ok(HealedLayout {
-            records,
-            store: Store::Single { lines },
-            kept,
-            dropped_records,
-            dropped_bytes,
-        });
-    }
-
-    let v3 = version == 3;
     let mut sealed_digests: Vec<String> = Vec::new();
-    let mut sealed_shards = 0usize;
     let mut active: Vec<String> = Vec::new();
     let mut manifest_dirty = manifest_damage.is_some();
     for (i, shard) in shards.into_iter().enumerate() {
@@ -1214,17 +915,14 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
                 records.push(record);
             }
             let kept_here = lines.len();
-            let resealable = shard_records > 0 && kept_here == shard_records;
+            let resealable = kept_here == shard_records;
             let mut contents = lines.concat();
-            if resealable && v3 {
+            if resealable {
                 contents.push_str(&render_footer(kept_here));
             }
             write_atomic(&shard_path(path, i), &contents)?;
             if resealable {
-                if v3 {
-                    sealed_digests.push(shard_digest(&contents));
-                }
-                sealed_shards += 1;
+                sealed_digests.push(shard_digest(&contents));
             } else {
                 active = lines;
             }
@@ -1259,10 +957,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
                 let _ = std::fs::remove_file(shard_path(path, i));
             }
         } else if shard.sealed {
-            if v3 {
-                sealed_digests.push(shard.digest.clone());
-            }
-            sealed_shards += 1;
+            sealed_digests.push(shard.digest.clone());
             if shard.needs_manifest_entry || shard.digest_mismatch {
                 manifest_dirty = true;
             }
@@ -1286,28 +981,18 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
         let _ = std::fs::remove_file(shard_path(path, stray));
         stray += 1;
     }
-    if v3 && (manifest_dirty || sealed_digests.len() != manifest_sealed) {
-        write_atomic(path, &render_manifest_v3(shard_records, &sealed_digests))?;
+    if manifest_dirty || sealed_digests.len() != manifest_sealed {
+        write_atomic(path, &render_manifest(shard_records, &sealed_digests))?;
     }
     let kept = records.len();
-    let store = if v3 {
-        Store::Sharded3 {
+    Ok(HealedLayout {
+        records,
+        store: Store {
             shard_records,
             manifest_written: true,
             sealed: sealed_digests,
             active,
-        }
-    } else {
-        Store::Sharded {
-            shard_records,
-            manifest_written: true,
-            sealed_shards,
-            active,
-        }
-    };
-    Ok(HealedLayout {
-        records,
-        store,
+        },
         kept,
         dropped_records,
         dropped_bytes,
@@ -1318,8 +1003,6 @@ fn record_kind_name(record: &JournalRecord) -> &'static str {
     match record {
         JournalRecord::Point { .. } => "point",
         JournalRecord::PointFailed { .. } => "point_failed",
-        JournalRecord::Chip { .. } => "chip",
-        JournalRecord::ChipFailed { .. } => "chip_failed",
         JournalRecord::FleetBatch { .. } => "fleet_batch",
     }
 }
@@ -1355,9 +1038,7 @@ impl JournalStatus {
 /// [`inspect_journal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalHealth {
-    /// Journal format version (1, 2, or 3).
-    pub version: u8,
-    /// Records per shard segment (0 for single-file v1 journals).
+    /// Records per shard segment.
     pub shard_records: usize,
     /// Cleanly sealed shard files.
     pub sealed_shards: usize,
@@ -1379,13 +1060,13 @@ pub struct JournalHealth {
 ///
 /// # Errors
 ///
-/// [`ReduceError::InvalidConfig`] for filesystem read failures or an
-/// unrecognised v1/v2 header; corruption is reported in the returned
+/// [`ReduceError::InvalidConfig`] for filesystem read failures;
+/// corruption (including a pre-v3 journal, reported as
+/// [`JournalStatus::Corrupt`]) is reported in the returned
 /// [`JournalHealth`], not as an error.
 pub fn inspect_journal(path: &Path) -> Result<JournalHealth> {
     let Some(scan) = scan_journal(path)? else {
         return Ok(JournalHealth {
-            version: 3,
             shard_records: DEFAULT_SHARD_RECORDS,
             sealed_shards: 0,
             records: 0,
@@ -1401,8 +1082,8 @@ pub fn inspect_journal(path: &Path) -> Result<JournalHealth> {
             notes.push("manifest unreadable (rebuilt from shard files on heal)".to_string());
         } else {
             notes.push(
-                "manifest unreadable and no shard content is v3-framed — not adoptable as a \
-                 v3 journal; repair resets it"
+                "manifest unreadable and no shard content is v3-framed (a pre-v3 journal, \
+                 or not a journal) — not adoptable; repair resets it"
                     .to_string(),
             );
         }
@@ -1444,7 +1125,6 @@ pub fn inspect_journal(path: &Path) -> Result<JournalHealth> {
         JournalStatus::Clean
     };
     Ok(JournalHealth {
-        version: scan.version,
         shard_records: scan.shard_records,
         sealed_shards: scan.shards.iter().filter(|s| s.sealed).count(),
         records,
@@ -1474,12 +1154,12 @@ pub struct RepairSummary {
 /// including valid records a corrupt middle strands (which is exactly why
 /// resume refuses to do this on its own). Healing is reported through
 /// `observer`; a clean journal is left untouched. A corrupt manifest with
-/// no shard content resets to an empty journal.
+/// no shard content — which includes a pre-v3 journal — resets to an
+/// empty journal.
 ///
 /// # Errors
 ///
-/// [`ReduceError::InvalidConfig`] for filesystem failures or an
-/// unrecognised v1/v2 header.
+/// [`ReduceError::InvalidConfig`] for filesystem failures.
 pub fn repair_journal(path: &Path, observer: &dyn Observer) -> Result<RepairSummary> {
     let Some(scan) = scan_journal(path)? else {
         return Ok(RepairSummary {
@@ -1491,7 +1171,7 @@ pub fn repair_journal(path: &Path, observer: &dyn Observer) -> Result<RepairSumm
     };
     if scan.manifest_damage.is_some() && !scan.shards.iter().any(|s| s.exists) {
         let dropped = scan.manifest_bytes;
-        write_atomic(path, &render_manifest_v3(scan.shard_records, &[]))?;
+        write_atomic(path, &render_manifest(scan.shard_records, &[]))?;
         observer.on_event(&Event::ShardTruncated {
             shard: 0,
             kept: 0,
@@ -1635,44 +1315,6 @@ fn render_record(record: &JournalRecord) -> String {
             push_events(&mut s, events);
             s.push('}');
         }
-        JournalRecord::Chip {
-            job,
-            policy,
-            outcome,
-            workspace,
-            events,
-        } => {
-            s.push_str(&format!("{{\"kind\":\"chip\",\"job\":{job},\"policy\":"));
-            push_json_string(&mut s, policy);
-            s.push_str(",\"outcome\":");
-            push_chip_outcome(&mut s, outcome);
-            s.push_str(",\"workspace\":");
-            push_workspace(&mut s, workspace);
-            s.push_str(",\"events\":");
-            push_events(&mut s, events);
-            s.push('}');
-        }
-        JournalRecord::ChipFailed {
-            job,
-            policy,
-            chip_id,
-            fault_rate,
-            attempts,
-            error,
-            events,
-        } => {
-            s.push_str(&format!(
-                "{{\"kind\":\"chip_failed\",\"job\":{job},\"policy\":"
-            ));
-            push_json_string(&mut s, policy);
-            s.push_str(&format!(",\"chip_id\":{chip_id},\"fault_rate\":"));
-            push_json_f64(&mut s, *fault_rate);
-            s.push_str(&format!(",\"attempts\":{attempts},\"error\":"));
-            push_json_string(&mut s, error);
-            s.push_str(",\"events\":");
-            push_events(&mut s, events);
-            s.push('}');
-        }
         JournalRecord::FleetBatch {
             policy,
             window,
@@ -1718,7 +1360,6 @@ fn render_record(record: &JournalRecord) -> String {
             s.push('}');
         }
     }
-    s.push('\n');
     s
 }
 
@@ -1787,11 +1428,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
             meets_constraint: bool_of(c, "meets_constraint")?,
             pruned_fraction: f32_of(c, "pruned_fraction")?,
             clamped: bool_of(c, "clamped")?,
-            // Absent in records written before the eFAT extension.
-            warm_started: c
-                .field("warm_started")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
+            warm_started: bool_of(c, "warm_started")?,
         })
     };
     match value.field("kind").and_then(JsonValue::as_str) {
@@ -1832,25 +1469,6 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
             error: str_of(&value, "error")?,
             events: events_of(&value)?,
         }),
-        Some("chip") => {
-            let c = value.field("outcome").ok_or_else(|| bad("outcome"))?;
-            Ok(JournalRecord::Chip {
-                job: u64_of(&value, "job")?,
-                policy: str_of(&value, "policy")?,
-                outcome: outcome_of(c)?,
-                workspace: workspace_of(&value)?,
-                events: events_of(&value)?,
-            })
-        }
-        Some("chip_failed") => Ok(JournalRecord::ChipFailed {
-            job: u64_of(&value, "job")?,
-            policy: str_of(&value, "policy")?,
-            chip_id: usize_of(&value, "chip_id")?,
-            fault_rate: f64_of(&value, "fault_rate")?,
-            attempts: attempts_of(&value)?,
-            error: str_of(&value, "error")?,
-            events: events_of(&value)?,
-        }),
         Some("fleet_batch") => {
             let chips = match value.field("chips") {
                 Some(JsonValue::Arr(items)) => items
@@ -1873,7 +1491,6 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                     .collect::<Result<Vec<SealedChip>>>()?,
                 _ => return Err(bad("chips")),
             };
-            // Absent in records written before the eFAT extension.
             let clusters = match value.field("clusters") {
                 Some(JsonValue::Arr(items)) => items
                     .iter()
@@ -1891,8 +1508,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                         })
                     })
                     .collect::<Result<Vec<Cluster>>>()?,
-                Some(_) => return Err(bad("clusters")),
-                None => Vec::new(),
+                _ => return Err(bad("clusters")),
             };
             Ok(JournalRecord::FleetBatch {
                 policy: str_of(&value, "policy")?,
@@ -1973,39 +1589,6 @@ mod tests {
         }
     }
 
-    fn chip_records() -> Vec<JournalRecord> {
-        vec![
-            JournalRecord::Chip {
-                job: 0,
-                policy: "Fixed (2 epochs)".to_string(),
-                outcome: sample_outcome(0),
-                workspace: WorkspaceStats::default(),
-                events: vec![Event::ChipRetrained {
-                    chip_id: 0,
-                    fault_rate: 0.1,
-                    epochs_budgeted: 2,
-                    epochs_run: 2,
-                    final_accuracy: 0.9,
-                    satisfied: true,
-                }],
-            },
-            JournalRecord::ChipFailed {
-                job: 1,
-                policy: "Fixed (2 epochs)".to_string(),
-                chip_id: 1,
-                fault_rate: 0.2,
-                attempts: 3,
-                error: "chaos injection: forced failure (job 1, attempt 2)".to_string(),
-                events: vec![Event::JobFailed {
-                    stage: Stage::Deploy,
-                    job: 1,
-                    attempt: 0,
-                    error: "quoted \"cause\"\nwith newline".to_string(),
-                }],
-            },
-        ]
-    }
-
     fn batch_record() -> JournalRecord {
         JournalRecord::FleetBatch {
             policy: "Reduce (max)".to_string(),
@@ -2052,32 +1635,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_cluster_records_parse_with_defaults() {
-        // A fleet_batch line written before the eFAT extension: no
-        // "clusters" on the batch, no "warm_started" on the outcome.
-        let legacy = concat!(
-            "{\"kind\":\"fleet_batch\",\"policy\":\"Reduce (max)\",\"window\":1,",
-            "\"budget\":3,\"chunk\":0,\"chips\":[{\"status\":\"ok\",\"outcome\":",
-            "{\"chip_id\":7,\"fault_rate\":0.1,\"epochs_budgeted\":3,\"epochs_run\":2,",
-            "\"pre_retrain_accuracy\":0.5,\"final_accuracy\":0.9,\"meets_constraint\":true,",
-            "\"pruned_fraction\":0.25,\"clamped\":false}}],",
-            "\"workspace\":{\"hits\":7,\"misses\":1,\"bytes_allocated\":1024},\"events\":[]}"
-        );
-        match parse_record(legacy).expect("legacy line parses") {
-            JournalRecord::FleetBatch {
-                clusters, chips, ..
-            } => {
-                assert!(clusters.is_empty(), "missing clusters default to none");
-                match &chips[0] {
-                    SealedChip::Retrained(outcome) => assert!(!outcome.warm_started),
-                    other => panic!("expected retrained chip, got {other:?}"),
-                }
-            }
-            other => panic!("expected fleet batch, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn append_resume_round_trips_every_record_kind() {
         let path = scratch("round_trip");
         let journal = Checkpoint::create(&path);
@@ -2090,17 +1647,22 @@ mod tests {
                 repeat: 1,
                 attempts: 2,
                 error: "training diverged: accuracy after epoch 1 is NaN".to_string(),
-                events: vec![Event::RetryScheduled {
-                    stage: Stage::Characterize,
-                    job: 5,
-                    attempt: 1,
-                    seed: 0x9E37_79B9_7F4A_7C15,
-                }],
+                events: vec![
+                    Event::JobFailed {
+                        stage: Stage::Characterize,
+                        job: 5,
+                        attempt: 0,
+                        error: "quoted \"cause\"\nwith newline".to_string(),
+                    },
+                    Event::RetryScheduled {
+                        stage: Stage::Characterize,
+                        job: 5,
+                        attempt: 1,
+                        seed: 0x9E37_79B9_7F4A_7C15,
+                    },
+                ],
             })
             .expect("append");
-        for r in chip_records() {
-            journal.append(r).expect("append");
-        }
         journal.append(batch_record()).expect("append");
         let original = journal.records().expect("records");
         let resumed = Checkpoint::resume(&path).expect("parseable journal");
@@ -2137,42 +1699,49 @@ mod tests {
         let path = scratch("malformed");
         let dir = path.parent().expect("has parent");
         std::fs::create_dir_all(dir).expect("temp dir");
-        // A file that is neither a JSON header nor a framed manifest.
+        // A file that is not a framed manifest.
         std::fs::write(&path, "not a journal\n").expect("temp write");
         match Checkpoint::resume(&path) {
             Err(ReduceError::JournalCorrupt { kind, .. }) => {
                 assert_eq!(kind, CorruptKind::Manifest);
             }
-            other => panic!("bad header must be JournalCorrupt, got {other:?}"),
+            other => panic!("bad manifest must be JournalCorrupt, got {other:?}"),
         }
-        // An unknown record kind in the MIDDLE (a valid record follows it)
-        // cannot be healed by tail truncation: typed corruption error.
-        let valid = render_record(&chip_records()[0]);
-        std::fs::write(
-            &path,
-            format!("{V1_HEADER}{{\"kind\":\"mystery\",\"job\":0}}\n{valid}"),
-        )
-        .expect("temp write");
-        match Checkpoint::resume(&path) {
-            Err(ReduceError::JournalCorrupt {
-                shard,
-                record,
-                kind,
-            }) => {
-                assert_eq!((shard, record, kind), (0, 0, CorruptKind::BadRecord));
+        std::fs::write(&path, render_manifest(8, &[])).expect("temp write");
+        let shard = shard_path(&path, 0);
+        let valid = frame_line(&render_record(&small_record(0)));
+        // Framed, CRC-valid lines that are not valid records: an unknown
+        // kind, and records missing a field every record carries.
+        let batch = render_record(&batch_record());
+        let unclustered =
+            batch.replace("\"clusters\":[{\"representative\":7,\"members\":[8]}],", "");
+        let unwarmed = batch.replace(",\"warm_started\":false", "");
+        assert!(!unclustered.contains("clusters") && !unwarmed.contains("warm_started"));
+        for bad in ["{\"kind\":\"mystery\",\"job\":0}", &unclustered, &unwarmed] {
+            // In the MIDDLE (a valid record follows it) the damage cannot
+            // be healed by tail truncation: typed corruption error.
+            std::fs::write(&shard, format!("{}{valid}", frame_line(bad))).expect("temp write");
+            match Checkpoint::resume(&path) {
+                Err(ReduceError::JournalCorrupt {
+                    shard,
+                    record,
+                    kind,
+                }) => {
+                    assert_eq!((shard, record, kind), (0, 0, CorruptKind::BadRecord));
+                }
+                other => panic!("corrupt middle must be JournalCorrupt, got {other:?}"),
             }
-            other => panic!("corrupt middle must be JournalCorrupt, got {other:?}"),
         }
         // The same damage at the TAIL self-heals: resume keeps the valid
-        // prefix and truncates the garbage away.
+        // prefix and truncates the bad record away.
         std::fs::write(
-            &path,
-            format!("{V1_HEADER}{valid}{{\"kind\":\"mystery\",\"job\":0}}\n"),
+            &shard,
+            format!("{valid}{}", frame_line("{\"kind\":\"mystery\",\"job\":0}")),
         )
         .expect("temp write");
         let journal = Checkpoint::resume(&path).expect("tail damage heals");
-        assert_eq!(journal.records().expect("records").len(), 1);
-        let text = std::fs::read_to_string(&path).expect("journal exists");
+        assert_eq!(journal.records().expect("records"), vec![small_record(0)]);
+        let text = std::fs::read_to_string(&shard).expect("shard exists");
         assert!(!text.contains("mystery"), "damaged tail was truncated away");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -2181,15 +1750,9 @@ mod tests {
     fn journal_keys_identify_records() {
         let r = point_record();
         assert_eq!(r.grid_key(), Some((1, 0)));
-        assert_eq!(r.chip_key(), None);
         assert_eq!(r.batch_key(), None);
-        let chips = chip_records();
-        assert_eq!(chips[0].chip_key(), Some(("Fixed (2 epochs)", 0)));
-        assert_eq!(chips[1].chip_key(), Some(("Fixed (2 epochs)", 1)));
-        assert_eq!(chips[0].grid_key(), None);
         let batch = batch_record();
         assert_eq!(batch.batch_key(), Some(("Reduce (max)", 1, 3, 0)));
-        assert_eq!(batch.chip_key(), None);
         assert_eq!(batch.grid_key(), None);
     }
 
@@ -2208,7 +1771,7 @@ mod tests {
                 error: "synthetic failure for shard accounting".to_string(),
                 events: vec![],
             };
-            max_line = max_line.max(frame_line(render_record(&record).trim_end()).len() as u64);
+            max_line = max_line.max(frame_line(&render_record(&record)).len() as u64);
             journal.append(record).expect("append");
         }
         let io = journal.io_stats().expect("stats");
@@ -2235,32 +1798,6 @@ mod tests {
         // Resume stitches every shard back together.
         let resumed = Checkpoint::resume(&path).expect("parseable journal");
         assert_eq!(resumed.records().expect("records").len(), 64);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
-    #[test]
-    fn legacy_v1_journals_still_resume_and_extend() {
-        let path = scratch("legacy_v1");
-        let dir = path.parent().expect("has parent");
-        std::fs::create_dir_all(dir).expect("temp dir");
-        let mut contents = String::from(V1_HEADER);
-        for r in chip_records() {
-            contents.push_str(&render_record(&r));
-        }
-        std::fs::write(&path, &contents).expect("temp write");
-        let journal = Checkpoint::resume(&path).expect("v1 journal parses");
-        assert_eq!(journal.records().expect("records"), chip_records());
-        // Appends keep the legacy whole-file layout: no shards appear and
-        // the file stays a valid v1 journal.
-        journal.append(point_record()).expect("append");
-        assert!(!shard_path(&path, 0).exists(), "v1 journals stay unsharded");
-        let text = std::fs::read_to_string(&path).expect("journal exists");
-        assert!(text.starts_with(V1_HEADER));
-        assert_eq!(text.lines().count(), 4, "header + three records");
-        let resumed = Checkpoint::resume(&path).expect("still parseable");
-        assert_eq!(resumed.records().expect("records").len(), 3);
         if let Some(dir) = path.parent() {
             let _ = std::fs::remove_dir_all(dir);
         }
@@ -2321,30 +1858,59 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_journals_still_resume_and_extend() {
-        let path = scratch("legacy_v2");
-        let dir = path.parent().expect("has parent");
-        std::fs::create_dir_all(dir).expect("temp dir");
-        // Hand-write the frozen v2 layout: a bare JSON manifest line and
-        // unframed shard files.
-        std::fs::write(&path, render_manifest(2)).expect("temp write");
-        let sealed: String = (0..2).map(|i| render_record(&small_record(i))).collect();
-        std::fs::write(shard_path(&path, 0), &sealed).expect("temp write");
-        std::fs::write(shard_path(&path, 1), render_record(&small_record(2))).expect("temp write");
-        let journal = Checkpoint::resume(&path).expect("v2 journal parses");
-        let records = journal.records().expect("records");
-        assert_eq!(records, (0..3).map(small_record).collect::<Vec<_>>());
-        // Appends keep the v2 layout: the new seal of shard 1 stays
-        // unframed and the manifest line stays bare JSON.
-        journal.append(small_record(3)).expect("append");
-        let manifest = std::fs::read_to_string(&path).expect("manifest");
-        assert!(manifest.starts_with('{'), "v2 manifest stays bare JSON");
-        let shard1 = std::fs::read_to_string(shard_path(&path, 1)).expect("shard 1");
-        assert_eq!(shard1.lines().count(), 2);
-        assert!(shard1.starts_with('{'), "v2 shards stay unframed");
-        let resumed = Checkpoint::resume(&path).expect("still parseable");
-        assert_eq!(resumed.records().expect("records").len(), 4);
-        cleanup(&path);
+    fn pre_v3_journals_are_refused_untouched() {
+        // Hand-written pre-v3 layouts: v1 (a bare JSON header and
+        // unframed records in one file) and v2 (a bare JSON manifest and
+        // unframed shard files). Neither holds a single frame, so resume
+        // must refuse both with a typed error and touch no file.
+        let line = |i| format!("{}\n", render_record(&small_record(i)));
+        let v1 = scratch("pre_v3_v1");
+        let v2 = scratch("pre_v3_v2");
+        let layouts = [
+            vec![(
+                v1.clone(),
+                format!(
+                    "{{\"journal\":\"reduce-journal\",\"version\":1}}\n{}{}",
+                    line(0),
+                    line(1)
+                ),
+            )],
+            vec![
+                (
+                    v2.clone(),
+                    "{\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":2}\n"
+                        .to_string(),
+                ),
+                (shard_path(&v2, 0), format!("{}{}", line(0), line(1))),
+                (shard_path(&v2, 1), line(2)),
+            ],
+        ];
+        for layout in &layouts {
+            let path = &layout[0].0;
+            std::fs::create_dir_all(path.parent().expect("has parent")).expect("temp dir");
+            for (file, contents) in layout {
+                std::fs::write(file, contents).expect("temp write");
+            }
+            match Checkpoint::resume(path) {
+                Err(ReduceError::JournalCorrupt { kind, .. }) => {
+                    assert_eq!(kind, CorruptKind::Manifest);
+                }
+                other => panic!("pre-v3 journal must refuse resume, got {other:?}"),
+            }
+            assert_eq!(
+                inspect_journal(path).expect("inspect").status,
+                JournalStatus::Corrupt
+            );
+            for (file, contents) in layout {
+                assert_eq!(
+                    &std::fs::read_to_string(file).expect("file survives"),
+                    contents,
+                    "refused resume must not touch {}",
+                    file.display()
+                );
+            }
+            cleanup(path);
+        }
     }
 
     #[test]
@@ -2443,11 +2009,10 @@ mod tests {
         std::fs::create_dir_all(dir).expect("temp dir");
         // A manifest naming no shards (what repair of a wrecked manifest
         // leaves behind).
-        std::fs::write(&path, render_manifest_v3(8, &[])).expect("temp write");
+        std::fs::write(&path, render_manifest(8, &[])).expect("temp write");
         let health = inspect_journal(&path).expect("inspect");
         assert_eq!(health.status, JournalStatus::Clean);
         assert_eq!(health.records, 0);
-        assert_eq!(health.version, 3);
         let journal = Checkpoint::resume(&path).expect("resume");
         assert!(journal.records().expect("records").is_empty());
         journal.append(small_record(0)).expect("append");
@@ -2519,7 +2084,7 @@ mod tests {
         // Rewind the manifest to before the seal: the sealed shard exists
         // on disk but the manifest does not name it yet — exactly the
         // window a crash between the two writes leaves behind.
-        std::fs::write(&path, render_manifest_v3(2, &[])).expect("temp write");
+        std::fs::write(&path, render_manifest(2, &[])).expect("temp write");
         assert_eq!(
             inspect_journal(&path).expect("inspect").status,
             JournalStatus::Healable
@@ -2561,45 +2126,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_journal_with_corrupt_manifest_byte_refuses_resume() {
-        let path = scratch("v2_manifest_flip");
-        let dir = path.parent().expect("has parent");
-        std::fs::create_dir_all(dir).expect("temp dir");
-        std::fs::write(&path, render_manifest(2)).expect("temp write");
-        let sealed: String = (0..2).map(|i| render_record(&small_record(i))).collect();
-        std::fs::write(shard_path(&path, 0), &sealed).expect("temp write");
-        std::fs::write(shard_path(&path, 1), render_record(&small_record(2))).expect("temp write");
-        // Flip the manifest's first byte: the file no longer starts with
-        // `{`, so it is not recognisably v1/v2 — and its unframed shard
-        // lines are not recognisably v3 either. Resume must refuse with a
-        // typed error rather than adopt the directory as an (empty) v3
-        // journal and truncate the shards away.
-        let mut manifest = std::fs::read(&path).expect("manifest");
-        manifest[0] ^= 0x04;
-        std::fs::write(&path, &manifest).expect("temp write");
-        match Checkpoint::resume(&path) {
-            Err(ReduceError::JournalCorrupt { kind, .. }) => {
-                assert_eq!(kind, CorruptKind::Manifest);
-            }
-            other => panic!("flipped v2 manifest must refuse resume, got {other:?}"),
-        }
-        assert_eq!(
-            std::fs::read_to_string(shard_path(&path, 0)).expect("shard 0 intact"),
-            sealed,
-            "refused resume must not touch shard data"
-        );
-        assert!(
-            shard_path(&path, 1).exists(),
-            "shard 1 survives the refusal"
-        );
-        assert_eq!(
-            inspect_journal(&path).expect("inspect").status,
-            JournalStatus::Corrupt
-        );
-        cleanup(&path);
-    }
-
-    #[test]
     fn replaced_sealed_shard_is_a_digest_mismatch_not_a_heal() {
         let path = scratch("digest_mismatch");
         let journal = Checkpoint::create(&path).with_shard_records(2);
@@ -2614,7 +2140,7 @@ mod tests {
         // adopting it.
         let mut replaced = String::new();
         for i in [7u64, 8] {
-            replaced.push_str(&frame_line(render_record(&small_record(i)).trim_end()));
+            replaced.push_str(&frame_line(&render_record(&small_record(i))));
         }
         replaced.push_str(&render_footer(2));
         std::fs::write(shard_path(&path, 0), &replaced).expect("temp write");

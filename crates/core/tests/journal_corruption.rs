@@ -6,13 +6,10 @@
 //! or fail with a typed error that `repair_journal` can act on. It must
 //! never panic and never return records that were not appended.
 //!
-//! Version 3 (framed) journals carry per-record CRCs, so the contract is
-//! strict: resume either yields an exact prefix or reports
-//! `JournalCorrupt`, and repair always restores a resumable prefix.
-//! Version 2 journals predate the frames; a bit flip there can be
-//! undetectable (it may simply mutate a field in place), which is exactly
-//! the gap the v3 format closes. For v2 the properties therefore assert
-//! typed-error-or-clean-parse, not byte-accuracy.
+//! Journals (format v3, the only one written or read) carry per-record
+//! CRCs, so the contract is strict: resume either yields an exact prefix
+//! or reports `JournalCorrupt`, and repair always restores a resumable
+//! prefix. Any other resume error fails the property.
 //!
 //! Journals are built through the public API under 1, 2, or 8 concurrent
 //! appender threads, so the properties also double as a thread-safety
@@ -68,38 +65,6 @@ fn build_journal(manifest: &Path, shard_records: usize, count: u64, threads: u64
             });
         }
     });
-}
-
-/// Rewrites a v3 journal directory as the v2 (unframed) layout the v3
-/// format replaced: bare JSON manifest header, shard lines without CRC
-/// frames, no footers. Mirrors what a journal written before the framed
-/// format looks like on disk.
-fn downgrade_to_v2(manifest: &Path, shard_records: usize) {
-    fs::write(
-        manifest,
-        format!(
-            "{{\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":{shard_records}}}\n"
-        ),
-    )
-    .expect("write v2 manifest");
-    for shard in shard_files(manifest) {
-        let framed = fs::read_to_string(&shard).expect("read shard");
-        let mut unframed = String::new();
-        for line in framed.lines() {
-            // v3 frame: `CCCCCCCC LEN JSON` — strip the two framing fields.
-            let payload = line
-                .split_once(' ')
-                .and_then(|(_, rest)| rest.split_once(' '))
-                .map(|(_, payload)| payload)
-                .unwrap_or(line);
-            if payload.contains("\"footer\":\"reduce-shard\"") {
-                continue;
-            }
-            unframed.push_str(payload);
-            unframed.push('\n');
-        }
-        fs::write(&shard, unframed).expect("write v2 shard");
-    }
 }
 
 /// The consecutive shard files of `manifest`'s journal, in index order.
@@ -182,16 +147,13 @@ fn assert_prefix(resumed: &[JournalRecord], original: &[JournalRecord], context:
     );
 }
 
-/// The contract a damaged journal must satisfy on resume. `strict` is
-/// true for v3 (framed) journals, where resume must yield an exact
-/// prefix or a typed `JournalCorrupt` that repair can always clear.
-fn check_damage_contract(manifest: &Path, original: &[JournalRecord], strict: bool, context: &str) {
+/// The contract a damaged journal must satisfy on resume: an exact
+/// prefix, or a typed `JournalCorrupt` that repair can always clear.
+fn check_damage_contract(manifest: &Path, original: &[JournalRecord], context: &str) {
     match Checkpoint::resume(manifest) {
         Ok(journal) => {
             let resumed = journal.records().expect("records after resume");
-            if strict {
-                assert_prefix(&resumed, original, context);
-            }
+            assert_prefix(&resumed, original, context);
         }
         Err(ReduceError::JournalCorrupt { .. }) => {
             // Typed corruption: repair must truncate to a resumable store.
@@ -200,26 +162,10 @@ fn check_damage_contract(manifest: &Path, original: &[JournalRecord], strict: bo
             let journal = Checkpoint::resume(manifest)
                 .unwrap_or_else(|e| panic!("{context}: resume after repair failed: {e}"));
             let resumed = journal.records().expect("records after repair");
-            if strict {
-                assert_prefix(&resumed, original, context);
-            }
-        }
-        Err(ReduceError::InvalidConfig { what }) => {
-            // Only a mangled legacy (v1/v2) header is allowed to be
-            // unrecognisable; v3 damage is always typed as corruption.
-            assert!(
-                !strict,
-                "{context}: v3 resume failed untyped with InvalidConfig: {what}"
-            );
-            // Repair has no header to rebuild from, but must not panic.
-            let _ = repair_journal(manifest, &NullObserver);
+            assert_prefix(&resumed, original, context);
         }
         Err(other) => panic!("{context}: resume failed with an unexpected error: {other:?}"),
     }
-}
-
-fn journal_version() -> impl Strategy<Value = u8> {
-    prop_oneof![2 => Just(3u8), 1 => Just(2u8)]
 }
 
 fn appender_threads() -> impl Strategy<Value = u64> {
@@ -241,7 +187,6 @@ proptest! {
     /// valid prefix or a typed, repairable error — and never panics.
     #[test]
     fn damaged_journals_resume_or_fail_typed(
-        version in journal_version(),
         shard_records in 1usize..=4,
         count in 0u64..=12,
         threads in appender_threads(),
@@ -253,22 +198,18 @@ proptest! {
         let dir = scratch_dir("damage");
         let manifest = dir.join("journal.jsonl");
         build_journal(&manifest, shard_records, count, threads);
-        if version == 2 {
-            downgrade_to_v2(&manifest, shard_records);
-        }
 
-        // The canonical pre-damage sequence, read back through resume —
-        // which also proves the downgraded v2 layout still resumes.
+        // The canonical pre-damage sequence, read back through resume.
         let pristine = Checkpoint::resume(&manifest).expect("pristine resume");
         let original = pristine.records().expect("pristine records");
         prop_assert_eq!(original.len() as u64, count);
         drop(pristine);
 
         let context = format!(
-            "v{version} shard_records={shard_records} count={count} threads={threads} {damage:?}"
+            "shard_records={shard_records} count={count} threads={threads} {damage:?}"
         );
         if apply_damage(&manifest, damage, file_sel, pos_sel, bit) {
-            check_damage_contract(&manifest, &original, version == 3, &context);
+            check_damage_contract(&manifest, &original, &context);
         } else {
             // Nothing on disk to damage (e.g. an empty journal): resume
             // must still come back clean.
@@ -350,7 +291,7 @@ fn every_truncation_point_of_a_v3_journal_is_recoverable() {
             }
             fs::write(target, &bytes[..keep]).expect("truncate");
             let context = format!("{} truncated to {keep} B", target.display());
-            check_damage_contract(&manifest, &original, true, &context);
+            check_damage_contract(&manifest, &original, &context);
         }
     }
     fs::remove_dir_all(&dir).ok();

@@ -72,11 +72,17 @@ echo "    parallel deployment artifacts (run log incl. workspace counters,"
 echo "    manifest) are byte-identical to sequential"
 
 echo "==> kill-and-resume gate (fig2 chaos run, interrupted ≡ uninterrupted)"
-# A run interrupted mid-characterisation (--halt-after exits 3 after N
-# journal appends) and resumed with --resume must publish byte-identical
-# redacted artifacts to an uninterrupted run — including under seeded
-# chaos with retries and quarantine. The journal itself is completion-
-# ordered and is deliberately never diffed.
+# A run killed mid-characterisation and resumed with --resume must
+# publish byte-identical redacted artifacts to an uninterrupted run —
+# including under seeded chaos with retries and quarantine. The kill is
+# an --io-fault crash point (exit 4): ENOSPC at artifact IO op 20, the
+# first op of the fourth journal append (each write_atomic is five IO
+# ops, and the first append also writes the manifest), so the cut
+# journal must verify clean and hold exactly three point records. The
+# journal itself is completion-ordered and is deliberately never diffed.
+jt() { cargo run -q -p reduce-bench --release --bin journal-tool -- "$@"; }
+# The per-kind record counts `journal-tool stat` lists, one per line.
+jt_kinds() { jt stat "$1" | grep -E '^  [a-z_]+: [0-9]+$' || true; }
 chaos="--scale smoke --retries 2 --chaos-rate 0.35 --chaos-seed 7 --redact-timing"
 mkdir -p "$det_dir/ref" "$det_dir/cut"
 cargo run -q -p reduce-bench --release --bin fig2 -- \
@@ -84,8 +90,12 @@ cargo run -q -p reduce-bench --release --bin fig2 -- \
 rc=0
 cargo run -q -p reduce-bench --release --bin fig2 -- \
     $chaos --threads 4 --csv "$det_dir/cut" --out "$det_dir/cut" \
-    --halt-after 3 >/dev/null || rc=$?
-[ "$rc" -eq 3 ] || { echo "expected --halt-after to exit 3, got $rc"; exit 1; }
+    --io-fault enospc@20 >/dev/null || rc=$?
+[ "$rc" -eq 4 ] || { echo "expected the enospc@20 crash point to exit 4, got $rc"; exit 1; }
+jt verify "$det_dir/cut" >/dev/null || {
+    echo "cut fig2 journal did not verify clean"; exit 1; }
+[ "$(jt_kinds "$det_dir/cut")" = "  point: 3" ] || {
+    echo "cut fig2 journal must hold exactly 3 point records:"; jt stat "$det_dir/cut"; exit 1; }
 cargo run -q -p reduce-bench --release --bin fig2 -- \
     $chaos --threads 4 --csv "$det_dir/cut" --resume "$det_dir/cut" >/dev/null
 diff "$det_dir/ref/fig2_resilience.csv" "$det_dir/cut/fig2_resilience.csv"
@@ -103,7 +113,6 @@ echo "==> storage-fault sweep gate (fig2 chaos run, every artifact IO op)"
 # and --resume must publish byte-identical redacted artifacts to the
 # uninterrupted reference. Fault kinds rotate so torn writes, short
 # writes, ENOSPC, and failed renames all land on every phase of the run.
-jt() { cargo run -q -p reduce-bench --release --bin journal-tool -- "$@"; }
 jt verify "$det_dir/cut" >/dev/null || {
     echo "resumed kill-and-resume journal did not verify clean"; exit 1; }
 sweep_dir="$det_dir/sweep"
@@ -224,17 +233,24 @@ efat_sat=$(table_field '\\+ eFAT' 5)
 [ "$efat_sat" -ge "$reduce_sat" ] || {
     echo "eFAT yield ($efat_sat) fell below per-chip Reduce ($reduce_sat)"; exit 1; }
 echo "    eFAT: $efat_epochs aggregate epochs vs Reduce's $reduce_epochs at yield $efat_sat>=$reduce_sat"
-# Kill mid-run (exit 3 after 9 journal appends cuts into the clustered
-# fleet batches), resume, and require byte-identical artifacts to an
-# uninterrupted run.
+# Kill mid-run, resume, and require byte-identical artifacts to an
+# uninterrupted run. The --io-fault crash point (exit 4) is ENOSPC at
+# artifact IO op 50, the first op of the tenth journal append: it must
+# cut into the clustered fleet batches, after all eight grid cells and
+# one fleet batch, and leave a journal that verifies clean.
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --strategy efat --threads 1 \
     --out "$efat_dir/ref" --redact-timing >/dev/null
 rc=0
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --strategy efat --threads 4 \
-    --out "$efat_dir/cut" --redact-timing --halt-after 9 >/dev/null || rc=$?
-[ "$rc" -eq 3 ] || { echo "expected --halt-after to exit 3, got $rc"; exit 1; }
+    --out "$efat_dir/cut" --redact-timing --io-fault enospc@50 >/dev/null || rc=$?
+[ "$rc" -eq 4 ] || { echo "expected the enospc@50 crash point to exit 4, got $rc"; exit 1; }
+jt verify "$efat_dir/cut" >/dev/null || {
+    echo "cut eFAT journal did not verify clean"; exit 1; }
+[ "$(jt_kinds "$efat_dir/cut")" = "$(printf '  point: 8\n  fleet_batch: 1')" ] || {
+    echo "cut eFAT journal must hold exactly 8 point and 1 fleet_batch records:"
+    jt stat "$efat_dir/cut"; exit 1; }
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --strategy efat --threads 4 \
     --resume "$efat_dir/cut" --redact-timing >/dev/null
