@@ -43,8 +43,8 @@
 //! fleet. Because per-chip outcomes are the one O(fleet) collection left,
 //! `--fleet-size` conflicts with `--per-chip` and `--csv` (and with
 //! `--chips`, which it replaces). Deploy throughput (chips/sec) and
-//! `peak_rss_kb` are printed after the summary, and a machine-readable
-//! `BENCH_fleet.json` is written to the current directory.
+//! `peak_rss_kb` are printed after the summary; `--out DIR` also records
+//! the throughput in the manifest.
 //!
 //! Strategy comparison: `--strategy reduce|efat|fixed|all` pits whole
 //! *retraining strategies* against each other on the same seeded fleet —
@@ -63,12 +63,11 @@ use reduce_core::telemetry::{
     Stage, StageWorkspace, Stopwatch, ThroughputManifest,
 };
 use reduce_core::{
-    artifact, report, ExecConfig, FleetEvaluation, FleetStrategy, Reduce, ReduceError,
-    RetrainPolicy, SeededChips, Statistic,
+    report, ExecConfig, FleetEvaluation, FleetStrategy, Reduce, ReduceError, RetrainPolicy,
+    SeededChips, Statistic,
 };
 use reduce_systolic::ClusterConfig;
 use std::error::Error;
-use std::path::Path;
 use std::sync::Arc;
 
 fn parse_policy(s: &str) -> Result<Vec<RetrainPolicy>, ReduceError> {
@@ -113,28 +112,6 @@ fn parse_strategy(s: &str, mid: usize) -> Result<Vec<(RetrainPolicy, FleetStrate
             what: format!("unknown strategy {other:?} (reduce|efat|fixed|all)"),
         }),
     }
-}
-
-/// Renders the `BENCH_fleet.json` throughput document. Key order and
-/// separators are fixed; numeric literals are the only run-to-run
-/// variation, which the CI stage normalises away before diffing.
-fn render_fleet_bench(
-    chips: usize,
-    seconds: f64,
-    chips_per_sec: f64,
-    aggregate_epochs: usize,
-    peak_rss_kb: u64,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"reduce-bench/fleet-throughput/v1\",\n");
-    s.push_str(&format!("  \"chips\": {chips},\n"));
-    s.push_str(&format!("  \"seconds\": {seconds:e},\n"));
-    s.push_str(&format!("  \"chips_per_sec\": {chips_per_sec:e},\n"));
-    s.push_str(&format!("  \"aggregate_epochs\": {aggregate_epochs},\n"));
-    s.push_str(&format!("  \"peak_rss_kb\": {peak_rss_kb}\n"));
-    s.push_str("}\n");
-    s
 }
 
 fn main() -> std::process::ExitCode {
@@ -349,18 +326,6 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let rss_kb = peak_rss_kb();
     if let Some(kb) = rss_kb {
         println!("peak_rss_kb={kb}");
-    }
-    if fleet_size.is_some() {
-        let aggregate_epochs: usize = reports.iter().map(|r| r.total_epochs).sum();
-        let doc = render_fleet_bench(
-            deployed_chips,
-            deploy_seconds,
-            chips_per_sec,
-            aggregate_epochs,
-            rss_kb.unwrap_or(0),
-        );
-        artifact::write_atomic(Path::new("BENCH_fleet.json"), &doc)?;
-        println!("fleet throughput written to BENCH_fleet.json");
     }
 
     if strategy_arg.is_some() {

@@ -1,20 +1,18 @@
 //! GEMM kernel-comparison harness driver.
 //!
-//! Runs every registered kernel (naive, blocked, packed, the production
-//! dispatch, and the executor-parallel path) over the shared workload
-//! set, gates each against the naive reference **before** timing, and
-//! writes the machine-readable comparison to `BENCH_gemm.json`.
+//! Runs every registered kernel (naive, blocked, packed and the
+//! production dispatch) over the shared workload set, gates each against
+//! the naive reference **before** timing, and writes the
+//! machine-readable comparison to `BENCH_gemm.json`.
 //!
 //! ```text
 //! cargo run -p reduce-bench --release --bin gemm_bench -- \
-//!     [--out PATH] [--reps N] [--threads N] [--check]
+//!     [--out PATH] [--reps N] [--check]
 //! ```
 //!
 //! * `--out PATH` — where to write the JSON document (default
 //!   `BENCH_gemm.json` in the current directory);
 //! * `--reps N` — timed calls per surviving cell (default 5);
-//! * `--threads N` — worker count for the `packed-par` kernel
-//!   (`0` = auto);
 //! * `--check` — correctness gates only, no timing: all
 //!   `seconds_per_call` fields are written as `0`. CI uses this mode and
 //!   schema-diffs the output against the checked-in document.
@@ -30,9 +28,8 @@ use std::path::Path;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw, &["--out", "--reps", "--threads"], &["--check"], 0)?;
+    let args = parse_args(&raw, &["--out", "--reps"], &["--check"], 0)?;
     let out_path = args.value("--out").unwrap_or("BENCH_gemm.json").to_string();
-    let threads = args.threads()?;
     let check_only = args.flag("--check");
     let reps = match args.value("--reps") {
         Some(s) => s.parse::<usize>().map_err(|_| ReduceError::InvalidConfig {
@@ -41,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         None => 5,
     };
 
-    let kernels = registry(threads);
+    let kernels = registry();
     let set = workloads();
     println!(
         "GEMM kernel comparison: {} kernels x {} workloads x 3 variants ({})",
@@ -78,12 +75,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     if !check_only {
         println!();
         println!(
-            "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            "shape (nn)", "naive", "blocked", "packed", "dispatch", "packed-par"
+            "{:<12} {:>12} {:>12} {:>12} {:>12}",
+            "shape (nn)", "naive", "blocked", "packed", "dispatch"
         );
         for r in results.iter().filter(|r| r.variant.name() == "nn") {
             let mut row = format!("{:<12}", r.workload.label());
-            for name in ["naive", "blocked", "packed", "dispatch", "packed-par"] {
+            for name in ["naive", "blocked", "packed", "dispatch"] {
                 let cell = r.cells.iter().find(|c| c.kernel == name);
                 row.push_str(&match cell {
                     Some(c) if c.ok => format!(" {:>11.1}us", c.seconds_per_call * 1e6),
@@ -108,7 +105,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         failures
     );
 
-    let doc = reduce_bench::kernels::render_json(&results, reps, threads);
+    let doc = reduce_bench::kernels::render_json(&results, reps);
     artifact::write_atomic(Path::new(&out_path), &doc)?;
     println!("comparison written to {out_path}");
 

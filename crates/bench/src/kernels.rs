@@ -23,9 +23,8 @@
 //! `--check` mode and diffs the document's *schema* (numeric values
 //! normalised away, `"ok"` booleans kept) against the checked-in copy.
 
-use reduce_core::gemm::par_matmul_into;
 use reduce_core::telemetry::Stopwatch;
-use reduce_core::{ExecConfig, ReduceError};
+use reduce_core::ReduceError;
 use reduce_tensor::ops::gemm::{self, GemmVariant};
 use reduce_tensor::{ops, Tensor};
 
@@ -55,13 +54,6 @@ pub trait Kernel {
 
     /// The agreement gate this kernel must pass.
     fn gate(&self) -> Gate;
-
-    /// Whether the kernel implements `variant` (the executor-parallel
-    /// kernel is NN-only; everything else handles all three).
-    fn supports(&self, variant: GemmVariant) -> bool {
-        let _ = variant;
-        true
-    }
 
     /// Computes the `variant` product of `a` and `b` into `out`. The
     /// harness hands over a dirty (NaN-poisoned) `out`, so this also
@@ -173,44 +165,13 @@ impl Kernel for Dispatch {
     }
 }
 
-/// The executor-parallel row-blocked kernel (`reduce_core::gemm`).
-struct PackedPar {
-    cfg: ExecConfig,
-}
-
-impl Kernel for PackedPar {
-    fn name(&self) -> &'static str {
-        "packed-par"
-    }
-    fn gate(&self) -> Gate {
-        Gate::Tolerance
-    }
-    fn supports(&self, variant: GemmVariant) -> bool {
-        variant == GemmVariant::NN
-    }
-    fn run(
-        &self,
-        variant: GemmVariant,
-        a: &Tensor,
-        b: &Tensor,
-        out: &mut Tensor,
-    ) -> Result<(), ReduceError> {
-        debug_assert_eq!(variant, GemmVariant::NN);
-        par_matmul_into(&self.cfg, a, b, out)
-    }
-}
-
-/// Every kernel the harness compares. `threads` sizes the
-/// executor-parallel candidate (0 = auto).
-pub fn registry(threads: usize) -> Vec<Box<dyn Kernel>> {
+/// Every kernel the harness compares.
+pub fn registry() -> Vec<Box<dyn Kernel>> {
     vec![
         Box::new(Naive),
         Box::new(Blocked),
         Box::new(Packed),
         Box::new(Dispatch),
-        Box::new(PackedPar {
-            cfg: ExecConfig::new(threads),
-        }),
     ]
 }
 
@@ -312,7 +273,7 @@ pub struct WorkloadResult {
     pub workload: Workload,
     /// The operand layout variant.
     pub variant: GemmVariant,
-    /// One entry per registered kernel supporting this variant.
+    /// One entry per registered kernel.
     pub cells: Vec<CellResult>,
 }
 
@@ -370,7 +331,7 @@ pub fn compare(
             let mut oracle = Tensor::zeros([w.m, w.n]);
             gemm::reference::naive_into(variant, &a, &b, &mut oracle)?;
             let mut cells = Vec::new();
-            for kernel in kernels.iter().filter(|k| k.supports(variant)) {
+            for kernel in kernels {
                 // NaN poison: a kernel that reads instead of overwriting
                 // its workspace fails the gate immediately.
                 let mut out = Tensor::full([w.m, w.n], f32::NAN);
@@ -414,12 +375,11 @@ pub fn compare(
 /// Key order, separators and float formatting are all fixed; the only
 /// run-to-run variation is inside numeric literals, which the CI stage
 /// normalises away before diffing.
-pub fn render_json(results: &[WorkloadResult], reps: usize, threads: usize) -> String {
+pub fn render_json(results: &[WorkloadResult], reps: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"reduce-bench/gemm-comparison/v1\",\n");
     s.push_str(&format!("  \"reps\": {reps},\n"));
-    s.push_str(&format!("  \"threads\": {threads},\n"));
     s.push_str("  \"workloads\": [\n");
     for (i, r) in results.iter().enumerate() {
         s.push_str("    {\n");
@@ -458,7 +418,7 @@ mod tests {
     fn every_registered_kernel_passes_its_gate() {
         // The harness's own acceptance criterion: correctness gate green
         // for the full registry over the full workload set.
-        let results = compare(&registry(2), &workloads(), 0, true).expect("oracle runs everywhere");
+        let results = compare(&registry(), &workloads(), 0, true).expect("oracle runs everywhere");
         for r in &results {
             for c in &r.cells {
                 assert!(
@@ -482,7 +442,7 @@ mod tests {
             n: 24,
             why: "test shape crossing the packed threshold",
         }];
-        let results = compare(&registry(1), &small, 0, true).expect("oracle runs");
+        let results = compare(&registry(), &small, 0, true).expect("oracle runs");
         for r in &results {
             for c in &r.cells {
                 match c.gate {
@@ -546,24 +506,12 @@ mod tests {
             n: 4,
             why: "schema probe",
         }];
-        let kernels = registry(1);
-        let one = render_json(&compare(&kernels, &w, 0, true).expect("runs"), 0, 1);
-        let two = render_json(&compare(&kernels, &w, 0, true).expect("runs"), 0, 1);
+        let kernels = registry();
+        let one = render_json(&compare(&kernels, &w, 0, true).expect("runs"), 0);
+        let two = render_json(&compare(&kernels, &w, 0, true).expect("runs"), 0);
         assert_eq!(one, two, "same inputs must render byte-identical JSON");
         assert!(one.contains("\"schema\": \"reduce-bench/gemm-comparison/v1\""));
         assert!(one.contains("\"variant\": \"nn\"") || one.contains("\"variant\": \"NN\""));
         assert!(one.contains("\"ok\": true"));
-    }
-
-    #[test]
-    fn parallel_kernel_is_nn_only() {
-        let kernels = registry(2);
-        let par = kernels
-            .iter()
-            .find(|k| k.name() == "packed-par")
-            .expect("registered");
-        assert!(par.supports(GemmVariant::NN));
-        assert!(!par.supports(GemmVariant::TN));
-        assert!(!par.supports(GemmVariant::NT));
     }
 }

@@ -227,43 +227,6 @@ where
     Ok(out)
 }
 
-/// [`parallel_map`] with telemetry: each job gets a private event buffer,
-/// and after the fan-out completes every buffer is flushed to `observer`
-/// **in input order** — so the observed event sequence is identical at
-/// any thread count (the determinism contract of
-/// [`crate::telemetry`]). On error no per-job events are flushed; the
-/// observer only ever sees complete, successful fan-outs.
-///
-/// # Errors
-///
-/// Same as [`parallel_map`]: lowest-indexed job error, or
-/// [`ReduceError::Internal`] for a panicking job.
-pub fn parallel_map_traced<T, R, F>(
-    items: &[T],
-    threads: usize,
-    observer: &dyn Observer,
-    job: F,
-) -> Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &mut Vec<Event>) -> Result<R> + Sync,
-{
-    let traced = parallel_map(items, threads, |i, item| {
-        let mut events = Vec::new();
-        let out = job(i, item, &mut events)?;
-        Ok((out, events))
-    })?;
-    let mut results = Vec::with_capacity(traced.len());
-    for (out, events) in traced {
-        for event in &events {
-            observer.on_event(event);
-        }
-        results.push(out);
-    }
-    Ok(results)
-}
-
 /// The retry-seed salt for `(job, attempt)`: `0` for the first attempt
 /// (so a run without failures is bit-identical to one executed without
 /// the retry layer), and a well-mixed splitmix64-style hash for retries.
@@ -422,16 +385,6 @@ pub enum JobStatus<R> {
         /// The error of the final attempt, rendered.
         error: String,
     },
-}
-
-impl<R> JobStatus<R> {
-    /// The successful result, if any.
-    pub fn as_ok(&self) -> Option<&R> {
-        match self {
-            JobStatus::Ok(r) => Some(r),
-            JobStatus::Quarantined { .. } => None,
-        }
-    }
 }
 
 /// One job's sealed outcome from [`parallel_map_resilient`]: its stable
@@ -742,48 +695,6 @@ mod tests {
             epoch,
             accuracy: 0.5,
         }
-    }
-
-    #[test]
-    fn traced_events_flush_in_input_order_at_any_thread_count() {
-        let items: Vec<usize> = (0..16).collect();
-        let mut sequences = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let rec = SeqRecorder::default();
-            let out = parallel_map_traced(&items, threads, &rec, |i, &x, events| {
-                events.push(tick(i, 1));
-                events.push(tick(i, 2));
-                Ok(x)
-            })
-            .expect("no job fails");
-            assert_eq!(out, items);
-            sequences.push(rec.0.into_inner().expect("no poisoning"));
-        }
-        let (first, rest) = sequences.split_first().expect("three runs");
-        assert_eq!(first.len(), items.len() * 2);
-        for seq in rest {
-            assert_eq!(seq, first, "event order varied with thread count");
-        }
-        // And input order: job i's events precede job i+1's.
-        assert_eq!(first.first(), Some(&tick(0, 1)));
-        assert_eq!(first.last(), Some(&tick(15, 2)));
-    }
-
-    #[test]
-    fn traced_failure_flushes_no_events() {
-        let items = vec![0usize, 1, 2];
-        let rec = SeqRecorder::default();
-        let res: Result<Vec<usize>> = parallel_map_traced(&items, 2, &rec, |i, &x, events| {
-            events.push(tick(i, 1));
-            if x == 1 {
-                return Err(ReduceError::InvalidConfig {
-                    what: "bad job".to_string(),
-                });
-            }
-            Ok(x)
-        });
-        assert!(res.is_err());
-        assert!(rec.0.into_inner().expect("no poisoning").is_empty());
     }
 
     #[test]

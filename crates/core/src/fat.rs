@@ -121,9 +121,10 @@ pub enum StopRule {
 
 /// Drives fault-aware retraining for one workbench.
 ///
-/// Construction materialises the datasets once; every [`FatRunner::run`]
-/// then builds a fresh model, loads the pre-trained weights, installs the
-/// chip's masks and retrains.
+/// Construction materialises the datasets once; every run then builds a
+/// fresh model, loads the pre-trained weights ([`FatRunner::run`]) or any
+/// other state dict ([`FatRunner::run_from_state`]), installs the chip's
+/// masks and retrains.
 ///
 /// # Examples
 ///
@@ -230,38 +231,21 @@ impl FatRunner {
         Ok(masks)
     }
 
-    /// Restores the pre-trained model and installs the chip's masks,
+    /// Loads `base_state` into a fresh model and installs the chip's masks,
     /// returning the masked model and its pruned weight fraction.
     ///
+    /// `base_state` is keyed like [`Pretrained::state`]
+    /// (`"{layer}.{param}"`): the pretrained weights for a cold start, or a
+    /// cluster representative's converged [`FatOutcome::final_state`] for
+    /// an eFAT warm start.
+    ///
     /// Loading the state dict is O(1) per parameter: the returned model's
-    /// tensors *share* the pretrained snapshot's copy-on-write storage, so
-    /// every concurrent FAT run (executor threads fan chips/grid cells out
-    /// over this method) reads the same immutable pretrained buffers.
-    /// Applying the masks is the first write and therefore the CoW trigger
-    /// — masked weights un-share privately while untouched parameters
-    /// (biases, norm scales) keep aliasing the snapshot for the run's
-    /// lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build/load/mask errors.
-    pub fn masked_model(
-        &self,
-        pretrained: &Pretrained,
-        fault_map: &FaultMap,
-        strategy: Mitigation,
-    ) -> Result<(Sequential, f32)> {
-        self.masked_model_from_state(&pretrained.state, fault_map, strategy)
-    }
-
-    /// [`FatRunner::masked_model`] starting from an arbitrary state dict —
-    /// the warm-start entry point. The eFAT scheduler passes a cluster
-    /// representative's converged [`FatOutcome::final_state`] here, which is
-    /// keyed exactly like [`Pretrained::state`] (`"{layer}.{param}"`), so
-    /// members begin retraining from the representative's weights instead
-    /// of the pretrained baseline. The same CoW sharing applies: the state
-    /// dict's storage is aliased until the member's masks un-share the
-    /// weights.
+    /// tensors *share* the state dict's copy-on-write storage, so every
+    /// concurrent FAT run (executor threads fan chips/grid cells out over
+    /// this method) reads the same immutable buffers. Applying the masks
+    /// is the first write and therefore the CoW trigger — masked weights
+    /// un-share privately while untouched parameters (biases, norm scales)
+    /// keep aliasing the state dict for the run's lifetime.
     ///
     /// # Errors
     ///
@@ -365,7 +349,8 @@ impl FatRunner {
         Ok(())
     }
 
-    /// Runs fault-aware retraining for one chip.
+    /// Runs fault-aware retraining for one chip, cold-started from the
+    /// pretrained weights on a private workspace with no epoch tick.
     ///
     /// `max_epochs` bounds the retraining budget; with
     /// [`StopRule::AtAccuracy`] the run ends as soon as the constraint is
@@ -385,38 +370,7 @@ impl FatRunner {
         strategy: Mitigation,
         run_seed: u64,
     ) -> Result<FatOutcome> {
-        self.run_observed(
-            pretrained,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            &mut |_, _| {},
-        )
-    }
-
-    /// [`FatRunner::run`] with an epoch tick: `on_epoch(epoch, accuracy)`
-    /// is called after each completed retraining epoch (1-based), which is
-    /// how the telemetry layer's `EpochCompleted` events originate. The
-    /// callback cannot influence the run — results are identical to
-    /// [`FatRunner::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // mirrors `run` plus the tick
-    pub fn run_observed(
-        &self,
-        pretrained: &Pretrained,
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-        on_epoch: &mut dyn FnMut(usize, f32),
-    ) -> Result<FatOutcome> {
-        self.run_inner(
+        self.run_from_state(
             &pretrained.state,
             fault_map,
             max_epochs,
@@ -424,124 +378,50 @@ impl FatRunner {
             strategy,
             run_seed,
             None,
-            on_epoch,
+            &mut |_, _| {},
         )
     }
 
-    /// Runs fault-aware retraining *warm-started* from an arbitrary state
-    /// dict (eFAT: a cluster representative's converged
-    /// [`FatOutcome::final_state`]) instead of the pretrained baseline.
+    /// [`FatRunner::run`] starting from an arbitrary state dict, with an
+    /// optional shared workspace and an epoch tick — the general entry
+    /// point, of which `run` is the cold-start shortcut.
     ///
-    /// Semantics otherwise match [`FatRunner::run`]; with
+    /// **Warm start.** `base_state` is loaded through
+    /// [`FatRunner::masked_model_from_state`]: pass
+    /// [`Pretrained::state`] for a cold start, or (eFAT) a cluster
+    /// representative's converged [`FatOutcome::final_state`]. With
     /// [`StopRule::AtAccuracy`] a member whose warm-started accuracy
     /// already meets the constraint spends zero retraining epochs — the
     /// source of eFAT's aggregate savings.
     ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation errors.
-    pub fn run_warm(
-        &self,
-        base_state: &[(String, Tensor)],
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-    ) -> Result<FatOutcome> {
-        self.run_inner(
-            base_state,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            None,
-            &mut |_, _| {},
-        )
-    }
-
-    /// [`FatRunner::run_warm`] with a shared workspace pool and an epoch
-    /// tick — the warm-start analogue of
-    /// [`FatRunner::run_pooled_observed`], used by the clustered fleet
-    /// scheduler for member chips.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // mirrors `run_pooled_observed`
-    pub fn run_warm_pooled_observed(
-        &self,
-        base_state: &[(String, Tensor)],
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-        pool: &mut Workspace,
-        on_epoch: &mut dyn FnMut(usize, f32),
-    ) -> Result<FatOutcome> {
-        self.run_inner(
-            base_state,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            Some(pool),
-            on_epoch,
-        )
-    }
-
-    /// [`FatRunner::run_observed`] sharing a caller-owned workspace arena:
-    /// the epoch-budget scheduler runs a whole batch of same-budget chips
+    /// **Pool.** With `Some(pool)` the run shares a caller-owned workspace
+    /// arena: the epoch-budget scheduler runs a whole batch of chips
     /// through one pool, so only the first chip of a batch pays the
     /// warm-up allocations and every later chip trains entirely from
-    /// recycled buffers.
-    ///
-    /// The pool is swapped into the model for the duration of the run and
-    /// swapped back out before returning, with all the chip's allocation
-    /// traffic accumulated into the pool's counters — so
-    /// [`FatOutcome::workspace`] is left at zero and the caller reads the
-    /// batch total from [`reduce_nn::Workspace::stats`] once per batch.
-    /// Accuracy results are bit-identical to the unpooled runner:
+    /// recycled buffers. The pool is swapped into the model for the
+    /// duration of the run and swapped back out before returning, with all
+    /// the chip's allocation traffic accumulated into the pool's counters
+    /// — so [`FatOutcome::workspace`] is left at zero and the caller reads
+    /// the batch total from [`reduce_nn::Workspace::stats`] once per
+    /// batch. Accuracy results are bit-identical to an unpooled run:
     /// recycled buffers are zeroed on `take`, so numerics never observe
-    /// the pool.
+    /// the pool. If the run fails (divergence, injected chaos) the model —
+    /// holding the swapped-in arena — is dropped with it, and the pool is
+    /// left holding an empty arena; the next chip in the batch simply
+    /// warms it up again. The loss is deterministic because failures are.
+    /// With `None` the model keeps its own workspace and its counters are
+    /// returned in [`FatOutcome::workspace`].
     ///
-    /// If the run fails (divergence, injected chaos) the model — holding
-    /// the swapped-in arena — is dropped with it, and the pool is left
-    /// holding an empty arena; the next chip in the batch simply warms it
-    /// up again. The loss is deterministic because failures are.
+    /// **Tick.** `on_epoch(epoch, accuracy)` is called after each
+    /// completed retraining epoch (1-based), which is how the telemetry
+    /// layer's `EpochCompleted` events originate. The callback cannot
+    /// influence the run.
     ///
     /// # Errors
     ///
     /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // mirrors `run_observed` plus the pool
-    pub fn run_pooled_observed(
-        &self,
-        pretrained: &Pretrained,
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-        pool: &mut Workspace,
-        on_epoch: &mut dyn FnMut(usize, f32),
-    ) -> Result<FatOutcome> {
-        self.run_inner(
-            &pretrained.state,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            Some(pool),
-            on_epoch,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
+    #[allow(clippy::too_many_arguments)] // `run`'s arguments plus state, pool and tick
+    pub fn run_from_state(
         &self,
         base_state: &[(String, Tensor)],
         fault_map: &FaultMap,
@@ -796,7 +676,7 @@ mod tests {
         let (runner, pre) = runner();
         let m = map(0.2, 8);
         let (model, _) = runner
-            .masked_model(&pre, &m, Mitigation::Fap)
+            .masked_model_from_state(&pre.state, &m, Mitigation::Fap)
             .expect("valid");
         let state = model.state_dict();
         assert_eq!(state.len(), pre.state.len());
@@ -823,10 +703,10 @@ mod tests {
     fn two_masked_models_do_not_alias_each_other() {
         let (runner, pre) = runner();
         let (a, _) = runner
-            .masked_model(&pre, &map(0.2, 8), Mitigation::Fap)
+            .masked_model_from_state(&pre.state, &map(0.2, 8), Mitigation::Fap)
             .expect("valid");
         let (b, _) = runner
-            .masked_model(&pre, &map(0.2, 9), Mitigation::Fap)
+            .masked_model_from_state(&pre.state, &map(0.2, 9), Mitigation::Fap)
             .expect("valid");
         for ((_, ta), (_, tb)) in a.state_dict().iter().zip(b.state_dict().iter()) {
             if !ta.shares_storage(tb) {
@@ -867,7 +747,7 @@ mod tests {
         let (runner, pre) = runner();
         let m = map(0.25, 5);
         let (_, frac) = runner
-            .masked_model(&pre, &m, Mitigation::Fap)
+            .masked_model_from_state(&pre.state, &m, Mitigation::Fap)
             .expect("valid");
         // Weight dims are multiples related to the 8x8 array; fraction
         // should be near the fault rate.
@@ -919,7 +799,7 @@ mod tests {
         let (runner, pre) = runner();
         let m = map(0.1, 7);
         let (mut model, _) = runner
-            .masked_model(&pre, &m, Mitigation::Fap)
+            .masked_model_from_state(&pre.state, &m, Mitigation::Fap)
             .expect("valid");
         let before = runner
             .workbench()
@@ -948,7 +828,16 @@ mod tests {
         // A zero-epoch warm run on the same fault map re-evaluates the
         // representative's converged state exactly.
         let warm = runner
-            .run_warm(&rep.final_state, &m, 0, StopRule::Exact, Mitigation::Fap, 1)
+            .run_from_state(
+                &rep.final_state,
+                &m,
+                0,
+                StopRule::Exact,
+                Mitigation::Fap,
+                1,
+                None,
+                &mut |_, _| {},
+            )
             .expect("valid run");
         assert_eq!(
             warm.pre_retrain_accuracy,
@@ -978,13 +867,15 @@ mod tests {
             .expect("valid run");
         let constraint = rep.final_accuracy() - 0.01;
         let member = runner
-            .run_warm(
+            .run_from_state(
                 &rep.final_state,
                 &m,
                 6,
                 StopRule::AtAccuracy(constraint),
                 Mitigation::Fap,
                 2,
+                None,
+                &mut |_, _| {},
             )
             .expect("valid run");
         assert_eq!(

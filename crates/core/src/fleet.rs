@@ -1122,7 +1122,7 @@ impl<'a> FleetEvaluation<'a> {
             });
         }
         let mut pool = pool.borrow_mut();
-        let mut outcome = runner.run_warm_pooled_observed(
+        let mut outcome = runner.run_from_state(
             base_state,
             chip.fault_map(),
             member.budget,
@@ -1131,7 +1131,7 @@ impl<'a> FleetEvaluation<'a> {
             // `salt` is 0 on the first attempt; retries re-randomise the
             // chip's training shuffle without touching its fault map.
             self.seed.wrapping_add(chip.id() as u64) ^ salt,
-            &mut pool,
+            Some(&mut *pool),
             &mut |epoch, accuracy| {
                 events.push(Event::EpochCompleted {
                     scope: EpochScope::Chip { chip_id: chip.id() },

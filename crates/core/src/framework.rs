@@ -61,7 +61,6 @@ pub struct Reduce {
     pretrained: Pretrained,
     constraint: f32,
     analysis: Option<ResilienceAnalysis>,
-    strategy: Mitigation,
 }
 
 impl Reduce {
@@ -86,7 +85,6 @@ impl Reduce {
             pretrained,
             constraint,
             analysis: None,
-            strategy: Mitigation::Fap,
         })
     }
 
@@ -112,14 +110,7 @@ impl Reduce {
             pretrained,
             constraint,
             analysis: None,
-            strategy: Mitigation::Fap,
         })
-    }
-
-    /// Switches the mitigation strategy (FAP is the paper's; FAM is the
-    /// SalvageDNN ablation).
-    pub fn set_strategy(&mut self, strategy: Mitigation) {
-        self.strategy = strategy;
     }
 
     /// The accuracy constraint.
@@ -145,7 +136,8 @@ impl Reduce {
     /// Step ①: runs the resilience characterisation over `exec`'s workers
     /// on the shared deterministic executor ([`crate::exec`]) — the
     /// analysis is byte-identical at any thread count. The config's
-    /// constraint and strategy are overridden by this instance's.
+    /// constraint is overridden by this instance's, and its strategy by
+    /// FAP (the paper's mitigation).
     ///
     /// # Errors
     ///
@@ -156,7 +148,7 @@ impl Reduce {
         exec: &ExecConfig,
     ) -> Result<&ResilienceAnalysis> {
         config.constraint = self.constraint;
-        config.strategy = self.strategy;
+        config.strategy = Mitigation::Fap;
         let analysis = ResilienceAnalysis::run(&self.runner, &self.pretrained, config, exec)?;
         Ok(self.analysis.insert(analysis))
     }
@@ -176,7 +168,7 @@ impl Reduce {
         checkpoint: Option<&crate::journal::Checkpoint>,
     ) -> Result<&ResilienceAnalysis> {
         config.constraint = self.constraint;
-        config.strategy = self.strategy;
+        config.strategy = Mitigation::Fap;
         let analysis = ResilienceAnalysis::run_resumable(
             &self.runner,
             &self.pretrained,
@@ -247,7 +239,6 @@ impl Reduce {
         };
         let mut eval = FleetEvaluation::new(policy, self.constraint)
             .source(&fleet)
-            .strategy(self.strategy)
             .exec(exec)
             .collect_outcomes(true);
         if let Some(table) = table.as_ref() {

@@ -71,7 +71,6 @@ pub mod exec;
 mod fat;
 mod fleet;
 mod framework;
-pub mod gemm;
 mod journal;
 mod policy;
 pub mod report;

@@ -425,13 +425,14 @@ impl ResilienceAnalysis {
                         // retries; the salt only re-randomises training.
                         let map =
                             FaultMap::generate(rows, cols, rate, config.fault_model, map_seed)?;
-                        let outcome = runner.run_observed(
-                            pretrained,
+                        let outcome = runner.run_from_state(
+                            &pretrained.state,
                             &map,
                             config.max_epochs,
                             StopRule::Exact,
                             config.strategy,
                             map_seed ^ 0x5EED ^ salt,
+                            None,
                             &mut |epoch, accuracy| {
                                 events.push(Event::EpochCompleted {
                                     scope: EpochScope::Point {

@@ -34,9 +34,10 @@
 //! # Determinism contract
 //!
 //! The event *sequence* is identical at any thread count: events carry
-//! logical indices (`rate_index`, `repeat`, `chip_id`) and the executor
-//! buffers each parallel job's events, flushing them in input order after
-//! the fan-out completes (see [`crate::exec::parallel_map_traced`]). The
+//! logical indices (`rate_index`, `repeat`, `chip_id`), the resilient
+//! executor buffers each job's events in its [`crate::exec::JobReport`]
+//! (see [`crate::exec::run_job_resilient`]), and the stage flushes those
+//! buffers in input order after the fan-out completes. The
 //! only non-deterministic payload is wall-clock time, which is confined
 //! to [`Event::StageFinished::seconds`] and redactable at the sink
 //! ([`RunLog`]'s `redact_timing`), making redacted run logs byte-identical

@@ -208,34 +208,6 @@ impl Dataset {
         }
         Ok(self)
     }
-
-    /// Standardises features to zero mean / unit variance computed over the
-    /// whole dataset, returning the transform so a test set can reuse it.
-    pub fn standardize(mut self) -> (Dataset, Standardization) {
-        let mean = self.features.mean();
-        let var = self.features.map(|v| (v - mean) * (v - mean)).mean();
-        let std = var.sqrt().max(1e-8);
-        self.features.map_in_place(|v| (v - mean) / std);
-        (self, Standardization { mean, std })
-    }
-}
-
-/// A fitted standardisation transform (mean/std over a training set).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Standardization {
-    /// Mean subtracted from every element.
-    pub mean: f32,
-    /// Standard deviation divided out.
-    pub std: f32,
-}
-
-impl Standardization {
-    /// Applies the transform to another dataset (e.g. the test split).
-    pub fn apply(&self, mut dataset: Dataset) -> Dataset {
-        let (m, s) = (self.mean, self.std);
-        dataset.features.map_in_place(|v| (v - m) / s);
-        dataset
-    }
 }
 
 #[cfg(test)]
@@ -315,21 +287,5 @@ mod tests {
         let one_class = Dataset::new(Tensor::zeros([2, 1]), vec![0, 0], 1).expect("consistent");
         assert!(one_class.clone().with_label_noise(0.5, 0).is_err());
         assert!(one_class.with_label_noise(0.0, 0).is_ok());
-    }
-
-    #[test]
-    fn standardize_whitens() {
-        let d = Dataset::new(Tensor::rand_normal([500, 3], 5.0, 2.0, 1), vec![0; 500], 1)
-            .expect("consistent");
-        let (std_d, transform) = d.standardize();
-        assert!(std_d.features().mean().abs() < 1e-4);
-        let var = std_d.features().map(|v| v * v).mean();
-        assert!((var - 1.0).abs() < 1e-3);
-        assert!((transform.mean - 5.0).abs() < 0.2);
-        // Apply to another set drawn from the same distribution.
-        let other = Dataset::new(Tensor::rand_normal([500, 3], 5.0, 2.0, 2), vec![0; 500], 1)
-            .expect("consistent");
-        let other = transform.apply(other);
-        assert!(other.features().mean().abs() < 0.1);
     }
 }

@@ -8,7 +8,7 @@
 //! jitter, label noise) is tuned so a nano-VGG saturates in the low-to-mid
 //! 90s — making the paper's 91 % accuracy constraint meaningful. Toy
 //! tabular generators ([`blobs`], [`two_moons`], [`spirals`]) support fast
-//! tests, and [`Augmenter`] provides seeded flip/shift augmentation.
+//! tests.
 //!
 //! Everything is deterministic given its seeds.
 //!
@@ -31,12 +31,10 @@
 // Tests may unwrap/expect freely: a panic there *is* the failure report.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod augment;
 mod dataset;
 mod synth;
 mod toy;
 
-pub use augment::Augmenter;
-pub use dataset::{DataError, Dataset, Result, Standardization};
+pub use dataset::{DataError, Dataset, Result};
 pub use synth::{synthetic_cifar, SynthImageConfig, SynthTask};
 pub use toy::{blobs, spirals, two_moons};

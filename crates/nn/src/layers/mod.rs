@@ -5,7 +5,6 @@ mod batchnorm;
 mod conv2d;
 mod dropout;
 mod flatten;
-mod layernorm;
 mod linear;
 mod pool;
 
@@ -14,7 +13,6 @@ pub use batchnorm::{BatchNorm1d, BatchNorm2d};
 pub use conv2d::Conv2d;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use layernorm::LayerNorm;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, MaxPool2d};
 

@@ -59,7 +59,7 @@ mod workspace;
 pub use error::{NnError, Result};
 pub use init::Init;
 pub use loss::{CrossEntropyLoss, Loss, LossOutput, MseLoss, Target};
-pub use metrics::{accuracy, ConfusionMatrix};
+pub use metrics::accuracy;
 pub use model::{ModelSnapshot, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Parameter;

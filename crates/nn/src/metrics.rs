@@ -25,96 +25,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
     Ok(correct as f32 / labels.len() as f32)
 }
 
-/// A confusion matrix for a `classes`-way classifier.
-///
-/// Rows are true classes, columns predicted classes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix for `classes` classes.
-    pub fn new(classes: usize) -> Self {
-        ConfusionMatrix {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one `(true, predicted)` observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either class index is out of range.
-    pub fn record(&mut self, truth: usize, predicted: usize) -> Result<()> {
-        if truth >= self.classes || predicted >= self.classes {
-            return Err(NnError::InvalidConfig {
-                what: format!(
-                    "class index out of range: ({truth}, {predicted}) for {} classes",
-                    self.classes
-                ),
-            });
-        }
-        self.counts[truth * self.classes + predicted] += 1;
-        Ok(())
-    }
-
-    /// Records a whole batch of logits against labels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/label errors.
-    pub fn record_batch(&mut self, logits: &Tensor, labels: &[usize]) -> Result<()> {
-        let preds = logits.argmax_rows()?;
-        if preds.len() != labels.len() {
-            return Err(NnError::InvalidConfig {
-                what: format!("{} predictions for {} labels", preds.len(), labels.len()),
-            });
-        }
-        for (&l, &p) in labels.iter().zip(&preds) {
-            self.record(l, p)?;
-        }
-        Ok(())
-    }
-
-    /// Count at `(truth, predicted)`.
-    pub fn count(&self, truth: usize, predicted: usize) -> u64 {
-        self.counts[truth * self.classes + predicted]
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (0 if nothing recorded).
-    pub fn accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f32 / total as f32
-    }
-
-    /// Per-class recall (`None` for classes never seen).
-    pub fn recall(&self, class: usize) -> Option<f32> {
-        let row: u64 = (0..self.classes).map(|j| self.count(class, j)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / row as f32)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,27 +41,5 @@ mod tests {
         let logits = Tensor::zeros([2, 2]);
         assert!(accuracy(&logits, &[0]).is_err());
         assert!(accuracy(&Tensor::zeros([0, 2]), &[]).is_err());
-    }
-
-    #[test]
-    fn confusion_matrix_counts() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record(0, 0).expect("in range");
-        cm.record(0, 1).expect("in range");
-        cm.record(1, 1).expect("in range");
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.total(), 3);
-        assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(cm.recall(0), Some(0.5));
-        assert_eq!(cm.recall(2), None);
-        assert!(cm.record(3, 0).is_err());
-    }
-
-    #[test]
-    fn record_batch_matches_accuracy() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]).expect("ok");
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record_batch(&logits, &[0, 0]).expect("consistent");
-        assert!((cm.accuracy() - 0.5).abs() < 1e-6);
     }
 }

@@ -33,11 +33,6 @@ impl ModelSnapshot {
         &self.entries
     }
 
-    /// Unwraps into the raw entry list.
-    pub fn into_entries(self) -> Vec<(String, Tensor)> {
-        self.entries
-    }
-
     /// Number of parameter entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -163,15 +163,13 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam (Kingma & Ba) with optional decoupled weight decay (AdamW).
+/// Adam (Kingma & Ba).
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
-    decoupled: bool,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -185,27 +183,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
-            decoupled: false,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// AdamW: decoupled weight decay.
-    pub fn adamw(lr: f32, weight_decay: f32) -> Self {
-        let mut a = Adam::new(lr);
-        a.weight_decay = weight_decay;
-        a.decoupled = true;
-        a
-    }
-
-    /// Overrides the beta coefficients.
-    pub fn betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// Number of steps taken so far.
@@ -235,34 +216,19 @@ impl Optimizer for Adam {
                     what: format!("adam: parameter {} changed shape", p.name()),
                 });
             }
-            let (b1, b2, eps, lr, wd, decoupled) = (
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.lr,
-                self.weight_decay,
-                self.decoupled,
-            );
+            let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
             let (value, grad) = p.value_and_grad_mut();
             let m = self.m[i].data_mut();
             let v = self.v[i].data_mut();
             let w = value.data_mut();
             let grad = grad.data();
             for j in 0..w.len() {
-                let mut g = grad[j];
-                // xtask:allow(float-eq): wd == 0.0 is the exact "decay disabled" sentinel
-                if wd != 0.0 && !decoupled {
-                    g += wd * w[j];
-                }
+                let g = grad[j];
                 m[j] = b1 * m[j] + (1.0 - b1) * g;
                 v[j] = b2 * v[j] + (1.0 - b2) * g * g;
                 let mhat = m[j] / bc1;
                 let vhat = v[j] / bc2;
                 w[j] -= lr * mhat / (vhat.sqrt() + eps);
-                // xtask:allow(float-eq): wd == 0.0 is the exact "decay disabled" sentinel
-                if wd != 0.0 && decoupled {
-                    w[j] -= lr * wd * w[j];
-                }
             }
             p.project();
         }
@@ -373,16 +339,6 @@ mod tests {
         }
         assert_eq!(p.value().data()[0], 0.0);
         assert!(p.value().data()[1] > 1.0);
-    }
-
-    #[test]
-    fn adamw_decay_is_decoupled() {
-        let mut p = param(&[1.0]);
-        let mut opt = Adam::adamw(0.0, 0.1); // lr 0: only the decoupled decay acts
-        p.grad_mut().fill(100.0);
-        opt.step(&mut [&mut p]).expect("stable params");
-        // With lr = 0 nothing moves at all (decay is scaled by lr).
-        assert_eq!(p.value().data()[0], 1.0);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl Parameter {
         &self.name
     }
 
-    /// Renames the parameter (used when layers are registered in a model).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Current value.
     pub fn value(&self) -> &Tensor {
         &self.value

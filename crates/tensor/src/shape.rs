@@ -104,11 +104,6 @@ impl Shape {
         Ok(off)
     }
 
-    /// Whether this shape describes a matrix (rank 2).
-    pub fn is_matrix(&self) -> bool {
-        self.rank() == 2
-    }
-
     /// Splits a rank-2 shape into `(rows, cols)`.
     ///
     /// # Errors

@@ -367,23 +367,6 @@ impl Tensor {
         })
     }
 
-    /// In-place variant of [`Tensor::reshape`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if volumes differ.
-    pub fn reshape_in_place<S: Into<Shape>>(&mut self, shape: S) -> Result<()> {
-        let shape = shape.into();
-        if shape.volume() != self.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Transpose of a rank-2 tensor (copies).
     ///
     /// # Errors
@@ -442,57 +425,6 @@ impl Tensor {
         Ok(&self.data()[i * c..(i + 1) * c])
     }
 
-    /// Copies rows `[start, end)` of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrix tensors or invalid ranges.
-    pub fn rows(&self, start: usize, end: usize) -> Result<Tensor> {
-        let (r, c) = self.shape.as_matrix()?;
-        if start > end || end > r {
-            return Err(TensorError::OutOfBounds {
-                what: "row range end",
-                index: end,
-                bound: r + 1,
-            });
-        }
-        Ok(Tensor {
-            shape: Shape::from([end - start, c]),
-            // xtask:allow(index): start <= end <= r is validated above
-            data: Storage::new(self.data()[start * c..end * c].to_vec()),
-        })
-    }
-
-    /// Copies rows `[start, end)` of a rank-2 tensor into `out`, which must
-    /// already have shape `[end - start, cols]`. The allocation-free
-    /// counterpart of [`Tensor::rows`] for workspace-backed batch slicing.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrix tensors, invalid ranges, or an `out`
-    /// of the wrong shape.
-    pub fn rows_into(&self, start: usize, end: usize, out: &mut Tensor) -> Result<()> {
-        let (r, c) = self.shape.as_matrix()?;
-        if start > end || end > r {
-            return Err(TensorError::OutOfBounds {
-                what: "row range end",
-                index: end,
-                bound: r + 1,
-            });
-        }
-        if out.dims() != [end - start, c] {
-            return Err(TensorError::ShapeMismatch {
-                op: "rows_into",
-                lhs: vec![end - start, c],
-                rhs: out.dims().to_vec(),
-            });
-        }
-        // xtask:allow(index): start <= end <= r is validated above
-        let src = &self.data()[start * c..end * c];
-        out.data_mut().copy_from_slice(src);
-        Ok(())
-    }
-
     /// Stacks rank-1 tensors of equal length into a rank-2 tensor.
     ///
     /// # Errors
@@ -537,13 +469,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: Storage::new(self.data().iter().map(|&x| f(x)).collect()),
-        }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for x in self.data_mut() {
-            *x = f(*x);
         }
     }
 
@@ -925,22 +850,10 @@ mod tests {
     }
 
     #[test]
-    fn row_and_rows() {
+    fn row_is_bounds_checked() {
         let t = Tensor::from_fn([3, 2], |i| i as f32);
         assert_eq!(t.row(1).expect("in range").data(), &[2.0, 3.0]);
-        assert_eq!(t.rows(1, 3).expect("in range").dims(), &[2, 2]);
         assert!(t.row(3).is_err());
-        assert!(t.rows(2, 4).is_err());
-    }
-
-    #[test]
-    fn rows_into_matches_rows() {
-        let t = Tensor::from_fn([4, 3], |i| i as f32);
-        let mut out = Tensor::zeros([2, 3]);
-        t.rows_into(1, 3, &mut out).expect("in range");
-        assert_eq!(out, t.rows(1, 3).expect("in range"));
-        assert!(t.rows_into(0, 3, &mut out).is_err(), "shape mismatch");
-        assert!(t.rows_into(3, 5, &mut out).is_err(), "out of range");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!
 //! **Roots.** The deterministic-executor contract says a job body must be
 //! a pure function of `(inputs, seed)`. The roots are therefore the
-//! closures passed to `exec::parallel_map` / `parallel_map_traced` /
-//! `parallel_map_resilient` (which includes retry bodies — a retry
-//! re-runs the same closure — and the `on_sealed` checkpoint hooks),
-//! plus the named journal-replay functions (`EXTRA_ROOT_SUFFIXES`): a
+//! closures passed to `exec::parallel_map` / `parallel_map_resilient` /
+//! `run_job_resilient` (which includes retry bodies — a retry re-runs
+//! the same closure — and the `on_sealed` checkpoint hooks), plus the
+//! named journal-replay functions (`EXTRA_ROOT_SUFFIXES`): a
 //! resumed run must reconstruct byte-identical state from the journal.
 //!
 //! **Islands.** Two sanctioned exceptions subtract their effect at the
@@ -42,9 +42,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Call names whose closure arguments are parallel job roots.
-pub const ROOT_MARKERS: [&str; 4] = [
+pub const ROOT_MARKERS: [&str; 3] = [
     "parallel_map",
-    "parallel_map_traced",
     "parallel_map_resilient",
     "run_job_resilient",
 ];

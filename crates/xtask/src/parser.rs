@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 /// One parsed function (or method) item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
-    /// Bare function name (`run_observed`).
+    /// Bare function name (`run_from_state`).
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any (`ResilienceRunner`).
     pub owner: Option<String>,

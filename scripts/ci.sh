@@ -3,7 +3,7 @@
 #
 #   build → tests → xtask lint (ratcheted) → xtask graph --check (effect
 #   analysis) → clippy -D warnings → fmt check
-#   → smoke determinism gate (parallel ≡ sequential artifacts)
+#   → smoke determinism gate (parallel ≡ sequential ≡ pinned artifacts)
 #   → kill-and-resume + storage-fault sweep (every IO op crash-tested)
 #   → perfbench output gate (the benchmark builds; seed-1 outputs exact)
 #
@@ -50,8 +50,17 @@ diff "$det_dir/t1/fig2_resilience.csv" "$det_dir/t4/fig2_resilience.csv"
 diff "$det_dir/t1/table.json" "$det_dir/t4/table.json"
 diff "$det_dir/t1/run_log.jsonl" "$det_dir/t4/run_log.jsonl"
 diff "$det_dir/t1/manifest.json" "$det_dir/t4/manifest.json"
+# Pin the sequential run too: a change that moves the same bits at every
+# thread count passes the diff above, so the CSV, table and run log (every
+# epoch's accuracy and the workspace counters) must also match the
+# expected outputs checked in under scripts/expected/. A change that means
+# to move them re-records these files and says why in CHANGES.md.
+pinned=scripts/expected/fig2-smoke
+diff "$pinned/fig2_resilience.csv" "$det_dir/t1/fig2_resilience.csv"
+diff "$pinned/table.json" "$det_dir/t1/table.json"
+diff "$pinned/run_log.jsonl" "$det_dir/t1/run_log.jsonl"
 echo "    parallel characterisation artifacts (csv, table, run log, manifest)"
-echo "    are byte-identical to sequential"
+echo "    are byte-identical to sequential; csv, table and run log match $pinned"
 
 echo "==> smoke determinism gate (fig3 --threads 1 vs --threads 4)"
 # Same gate for the full pipeline (characterise + fleet deploy): the
@@ -166,7 +175,7 @@ echo "==> GEMM kernel-comparison gate (gemm_bench --check)"
 # BENCH_gemm.json byte for byte.
 mkdir -p "$det_dir/gemm"
 cargo run -q -p reduce-bench --release --bin gemm_bench -- \
-    --check --out "$det_dir/gemm/BENCH_gemm.json" --threads 2 >/dev/null
+    --check --out "$det_dir/gemm/BENCH_gemm.json" >/dev/null
 normalise_nums() { sed -E 's/-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?/N/g' "$1"; }
 diff <(normalise_nums BENCH_gemm.json) \
      <(normalise_nums "$det_dir/gemm/BENCH_gemm.json")
@@ -180,7 +189,6 @@ echo "==> large-fleet streaming gate (fig3 --fleet-size 20000)"
 # the process peak RSS and require the throughput line.
 fleet_out="$det_dir/fleet"
 mkdir -p "$fleet_out"
-cp BENCH_fleet.json "$fleet_out/checked_in.json"
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --policy fixed:0 --fleet-size 20000 --threads 4 \
     > "$fleet_out/stdout.txt"
@@ -188,13 +196,7 @@ grep -E "chips/sec" "$fleet_out/stdout.txt"
 rss_kb=$(grep -oE 'peak_rss_kb=[0-9]+' "$fleet_out/stdout.txt" | cut -d= -f2)
 [ -n "$rss_kb" ] || { echo "fig3 did not report peak_rss_kb"; exit 1; }
 [ "$rss_kb" -lt 786432 ] || { echo "peak RSS ${rss_kb} kB breaks the 768 MB ceiling"; exit 1; }
-# The run rewrites the repo-root BENCH_fleet.json; gate its schema
-# against the checked-in document (numeric literals normalised away,
-# like BENCH_gemm.json) and put the checked-in copy back.
-diff <(normalise_nums BENCH_fleet.json) <(normalise_nums "$fleet_out/checked_in.json")
-cp "$fleet_out/checked_in.json" BENCH_fleet.json
-echo "    20000-chip streamed fleet held peak RSS at ${rss_kb} kB (< 768 MB ceiling);"
-echo "    BENCH_fleet.json schema matches the checked-in document"
+echo "    20000-chip streamed fleet held peak RSS at ${rss_kb} kB (< 768 MB ceiling)"
 
 echo "==> eFAT strategy gate (clustered beats per-chip Reduce, deterministically)"
 # The cluster-aware pipeline must earn its keep on the same seeded smoke
@@ -212,6 +214,9 @@ cargo run -q -p reduce-bench --release --bin fig3 -- \
     --out "$efat_dir/t4" --redact-timing >/dev/null
 diff "$efat_dir/t1/run_log.jsonl" "$efat_dir/t4/run_log.jsonl"
 diff "$efat_dir/t1/manifest.json" "$efat_dir/t4/manifest.json"
+# The sequential run log (every epoch, the workspace counters and the
+# cluster events) is pinned like the fig2 smoke run's above.
+diff scripts/expected/fig3-smoke-all/run_log.jsonl "$efat_dir/t1/run_log.jsonl"
 grep -q '"event":"cluster_formed"' "$efat_dir/t1/run_log.jsonl"
 grep -q '"event":"warm_start_hit"' "$efat_dir/t1/run_log.jsonl"
 # Comparison-table columns, counted from the right: epochs_saved,
