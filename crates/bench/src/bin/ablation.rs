@@ -23,14 +23,25 @@
 //! * `early-stop` — epochs saved by stopping FAT at the constraint instead
 //!   of spending the whole budget.
 
-use reduce_bench::{parse_args, Scale};
+use reduce_bench::{finish_io_fault, parse_args, Scale};
 use reduce_core::telemetry::{self, Fanout, MetricsRecorder, Observer, RunLog, RunManifest, Stage};
-use reduce_core::{ExecConfig, FatRunner, Mitigation, Reduce, RetrainPolicy, Statistic, StopRule};
+use reduce_core::{
+    ExecConfig, FatRunner, FleetEvaluation, Mitigation, Pretrained, ReduceError,
+    ResilienceAnalysis, ResilienceTable, RetrainPolicy, Statistic, StopRule,
+};
 use reduce_systolic::{generate_fleet, FaultMap, FaultModel};
 use std::error::Error;
 use std::sync::Arc;
 
-fn main() -> Result<(), Box<dyn Error>> {
+/// The studies `run` dispatches on, as the usage line and the unknown-study
+/// error list them.
+const STUDIES: &str = "fault-model|grid|mitigation|margin|early-stop|bn-recal|unprotected";
+
+fn main() -> std::process::ExitCode {
+    finish_io_fault(run(), None)
+}
+
+fn run() -> Result<(), Box<dyn Error>> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(
         &raw,
@@ -65,13 +76,18 @@ fn main() -> Result<(), Box<dyn Error>> {
         "early-stop" => early_stop(scale, &exec)?,
         "bn-recal" => bn_recal()?,
         "unprotected" => unprotected(scale)?,
-        _ => {
+        "help" => {
             eprintln!(
-                "usage: ablation \
-                 <fault-model|grid|mitigation|margin|early-stop|bn-recal|unprotected> \
+                "usage: ablation <{STUDIES}> \
                  [--scale smoke|default|full] [--threads N] [--out DIR] [--redact-timing]"
             );
             return Ok(());
+        }
+        other => {
+            return Err(ReduceError::InvalidConfig {
+                what: format!("unknown study {other:?} (expected {STUDIES})"),
+            }
+            .into())
         }
     }
     if let Some(dir) = &out_dir {
@@ -151,13 +167,12 @@ fn fault_model(scale: Scale) -> Result<(), Box<dyn Error>> {
 /// A3: coarse vs fine characterisation grids.
 fn grid(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
     let wb = scale.workbench(1);
-    let constraint = scale.constraint();
-    let mut reduce = Reduce::new(wb, constraint, scale.pretrain_epochs())?;
+    let pretrained = wb.pretrain(scale.pretrain_epochs())?;
+    let runner = FatRunner::new(wb)?;
     println!("A3 — characterisation-grid granularity");
-    let base = scale.resilience_config();
+    let base = scale.resilience_config()?;
     // Fine grid (the reference).
-    reduce.characterize(base.clone(), exec)?;
-    let fine = reduce.table()?;
+    let fine = ResilienceAnalysis::run(&runner, &pretrained, base.clone(), exec)?.table();
     // Coarse grid: only the endpoints.
     let coarse_cfg = reduce_core::ResilienceConfig {
         fault_rates: vec![
@@ -166,8 +181,7 @@ fn grid(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         ],
         ..base.clone()
     };
-    reduce.characterize(coarse_cfg, exec)?;
-    let coarse = reduce.table()?;
+    let coarse = ResilienceAnalysis::run(&runner, &pretrained, coarse_cfg, exec)?.table();
     println!("rate    fine_max  coarse_max  delta");
     let mut total_abs = 0i64;
     let probes: Vec<f64> = (0..=12).map(|i| 0.3 * i as f64 / 12.0).collect();
@@ -232,13 +246,25 @@ fn mitigation(scale: Scale) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// Pre-trains the scale's workbench and characterises it on the scale's
+/// Step-① grid: the runner, pretrained model and resilience table the
+/// fleet studies share.
+fn characterised(
+    scale: Scale,
+    exec: &ExecConfig,
+) -> Result<(FatRunner, Pretrained, ResilienceTable), Box<dyn Error>> {
+    let wb = scale.workbench(1);
+    let pretrained = wb.pretrain(scale.pretrain_epochs())?;
+    let runner = FatRunner::new(wb)?;
+    let analysis = ResilienceAnalysis::run(&runner, &pretrained, scale.resilience_config()?, exec)?;
+    Ok((runner, pretrained, analysis.table()))
+}
+
 /// A1: max vs mean vs mean+margin selection statistics.
 fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
-    let wb = scale.workbench(1);
-    let array = wb.array_dims();
     let constraint = scale.constraint();
-    let mut reduce = Reduce::new(wb, constraint, scale.pretrain_epochs())?;
-    reduce.characterize(scale.resilience_config(), exec)?;
+    let (runner, pretrained, table) = characterised(scale, exec)?;
+    let array = runner.workbench().array_dims();
     let fleet = generate_fleet(&scale.fleet_config(
         array,
         Some(match scale {
@@ -254,7 +280,11 @@ fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         RetrainPolicy::Reduce(Statistic::MeanPlusMargin(2.0)),
         RetrainPolicy::Reduce(Statistic::Max),
     ] {
-        let r = reduce.deploy(&fleet, policy, exec)?;
+        let r = FleetEvaluation::new(policy, constraint)
+            .source(&fleet)
+            .table(&table)
+            .exec(exec)
+            .run(&runner, &pretrained)?;
         println!(
             "{:<22} {:>6}/{:<3}  {:>12}",
             r.policy, r.satisfied, r.evaluated, r.total_epochs
@@ -353,12 +383,9 @@ fn bn_recal() -> Result<(), Box<dyn Error>> {
 
 /// Early-stop extension: epochs saved by evaluating during FAT.
 fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
-    let wb = scale.workbench(1);
-    let array = wb.array_dims();
     let constraint = scale.constraint();
-    let mut reduce = Reduce::new(wb.clone(), constraint, scale.pretrain_epochs())?;
-    reduce.characterize(scale.resilience_config(), exec)?;
-    let table = reduce.table()?;
+    let (runner, pretrained, table) = characterised(scale, exec)?;
+    let array = runner.workbench().array_dims();
     let fleet = generate_fleet(&scale.fleet_config(
         array,
         Some(match scale {
@@ -371,15 +398,13 @@ fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         fleet.len(),
         constraint * 100.0
     );
-    let runner = reduce.runner();
-    let pretrained = reduce.pretrained();
     // Each chip is retrained twice (exact budget vs early stop) as one
     // executor job; per-chip counters are summed in fleet order.
     let per_chip = telemetry::timed_stage(exec.observer(), Stage::Deploy, || {
         reduce_core::exec::parallel_map(&fleet, exec.threads, |_, chip| {
             let budget = table.epochs_for(chip.fault_rate(), Statistic::Max)?.epochs;
             let exact = runner.run(
-                pretrained,
+                &pretrained,
                 chip.fault_map(),
                 budget,
                 StopRule::Exact,
@@ -387,7 +412,7 @@ fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
                 chip.id() as u64,
             )?;
             let stopped = runner.run(
-                pretrained,
+                &pretrained,
                 chip.fault_map(),
                 budget,
                 StopRule::AtAccuracy(constraint),

@@ -46,9 +46,8 @@ use reduce_bench::{
 };
 use reduce_core::telemetry::{
     self, Fanout, GridManifest, MetricsRecorder, Observer, RunLog, RunManifest, Stage,
-    StageWorkspace,
 };
-use reduce_core::{report, ExecConfig, FatRunner, ResilienceAnalysis};
+use reduce_core::{report, ExecConfig, FatRunner, ReduceError, ResilienceAnalysis};
 use std::error::Error;
 use std::sync::Arc;
 
@@ -72,6 +71,12 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let args = parse_args(&raw, &value_keys, &["--redact-timing"], 0)?;
     let scale = Scale::parse(args.value("--scale").unwrap_or("default"))?;
     let part = args.value("--part").unwrap_or("both").to_string();
+    if !["a", "b", "both"].contains(&part.as_str()) {
+        return Err(ReduceError::InvalidConfig {
+            what: format!("unknown --part value {part:?} (expected a|b|both)"),
+        }
+        .into());
+    }
     let threads = args.threads()?;
     let redact = args.flag("--redact-timing");
     let (out_dir, resuming) = resolve_run_dir(&args)?;
@@ -104,7 +109,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     }
 
     let workbench = scale.workbench(1);
-    let config = scale.resilience_config();
+    let config = scale.resilience_config()?;
     println!(
         "Fig. 2 — resilience characterisation ({scale:?} scale)\n\
          model/task: paper-scale substitution per DESIGN.md; constraint {:.0}%\n",
@@ -183,17 +188,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         manifest.grid = Some(grid_manifest);
         // Workspace counters are deterministic per configuration, so the
         // manifest stays byte-identical across thread counts.
-        manifest.workspace = metrics
-            .snapshot()
-            .workspace
-            .iter()
-            .map(|(stage, w)| StageWorkspace {
-                stage: stage.clone(),
-                hits: w.hits,
-                misses: w.misses,
-                bytes_allocated: w.bytes_allocated,
-            })
-            .collect();
+        manifest.workspace = metrics.snapshot().workspace;
         manifest.save(&dir.join("manifest.json"))?;
         println!("run log and manifest written to {}", dir.display());
     }

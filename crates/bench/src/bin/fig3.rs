@@ -56,15 +56,15 @@
 
 use reduce_bench::{
     apply_fault_args, finish_io_fault, install_io_fault, open_journal, parse_args,
-    reject_conflicts, resolve_run_dir, IoFault, Scale, FAULT_VALUE_KEYS,
+    reject_conflicts, resolve_run_dir, IoFault, ParsedArgs, Scale, FAULT_VALUE_KEYS,
 };
 use reduce_core::telemetry::{
     self, Fanout, FleetManifest, GridManifest, MetricsRecorder, Observer, RunLog, RunManifest,
-    Stage, StageWorkspace, Stopwatch, ThroughputManifest,
+    Stage, Stopwatch, ThroughputManifest,
 };
 use reduce_core::{
-    report, ExecConfig, FleetEvaluation, FleetStrategy, Reduce, ReduceError, RetrainPolicy,
-    SeededChips, Statistic,
+    report, ExecConfig, FatRunner, FleetEvaluation, FleetStrategy, ReduceError, ResilienceAnalysis,
+    ResilienceTable, RetrainPolicy, SeededChips, Statistic,
 };
 use reduce_systolic::ClusterConfig;
 use std::error::Error;
@@ -114,6 +114,18 @@ fn parse_strategy(s: &str, mid: usize) -> Result<Vec<(RetrainPolicy, FleetStrate
     }
 }
 
+/// Parses the chip count of `--chips` / `--fleet-size`, naming the flag
+/// in the error.
+fn chip_count(args: &ParsedArgs, key: &str) -> Result<Option<usize>, ReduceError> {
+    args.value(key)
+        .map(|s| {
+            s.parse().map_err(|_| ReduceError::InvalidConfig {
+                what: format!("bad {key} value {s:?} (expected a chip count)"),
+            })
+        })
+        .transpose()
+}
+
 fn main() -> std::process::ExitCode {
     let mut fault = None;
     let result = run(&mut fault);
@@ -143,14 +155,8 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let scale = Scale::parse(args.value("--scale").unwrap_or("default"))?;
     let policy_arg = args.value("--policy").map(str::to_string);
     let strategy_arg = args.value("--strategy").map(str::to_string);
-    let chips: Option<usize> = match args.value("--chips") {
-        Some(s) => Some(s.parse()?),
-        None => None,
-    };
-    let fleet_size: Option<usize> = match args.value("--fleet-size") {
-        Some(s) => Some(s.parse()?),
-        None => None,
-    };
+    let chips = chip_count(&args, "--chips")?;
+    let fleet_size = chip_count(&args, "--fleet-size")?;
     // Streaming runs never collect the O(fleet) per-chip outcomes, and a
     // strategy comparison picks its own policy list.
     reject_conflicts(
@@ -229,34 +235,42 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     );
 
     println!("step 0: pre-training fault-free baseline…");
-    let mut reduce = telemetry::timed_stage(observer.as_ref(), Stage::Pretrain, || {
-        Reduce::new(workbench, constraint, scale.pretrain_epochs())
+    let pretrained = telemetry::timed_stage(observer.as_ref(), Stage::Pretrain, || {
+        workbench.pretrain(scale.pretrain_epochs())
     })?;
     println!(
         "  baseline accuracy {:.2}%",
-        reduce.pretrained().baseline_accuracy * 100.0
+        pretrained.baseline_accuracy * 100.0
     );
+    let runner = FatRunner::new(workbench)?;
 
     let needs_table = runs.iter().any(|(p, _)| p.needs_table());
-    let loaded_table = match args.value("--table") {
+    let mut grid_manifest = None;
+    let table = match args.value("--table") {
         Some(path) => {
-            let table = reduce_core::ResilienceTable::load(std::path::Path::new(path))?;
+            let table = ResilienceTable::load(std::path::Path::new(path))?;
             println!("step 1: resilience table loaded from {path} (characterisation skipped)");
             Some(table)
         }
+        None if needs_table => {
+            println!("step 1: resilience characterisation…");
+            let config = scale.resilience_config()?;
+            grid_manifest = Some(GridManifest::from_config(&config));
+            let analysis = ResilienceAnalysis::run_resumable(
+                &runner,
+                &pretrained,
+                config,
+                &exec,
+                journal.as_ref(),
+            )?;
+            println!(
+                "  done  [{threads} thread{}]",
+                if threads == 1 { "" } else { "s" }
+            );
+            Some(analysis.table())
+        }
         None => None,
     };
-    let mut grid_manifest = None;
-    if needs_table && loaded_table.is_none() {
-        println!("step 1: resilience characterisation…");
-        let config = scale.resilience_config();
-        grid_manifest = Some(GridManifest::from_config(&config));
-        reduce.characterize_resumable(config, &exec, journal.as_ref())?;
-        println!(
-            "  done  [{threads} thread{}]",
-            if threads == 1 { "" } else { "s" }
-        );
-    }
 
     let fleet_config = scale.fleet_config(array, chips.or(fleet_size));
     // Chips are streamed from the seeded source — never materialised as a
@@ -271,14 +285,6 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let deploy_clock = Stopwatch::start();
     let mut reports = Vec::new();
     for (policy, fleet_strategy) in runs {
-        let table = if policy.needs_table() {
-            match &loaded_table {
-                Some(t) => Some(t.clone()),
-                None => Some(reduce.table()?),
-            }
-        } else {
-            None
-        };
         let mut eval = FleetEvaluation::new(policy, constraint)
             .source(&source)
             .fleet_strategy(fleet_strategy)
@@ -294,7 +300,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         if let Some(cp) = journal.as_ref() {
             eval = eval.journal(cp);
         }
-        let report = eval.run(reduce.runner(), reduce.pretrained())?;
+        let report = eval.run(&runner, &pretrained)?;
         let quarantined = if report.quarantined.is_empty() {
             String::new()
         } else {
@@ -390,17 +396,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         manifest.policies = reports.iter().map(|r| r.policy.clone()).collect();
         // Workspace counters are deterministic per configuration, so the
         // manifest stays byte-identical across thread counts.
-        manifest.workspace = metrics
-            .snapshot()
-            .workspace
-            .iter()
-            .map(|(stage, w)| StageWorkspace {
-                stage: stage.clone(),
-                hits: w.hits,
-                misses: w.misses,
-                bytes_allocated: w.bytes_allocated,
-            })
-            .collect();
+        manifest.workspace = metrics.snapshot().workspace;
         manifest.throughput = if redact {
             None
         } else {

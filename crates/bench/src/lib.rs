@@ -83,11 +83,12 @@ impl Scale {
 
     /// The Step-① characterisation grid.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Never — the preset parameters are statically valid; the builder
-    /// result is unwrapped through a compile-time-known fallback.
-    pub fn resilience_config(&self) -> ResilienceConfig {
+    /// Propagates the builder's [`ReduceError::InvalidConfig`]; the
+    /// presets are valid, so this fires only if a preset is edited into
+    /// an invalid grid.
+    pub fn resilience_config(&self) -> Result<ResilienceConfig, ReduceError> {
         let builder = match self {
             Scale::Smoke => ResilienceConfig::builder()
                 .max_rate(0.3)
@@ -106,19 +107,7 @@ impl Scale {
                 .repeats(5)
                 .constraint(self.constraint()),
         };
-        builder.build().unwrap_or_else(|_| {
-            // The presets above are all valid; this branch is unreachable
-            // but keeps the accessor infallible for callers.
-            ResilienceConfig {
-                fault_rates: vec![0.0],
-                max_epochs: 1,
-                repeats: 1,
-                constraint: self.constraint(),
-                fault_model: FaultModel::Random,
-                strategy: Default::default(),
-                seed: 0xC0FFEE,
-            }
-        })
+        builder.build()
     }
 
     /// The Fig. 3 fleet (the paper evaluates 100 chips).
@@ -581,7 +570,7 @@ mod tests {
     fn presets_are_consistent() {
         for scale in [Scale::Smoke, Scale::Default, Scale::Full] {
             let wb = scale.workbench(1);
-            let rc = scale.resilience_config();
+            let rc = scale.resilience_config().expect("valid preset");
             assert!(!rc.fault_rates.is_empty());
             assert!(rc.max_epochs > 0);
             assert!(scale.constraint() > 0.5);

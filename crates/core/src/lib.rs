@@ -16,27 +16,34 @@
 //! 3. [`FatRunner`] / [`FleetEvaluation`] (Step ③) — stream FAT over the
 //!    fleet and verify the accuracy constraint (Fig. 3).
 //!
-//! [`Reduce`] wires the steps together; [`Workbench`] describes the
-//! model/task/training setup; the fixed-policy baseline of Zhang et al. is
-//! [`RetrainPolicy::Fixed`]. Steps ① and ③ both fan out over the shared
-//! deterministic executor ([`exec`]): every entry point takes an
-//! [`exec::ExecConfig`] choosing the worker count (0 = auto), and results
-//! are byte-identical to a sequential run at any thread count. The
-//! [`telemetry`] module observes the whole pipeline — typed events, run
-//! logs, metrics, and per-run manifests.
+//! Each step is one type, and callers chain them directly. The input the
+//! paper assumes — a pre-trained DNN — comes from [`Workbench::pretrain`];
+//! [`Workbench`] describes the model/task/training setup; the fixed-policy
+//! baseline of Zhang et al. is [`RetrainPolicy::Fixed`]. Steps ① and ③
+//! both fan out over the shared deterministic executor ([`exec`]): every
+//! entry point takes an [`exec::ExecConfig`] choosing the worker count (0 =
+//! auto), and results are byte-identical to a sequential run at any thread
+//! count. The [`telemetry`] module observes the whole pipeline — typed
+//! events, run logs, metrics, and per-run manifests.
 //!
 //! # Examples
 //!
 //! ```
 //! use reduce_core::exec::ExecConfig;
-//! use reduce_core::{Reduce, ResilienceConfig, RetrainPolicy, Statistic, Workbench};
+//! use reduce_core::{
+//!     FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig, RetrainPolicy, Statistic,
+//!     Workbench,
+//! };
 //! use reduce_systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
 //!
 //! # fn main() -> Result<(), reduce_core::ReduceError> {
 //! // A fast tabular workbench (tests & doc builds); see Workbench::paper_scale
 //! // for the nano-VGG image setup.
 //! let exec = ExecConfig::default(); // sequential; ExecConfig::auto() fans out
-//! let mut reduce = Reduce::new(Workbench::toy(7), 0.88, 10)?;
+//! let workbench = Workbench::toy(7);
+//! let pretrained = workbench.pretrain(10)?;
+//! let runner = FatRunner::new(workbench)?;
+//! // Step 1: characterise once.
 //! let grid = ResilienceConfig::builder()
 //!     .fault_rates(vec![0.0, 0.15])
 //!     .max_epochs(4)
@@ -44,7 +51,8 @@
 //!     .constraint(0.88)
 //!     .seed(1)
 //!     .build()?;
-//! reduce.characterize(grid, &exec)?;
+//! let table = ResilienceAnalysis::run(&runner, &pretrained, grid, &exec)?.table();
+//! // Steps 2+3: pick each chip's budget from the table and retrain it.
 //! let fleet = generate_fleet(&FleetConfig {
 //!     chips: 2,
 //!     rows: 8,
@@ -53,7 +61,11 @@
 //!     model: FaultModel::Random,
 //!     seed: 2,
 //! })?;
-//! let report = reduce.deploy(&fleet, RetrainPolicy::Reduce(Statistic::Max), &exec)?;
+//! let report = FleetEvaluation::new(RetrainPolicy::Reduce(Statistic::Max), 0.88)
+//!     .source(&fleet)
+//!     .table(&table)
+//!     .exec(&exec)
+//!     .run(&runner, &pretrained)?;
 //! assert_eq!(report.evaluated, 2);
 //! # Ok(())
 //! # }
@@ -70,7 +82,6 @@ mod error;
 pub mod exec;
 mod fat;
 mod fleet;
-mod framework;
 mod journal;
 mod policy;
 pub mod report;
@@ -82,10 +93,9 @@ pub use error::{CorruptKind, ReduceError, Result};
 pub use exec::ExecConfig;
 pub use fat::{FatOutcome, FatRunner, Mitigation, StopRule};
 pub use fleet::{
-    ChipOutcome, ChipSource, ChipStatus, FleetEvaluation, FleetReport, FleetStrategy,
-    QuarantinedChip, SealedChip, SeededChips,
+    ChipOutcome, ChipSource, FleetEvaluation, FleetReport, FleetStrategy, QuarantinedChip,
+    SealedChip, SeededChips,
 };
-pub use framework::Reduce;
 pub use journal::{
     inspect_journal, repair_journal, Checkpoint, IoStats, JournalHealth, JournalRecord,
     JournalStatus, RepairSummary, DEFAULT_SHARD_RECORDS,

@@ -24,7 +24,8 @@ use reduce_systolic::{FaultMap, FaultModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Configuration of the resilience characterisation.
+/// Configuration of the resilience characterisation. Every grid cell
+/// retrains under FAP, the paper's mitigation (and the one Step ③ deploys).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
     /// Fault rates to characterise (will be sorted; should include 0).
@@ -37,8 +38,6 @@ pub struct ResilienceConfig {
     pub constraint: f32,
     /// Spatial fault model for the injected maps.
     pub fault_model: FaultModel,
-    /// Mitigation strategy characterised.
-    pub strategy: Mitigation,
     /// Master seed for the injected fault maps.
     pub seed: u64,
 }
@@ -112,7 +111,6 @@ pub struct ResilienceConfigBuilder {
     repeats: usize,
     constraint: f32,
     fault_model: FaultModel,
-    strategy: Mitigation,
     seed: u64,
 }
 
@@ -126,7 +124,6 @@ impl Default for ResilienceConfigBuilder {
             repeats: 5,
             constraint: 0.9,
             fault_model: FaultModel::Random,
-            strategy: Mitigation::Fap,
             seed: 0xC0FFEE,
         }
     }
@@ -182,13 +179,6 @@ impl ResilienceConfigBuilder {
         self
     }
 
-    /// Mitigation strategy characterised.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Mitigation) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Master seed for the injected fault maps.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -228,7 +218,6 @@ impl ResilienceConfigBuilder {
             repeats: self.repeats,
             constraint: self.constraint,
             fault_model: self.fault_model,
-            strategy: self.strategy,
             seed: self.seed,
         };
         config.validate()?;
@@ -430,7 +419,7 @@ impl ResilienceAnalysis {
                             &map,
                             config.max_epochs,
                             StopRule::Exact,
-                            config.strategy,
+                            Mitigation::Fap,
                             map_seed ^ 0x5EED ^ salt,
                             None,
                             &mut |epoch, accuracy| {
@@ -731,15 +720,34 @@ pub struct ResilienceTable {
 
 impl ResilienceTable {
     /// Creates a table from explicit entries (sorted by rate internally).
+    /// Every constructor goes through here, so a loaded table holds only
+    /// budgets Step ② can turn into whole epochs.
     ///
     /// # Errors
     ///
-    /// Returns [`ReduceError::InvalidConfig`] for an empty table.
+    /// Returns [`ReduceError::InvalidConfig`] for an empty table, a rate
+    /// that is not a probability, or a `mean_epochs` that is not a finite,
+    /// non-negative number.
     pub fn from_entries(mut entries: Vec<TableEntry>, epoch_cap: usize) -> Result<Self> {
         if entries.is_empty() {
             return Err(ReduceError::InvalidConfig {
                 what: "resilience table needs at least one entry".to_string(),
             });
+        }
+        for e in &entries {
+            if !e.rate.is_finite() || !(0.0..=1.0).contains(&e.rate) {
+                return Err(ReduceError::InvalidConfig {
+                    what: format!("table rate {} is not a probability", e.rate),
+                });
+            }
+            if !e.mean_epochs.is_finite() || e.mean_epochs < 0.0 {
+                return Err(ReduceError::InvalidConfig {
+                    what: format!(
+                        "table mean_epochs {} at rate {} is not a finite, non-negative budget",
+                        e.mean_epochs, e.rate
+                    ),
+                });
+            }
         }
         entries.sort_by(|a, b| a.rate.total_cmp(&b.rate));
         Ok(ResilienceTable { entries, epoch_cap })
@@ -825,7 +833,7 @@ impl ResilienceTable {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(parse_err)?;
-            if it.next().is_some() || !(0.0..=1.0).contains(&rate) {
+            if it.next().is_some() {
                 return Err(parse_err());
             }
             entries.push(TableEntry {
@@ -1124,6 +1132,36 @@ mod tests {
     }
 
     #[test]
+    fn tables_reject_budgets_that_are_not_whole_epoch_counts() {
+        // `epochs_for` would turn a NaN or negative mean into a 0-epoch
+        // budget and an infinite one into the epoch cap, so no constructor
+        // may build such a row.
+        let good = table().to_text();
+        for bad_mean in ["nan", "NaN", "inf", "-inf", "-1"] {
+            let text = good.replace("0.1 2 4", &format!("0.1 {bad_mean} 4"));
+            let err = ResilienceTable::from_text(&text).expect_err("non-finite budget loaded");
+            assert!(err.to_string().contains("mean_epochs"), "{err}");
+        }
+        for bad_rate in ["nan", "inf", "-1", "1.5"] {
+            let text = good.replace("0.1 2 4", &format!("{bad_rate} 2 4"));
+            assert!(
+                ResilienceTable::from_text(&text).is_err(),
+                "rate {bad_rate}"
+            );
+        }
+        let entry = |rate, mean_epochs| TableEntry {
+            rate,
+            mean_epochs,
+            max_epochs: 1,
+        };
+        assert!(ResilienceTable::from_entries(vec![entry(f64::NAN, 1.0)], 4).is_err());
+        assert!(ResilienceTable::from_entries(vec![entry(0.1, f64::INFINITY)], 4).is_err());
+        assert!(ResilienceTable::from_entries(vec![entry(0.1, -0.5)], 4).is_err());
+        // Boundary values stay valid.
+        assert!(ResilienceTable::from_entries(vec![entry(0.0, 0.0), entry(1.0, 9.0)], 4).is_ok());
+    }
+
+    #[test]
     fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("reduce_table_test");
         let path = dir.join("table.txt");
@@ -1143,7 +1181,6 @@ mod tests {
             repeats: 2,
             constraint: 0.9,
             fault_model: reduce_systolic::FaultModel::Random,
-            strategy: Mitigation::Fap,
             seed: 0,
         };
         let points = vec![

@@ -2,8 +2,9 @@
 //! needed to reproduce its artifacts — workbench spec, seeds, grid
 //! configuration, policies, thread count, and crate version.
 
-use super::json::{self, push_json_f32, push_json_f64, push_json_string, JsonValue};
-use crate::error::{ReduceError, Result};
+use super::json::{push_json_f32, push_json_f64, push_json_string};
+use super::StageWorkspace;
+use crate::error::Result;
 use crate::resilience::ResilienceConfig;
 use reduce_systolic::FleetConfig;
 use std::path::Path;
@@ -24,8 +25,6 @@ pub struct GridManifest {
     pub constraint: f32,
     /// Spatial fault model (Debug-formatted).
     pub fault_model: String,
-    /// Mitigation strategy (Debug-formatted).
-    pub strategy: String,
     /// Master seed for fault-map generation.
     pub seed: u64,
 }
@@ -39,7 +38,6 @@ impl GridManifest {
             repeats: config.repeats,
             constraint: config.constraint,
             fault_model: format!("{:?}", config.fault_model),
-            strategy: format!("{:?}", config.strategy),
             seed: config.seed,
         }
     }
@@ -74,25 +72,6 @@ impl FleetManifest {
             seed: config.seed,
         }
     }
-}
-
-/// Per-stage workspace-arena allocation counters, as recorded in a run's
-/// manifest (mirrors [`super::WorkspaceTotals`]).
-///
-/// The counters are a pure function of the run configuration — each
-/// parallel job owns a private model workspace and the totals sum over
-/// the job set — so recording them keeps the manifest byte-identical
-/// across thread counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageWorkspace {
-    /// Stage name (`characterize`, `deploy`, …).
-    pub stage: String,
-    /// Workspace `take` calls served by recycling a pooled buffer.
-    pub hits: u64,
-    /// Workspace `take` calls that had to allocate.
-    pub misses: u64,
-    /// Total bytes allocated by misses.
-    pub bytes_allocated: u64,
 }
 
 /// Fleet-evaluation throughput, as recorded in a run's manifest.
@@ -200,7 +179,9 @@ impl RunManifest {
                 push_json_f32(&mut c, grid.constraint);
                 push_nested_field(&mut s, "constraint", &c);
                 push_nested_str_field(&mut s, "fault_model", &grid.fault_model);
-                push_nested_str_field(&mut s, "strategy", &grid.strategy);
+                // Step ① always characterises FAP; the key keeps manifests
+                // byte-identical to those of runs that recorded a choice.
+                push_nested_str_field(&mut s, "strategy", "Fap");
                 push_nested_field_last(&mut s, "seed", &grid.seed.to_string());
                 s.push_str("  },\n");
             }
@@ -260,132 +241,16 @@ impl RunManifest {
         s
     }
 
-    /// Parses a manifest previously produced by [`RunManifest::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReduceError::InvalidConfig`] on malformed JSON, a
-    /// missing field, or an unsupported `format_version`.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let doc = json::parse(text)?;
-        let version = require_u64(&doc, "format_version")?;
-        if version != FORMAT_VERSION {
-            return Err(invalid(&format!(
-                "unsupported manifest format_version {version} (expected {FORMAT_VERSION})"
-            )));
-        }
-        let grid = match doc.field("grid") {
-            None | Some(JsonValue::Null) => None,
-            Some(g) => Some(GridManifest {
-                fault_rates: require_f64_array(g, "fault_rates")?,
-                max_epochs: require_usize(g, "max_epochs")?,
-                repeats: require_usize(g, "repeats")?,
-                constraint: require_f64(g, "constraint")? as f32,
-                fault_model: require_str(g, "fault_model")?,
-                strategy: require_str(g, "strategy")?,
-                seed: require_u64(g, "seed")?,
-            }),
-        };
-        let fleet = match doc.field("fleet") {
-            None | Some(JsonValue::Null) => None,
-            Some(f) => Some(FleetManifest {
-                chips: require_usize(f, "chips")?,
-                rows: require_usize(f, "rows")?,
-                cols: require_usize(f, "cols")?,
-                rates: require_str(f, "rates")?,
-                model: require_str(f, "model")?,
-                seed: require_u64(f, "seed")?,
-            }),
-        };
-        let policies = match doc.field("policies") {
-            Some(JsonValue::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(
-                        item.as_str()
-                            .ok_or_else(|| invalid("non-string entry in `policies`"))?
-                            .to_string(),
-                    );
-                }
-                out
-            }
-            _ => return Err(invalid("manifest field `policies` missing or not an array")),
-        };
-        // Absent in manifests written before the counters existed: treat
-        // a missing field as "not recorded" rather than an error.
-        let workspace = match doc.field("workspace") {
-            None | Some(JsonValue::Null) => Vec::new(),
-            Some(JsonValue::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(StageWorkspace {
-                        stage: require_str(item, "stage")?,
-                        hits: require_u64(item, "hits")?,
-                        misses: require_u64(item, "misses")?,
-                        bytes_allocated: require_u64(item, "bytes_allocated")?,
-                    });
-                }
-                out
-            }
-            Some(_) => return Err(invalid("manifest field `workspace` is not an array")),
-        };
-        // Absent in manifests written before throughput was recorded:
-        // treat a missing field as "not recorded" rather than an error.
-        let throughput = match doc.field("throughput") {
-            None | Some(JsonValue::Null) => None,
-            Some(t) => Some(ThroughputManifest {
-                chips: require_usize(t, "chips")?,
-                seconds: require_f64(t, "seconds")?,
-                chips_per_sec: require_f64(t, "chips_per_sec")?,
-            }),
-        };
-        Ok(RunManifest {
-            tool: require_str(&doc, "tool")?,
-            crate_version: require_str(&doc, "crate_version")?,
-            scale: require_str(&doc, "scale")?,
-            threads: match doc.field("threads") {
-                None | Some(JsonValue::Null) => None,
-                Some(t) => Some(
-                    t.as_usize()
-                        .ok_or_else(|| invalid("manifest field `threads` is not an integer"))?,
-                ),
-            },
-            constraint: require_f64(&doc, "constraint")? as f32,
-            workbench: require_str(&doc, "workbench")?,
-            grid,
-            policies,
-            workspace,
-            throughput,
-            fleet,
-        })
-    }
-
     /// Writes the manifest to `path` (creating parent directories) via the
     /// shared atomic artifact writer, so an interrupted run never leaves a
     /// torn manifest behind.
     ///
     /// # Errors
     ///
-    /// Returns [`ReduceError::InvalidConfig`] wrapping the I/O failure.
+    /// Returns [`crate::ReduceError::InvalidConfig`] wrapping the I/O
+    /// failure.
     pub fn save(&self, path: &Path) -> Result<()> {
         crate::artifact::write_atomic(path, &self.to_json())
-    }
-
-    /// Reads and parses a manifest from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReduceError::InvalidConfig`] on I/O or parse failure.
-    pub fn load(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| invalid(&format!("cannot read manifest {}: {e}", path.display())))?;
-        Self::from_json(&text)
-    }
-}
-
-fn invalid(what: &str) -> ReduceError {
-    ReduceError::InvalidConfig {
-        what: what.to_string(),
     }
 }
 
@@ -413,51 +278,9 @@ fn push_nested_str_field(out: &mut String, key: &str, value: &str) {
     out.push_str(",\n");
 }
 
-fn require_str(doc: &JsonValue, key: &str) -> Result<String> {
-    doc.field(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| invalid(&format!("manifest field `{key}` missing or not a string")))
-}
-
-fn require_u64(doc: &JsonValue, key: &str) -> Result<u64> {
-    doc.field(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| invalid(&format!("manifest field `{key}` missing or not an integer")))
-}
-
-fn require_usize(doc: &JsonValue, key: &str) -> Result<usize> {
-    doc.field(key)
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| invalid(&format!("manifest field `{key}` missing or not an integer")))
-}
-
-fn require_f64(doc: &JsonValue, key: &str) -> Result<f64> {
-    doc.field(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| invalid(&format!("manifest field `{key}` missing or not a number")))
-}
-
-fn require_f64_array(doc: &JsonValue, key: &str) -> Result<Vec<f64>> {
-    match doc.field(key) {
-        Some(JsonValue::Arr(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(
-                    item.as_f64()
-                        .ok_or_else(|| invalid(&format!("non-number in `{key}`")))?,
-                );
-            }
-            Ok(out)
-        }
-        _ => Err(invalid(&format!(
-            "manifest field `{key}` missing or not an array"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::json::{self, JsonValue};
     use super::*;
 
     fn sample() -> RunManifest {
@@ -471,7 +294,6 @@ mod tests {
             repeats: 5,
             constraint: 0.91,
             fault_model: "Random".to_string(),
-            strategy: "Fap".to_string(),
             seed: 0xC0FFEE,
         });
         m.policies = vec!["reduce-max".to_string(), "fixed:4".to_string()];
@@ -506,39 +328,68 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_json() {
-        let m = sample();
-        let parsed = RunManifest::from_json(&m.to_json()).expect("own output parses");
-        assert_eq!(parsed, m);
-    }
-
-    #[test]
-    fn round_trips_without_optional_sections() {
-        let mut m = RunManifest::new("fig2", "default");
-        m.constraint = 0.9;
-        m.workbench = "wb".to_string();
-        let parsed = RunManifest::from_json(&m.to_json()).expect("own output parses");
-        assert_eq!(parsed, m);
-        assert!(parsed.threads.is_none());
-        assert!(parsed.grid.is_none());
-        assert!(parsed.workspace.is_empty());
-        assert!(parsed.throughput.is_none());
-        assert!(parsed.fleet.is_none());
-    }
-
-    #[test]
-    fn manifests_without_a_workspace_field_still_parse() {
-        // A pre-counter manifest: strip the fields entirely.
-        let mut m = RunManifest::new("fig2", "default");
-        m.constraint = 0.9;
-        m.workbench = "wb".to_string();
-        let doc = m
-            .to_json()
-            .replace("  \"workspace\": [],\n", "")
-            .replace("  \"throughput\": null,\n", "");
-        let parsed = RunManifest::from_json(&doc).expect("older manifests parse");
-        assert!(parsed.workspace.is_empty());
-        assert!(parsed.throughput.is_none());
+    fn json_parses_and_carries_every_section() {
+        let doc = json::parse(&sample().to_json()).expect("own output parses");
+        assert_eq!(
+            doc.field("format_version").and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        assert_eq!(doc.field("tool").and_then(JsonValue::as_str), Some("fig3"));
+        assert_eq!(
+            doc.field("scale").and_then(JsonValue::as_str),
+            Some("smoke")
+        );
+        assert_eq!(doc.field("threads").and_then(JsonValue::as_usize), Some(4));
+        assert_eq!(
+            doc.field("constraint").and_then(JsonValue::as_f32),
+            Some(0.91)
+        );
+        let grid = doc.field("grid").expect("grid section");
+        assert_eq!(
+            grid.field("strategy").and_then(JsonValue::as_str),
+            Some("Fap")
+        );
+        assert_eq!(
+            grid.field("seed").and_then(JsonValue::as_u64),
+            Some(0xC0FFEE)
+        );
+        match grid.field("fault_rates") {
+            Some(JsonValue::Arr(rates)) => assert_eq!(rates.len(), 3),
+            other => panic!("fault_rates: {other:?}"),
+        }
+        match doc.field("policies") {
+            Some(JsonValue::Arr(policies)) => assert_eq!(policies.len(), 2),
+            other => panic!("policies: {other:?}"),
+        }
+        match doc.field("workspace") {
+            Some(JsonValue::Arr(stages)) => {
+                assert_eq!(stages.len(), 2);
+                let deploy = stages.get(1).expect("two stages");
+                assert_eq!(
+                    deploy.field("stage").and_then(JsonValue::as_str),
+                    Some("deploy")
+                );
+                assert_eq!(deploy.field("misses").and_then(JsonValue::as_u64), Some(3));
+            }
+            other => panic!("workspace: {other:?}"),
+        }
+        let throughput = doc.field("throughput").expect("throughput section");
+        assert_eq!(
+            throughput
+                .field("chips_per_sec")
+                .and_then(JsonValue::as_f64),
+            Some(16.0)
+        );
+        let fleet = doc.field("fleet").expect("fleet section");
+        assert_eq!(
+            fleet.field("seed").and_then(JsonValue::as_u64),
+            Some(0xF1EE7)
+        );
+        // Absent optional sections are written as explicit nulls.
+        let bare = json::parse(&RunManifest::new("fig2", "default").to_json()).expect("parses");
+        for key in ["threads", "grid", "throughput", "fleet"] {
+            assert!(bare.field(key).is_some_and(JsonValue::is_null), "{key}");
+        }
     }
 
     #[test]
@@ -547,30 +398,8 @@ mod tests {
     }
 
     #[test]
-    fn version_is_stamped_and_checked() {
+    fn version_is_stamped() {
         let m = RunManifest::new("fig2", "smoke");
         assert_eq!(m.crate_version, env!("CARGO_PKG_VERSION"));
-        let doc = m
-            .to_json()
-            .replace("\"format_version\": 1", "\"format_version\": 999");
-        let err = RunManifest::from_json(&doc).expect_err("future versions rejected");
-        assert!(err.to_string().contains("format_version"));
-    }
-
-    #[test]
-    fn missing_fields_error() {
-        let err = RunManifest::from_json("{\"format_version\": 1}").expect_err("incomplete");
-        assert!(err.to_string().contains("missing"));
-    }
-
-    #[test]
-    fn save_and_load() {
-        let dir = std::env::temp_dir().join("reduce_manifest_test");
-        let path = dir.join("manifest.json");
-        let m = sample();
-        m.save(&path).expect("temp dir writable");
-        let back = RunManifest::load(&path).expect("just written");
-        assert_eq!(back, m);
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -56,10 +56,18 @@ impl Accumulator {
     }
 }
 
-/// Workspace-arena allocation counters aggregated per stage (from
-/// [`Event::WorkspaceUsed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkspaceTotals {
+/// One stage's workspace-arena allocation counters, summed over its
+/// [`Event::WorkspaceUsed`] events — a [`MetricsSnapshot::workspace`] entry
+/// and, unchanged, a [`super::RunManifest::workspace`] entry.
+///
+/// The counters are a pure function of the run configuration — each
+/// parallel job owns a private model workspace and the totals sum over
+/// the job set — so recording them keeps the manifest byte-identical
+/// across thread counts.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StageWorkspace {
+    /// Stage name (`characterize`, `deploy`, …).
+    pub stage: String,
     /// Workspace `take` calls served by recycling a pooled buffer.
     pub hits: u64,
     /// Workspace `take` calls that had to allocate.
@@ -68,7 +76,7 @@ pub struct WorkspaceTotals {
     pub bytes_allocated: u64,
 }
 
-impl WorkspaceTotals {
+impl StageWorkspace {
     /// Fraction of `take` calls served from the pool (0 when empty).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -99,7 +107,7 @@ pub struct MetricsSnapshot {
     pub epochs_to_constraint: StatSummary,
     /// Workspace allocation counters per stage, in the order stages first
     /// reported them ([`Event::WorkspaceUsed`]).
-    pub workspace: Vec<(String, WorkspaceTotals)>,
+    pub workspace: Vec<StageWorkspace>,
     /// Failed job attempts ([`Event::JobFailed`]).
     pub jobs_failed: usize,
     /// Scheduled retries ([`Event::RetryScheduled`]).
@@ -132,7 +140,7 @@ struct MetricsState {
     chips_satisfied: usize,
     epochs_per_chip: Accumulator,
     epochs_to_constraint: Accumulator,
-    workspace: Vec<(String, WorkspaceTotals)>,
+    workspace: Vec<StageWorkspace>,
     jobs_failed: usize,
     retries_scheduled: usize,
     divergences_recovered: usize,
@@ -233,9 +241,10 @@ impl MetricsRecorder {
                 snap.clusters_formed, snap.warm_start_hits
             ));
         }
-        for (stage, w) in &snap.workspace {
+        for w in &snap.workspace {
             out.push_str(&format!(
-                "workspace {stage:<12} hits {} misses {} allocated {} B (hit rate {:.1}%)\n",
+                "workspace {:<12} hits {} misses {} allocated {} B (hit rate {:.1}%)\n",
+                w.stage,
                 w.hits,
                 w.misses,
                 w.bytes_allocated,
@@ -310,13 +319,15 @@ impl Observer for MetricsRecorder {
                 bytes_allocated,
             } => {
                 let name = stage.name();
-                let slot = match s.workspace.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, w)) => w,
+                let slot = match s.workspace.iter_mut().find(|w| w.stage == name) {
+                    Some(w) => w,
                     None => {
-                        s.workspace
-                            .push((name.to_string(), WorkspaceTotals::default()));
+                        s.workspace.push(StageWorkspace {
+                            stage: name.to_string(),
+                            ..StageWorkspace::default()
+                        });
                         match s.workspace.last_mut() {
-                            Some((_, w)) => w,
+                            Some(w) => w,
                             None => return, // unreachable: just pushed
                         }
                     }
@@ -397,7 +408,7 @@ mod tests {
             });
         }
         rec.on_event(&Event::StageFinished {
-            stage: Stage::Plan,
+            stage: Stage::Pretrain,
             seconds: None, // redacted: must not create a row
         });
         let snap = rec.snapshot();
@@ -432,18 +443,19 @@ mod tests {
             });
         }
         let snap = rec.snapshot();
-        let names: Vec<&str> = snap.workspace.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = snap.workspace.iter().map(|w| w.stage.as_str()).collect();
         assert_eq!(names, ["characterize", "deploy"]);
         assert_eq!(
-            snap.workspace[0].1,
-            WorkspaceTotals {
+            snap.workspace[0],
+            StageWorkspace {
+                stage: "characterize".to_string(),
                 hits: 150,
                 misses: 15,
                 bytes_allocated: 6144,
             }
         );
-        assert!((snap.workspace[0].1.hit_rate() - 150.0 / 165.0).abs() < 1e-12);
-        assert_eq!(WorkspaceTotals::default().hit_rate(), 0.0);
+        assert!((snap.workspace[0].hit_rate() - 150.0 / 165.0).abs() < 1e-12);
+        assert_eq!(StageWorkspace::default().hit_rate(), 0.0);
         let text = rec.render();
         assert!(text.contains("workspace characterize"));
         assert!(text.contains("allocated 512 B"));

@@ -11,7 +11,7 @@
 //! (threaded through [`crate::exec::ExecConfig`]):
 //!
 //! * [`Event::StageStarted`] / [`Event::StageFinished`] — one pair per
-//!   pipeline [`Stage`] (pretrain, characterize, plan, deploy);
+//!   pipeline [`Stage`] (pretrain, characterize, deploy);
 //! * [`Event::EpochCompleted`] — one tick per FAT epoch, scoped to the
 //!   grid cell or chip that ran it;
 //! * [`Event::PointFinished`] — one per Step-① `(rate, repeat)` grid cell;
@@ -61,8 +61,8 @@ mod manifest;
 mod metrics;
 mod runlog;
 
-pub use manifest::{FleetManifest, GridManifest, RunManifest, StageWorkspace, ThroughputManifest};
-pub use metrics::{MetricsRecorder, MetricsSnapshot, StatSummary, WorkspaceTotals};
+pub use manifest::{FleetManifest, GridManifest, RunManifest, ThroughputManifest};
+pub use metrics::{MetricsRecorder, MetricsSnapshot, StageWorkspace, StatSummary};
 pub use runlog::RunLog;
 pub(crate) use runlog::{parse_event, render_event};
 
@@ -75,9 +75,8 @@ pub enum Stage {
     Pretrain,
     /// Step ①: resilience characterisation.
     Characterize,
-    /// Step ②: per-chip retraining-amount selection.
-    Plan,
-    /// Step ③: per-chip fault-aware retraining of a fleet.
+    /// Steps ②+③: per-chip budget selection and fault-aware retraining of
+    /// a fleet.
     Deploy,
 }
 
@@ -87,7 +86,6 @@ impl Stage {
         match self {
             Stage::Pretrain => "pretrain",
             Stage::Characterize => "characterize",
-            Stage::Plan => "plan",
             Stage::Deploy => "deploy",
         }
     }
@@ -98,7 +96,6 @@ impl Stage {
         match name {
             "pretrain" => Some(Stage::Pretrain),
             "characterize" => Some(Stage::Characterize),
-            "plan" => Some(Stage::Plan),
             "deploy" => Some(Stage::Deploy),
             _ => None,
         }
@@ -394,12 +391,12 @@ mod tests {
     #[test]
     fn timed_stage_brackets_the_closure() {
         let rec = Recorder::default();
-        let out: Result<u32, ()> = timed_stage(&rec, Stage::Plan, || Ok(41 + 1));
+        let out: Result<u32, ()> = timed_stage(&rec, Stage::Pretrain, || Ok(41 + 1));
         assert_eq!(out, Ok(42));
         let log = rec.0.lock().expect("no poisoning");
         assert_eq!(log.len(), 2);
-        assert!(log[0].contains("StageStarted") && log[0].contains("Plan"));
-        assert!(log[1].contains("StageFinished") && log[1].contains("Plan"));
+        assert!(log[0].contains("StageStarted") && log[0].contains("Pretrain"));
+        assert!(log[1].contains("StageFinished") && log[1].contains("Pretrain"));
     }
 
     #[test]
@@ -433,14 +430,8 @@ mod tests {
     fn stage_names_are_stable() {
         assert_eq!(Stage::Pretrain.name(), "pretrain");
         assert_eq!(Stage::Characterize.name(), "characterize");
-        assert_eq!(Stage::Plan.name(), "plan");
         assert_eq!(Stage::Deploy.name(), "deploy");
-        for stage in [
-            Stage::Pretrain,
-            Stage::Characterize,
-            Stage::Plan,
-            Stage::Deploy,
-        ] {
+        for stage in [Stage::Pretrain, Stage::Characterize, Stage::Deploy] {
             assert_eq!(Stage::from_name(stage.name()), Some(stage));
         }
         assert_eq!(Stage::from_name("warp-core"), None);

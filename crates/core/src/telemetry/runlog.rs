@@ -73,11 +73,6 @@ impl RunLog {
         })
     }
 
-    /// Whether wall-clock fields are redacted.
-    pub fn redacts_timing(&self) -> bool {
-        self.redact_timing
-    }
-
     /// Flushes the log — for a file-backed log this is the moment the
     /// artifact is (atomically) written — and reports the first write
     /// error encountered since creation, if any.
@@ -660,7 +655,7 @@ mod tests {
                 completed: 12,
             },
             Event::StageFinished {
-                stage: Stage::Plan,
+                stage: Stage::Pretrain,
                 seconds: None,
             },
             Event::ClusterFormed {
@@ -699,13 +694,17 @@ mod tests {
         let dir = std::env::temp_dir().join("reduce_runlog_test");
         let path = dir.join("run_log.jsonl");
         let log = RunLog::create(&path, true).expect("temp dir writable");
-        assert!(log.redacts_timing());
-        log.on_event(&Event::StageStarted {
+        log.on_event(&Event::StageFinished {
             stage: Stage::Deploy,
+            seconds: Some(1.25),
         });
         log.flush().expect("flush succeeds");
         let text = std::fs::read_to_string(&path).expect("just written");
-        assert!(text.contains("stage_started"));
+        assert!(text.contains("stage_finished"));
+        assert!(
+            text.contains("\"seconds\":null"),
+            "file-backed logs redact too"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 }

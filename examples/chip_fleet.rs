@@ -7,7 +7,8 @@
 //! ```
 
 use reduce_core::{
-    report, ExecConfig, Reduce, ResilienceConfig, RetrainPolicy, Statistic, Workbench,
+    report, ExecConfig, FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig,
+    RetrainPolicy, Statistic, Workbench,
 };
 use reduce_systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
 use std::error::Error;
@@ -21,11 +22,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     // (the paper uses an absolute 91%; both conventions are supported).
     let pretrained = workbench.pretrain(15)?;
     let constraint = ((pretrained.baseline_accuracy - 0.035) * 100.0).floor() / 100.0;
-    let reduce = Reduce::with_pretrained(workbench, pretrained, constraint)?;
-    let mut reduce = reduce;
+    let runner = FatRunner::new(workbench)?;
     println!(
         "baseline accuracy {:.2}% (constraint {:.0}%)\n",
-        reduce.pretrained().baseline_accuracy * 100.0,
+        pretrained.baseline_accuracy * 100.0,
         constraint * 100.0
     );
 
@@ -37,9 +37,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         .max_epochs(12)
         .constraint(constraint)
         .build()?;
-    reduce.characterize(config, &exec)?;
-    let analysis = reduce.analysis().expect("characterized above");
-    println!("{}", report::render_epochs_to_constraint(analysis));
+    let analysis = ResilienceAnalysis::run(&runner, &pretrained, config, &exec)?;
+    println!("{}", report::render_epochs_to_constraint(&analysis));
+    let table = analysis.table();
 
     println!("== Steps 2+3: deploy to a 20-chip fleet under each policy ==");
     let fleet = generate_fleet(&FleetConfig {
@@ -61,7 +61,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut reports = Vec::new();
     for policy in policies {
         println!("  running {} …", policy.label());
-        reports.push(reduce.deploy(&fleet, policy, &exec)?);
+        reports.push(
+            FleetEvaluation::new(policy, constraint)
+                .source(&fleet)
+                .table(&table)
+                .exec(&exec)
+                .run(&runner, &pretrained)?,
+        );
     }
     println!("\n{}", report::render_fleet_summary(&reports));
 

@@ -51,16 +51,18 @@ diff "$det_dir/t1/table.json" "$det_dir/t4/table.json"
 diff "$det_dir/t1/run_log.jsonl" "$det_dir/t4/run_log.jsonl"
 diff "$det_dir/t1/manifest.json" "$det_dir/t4/manifest.json"
 # Pin the sequential run too: a change that moves the same bits at every
-# thread count passes the diff above, so the CSV, table and run log (every
-# epoch's accuracy and the workspace counters) must also match the
-# expected outputs checked in under scripts/expected/. A change that means
-# to move them re-records these files and says why in CHANGES.md.
+# thread count passes the diff above, so the CSV, table, run log (every
+# epoch's accuracy and the workspace counters) and manifest (the grid
+# section and the workspace totals) must also match the expected outputs
+# checked in under scripts/expected/. A change that means to move them
+# re-records these files and says why in CHANGES.md.
 pinned=scripts/expected/fig2-smoke
 diff "$pinned/fig2_resilience.csv" "$det_dir/t1/fig2_resilience.csv"
 diff "$pinned/table.json" "$det_dir/t1/table.json"
 diff "$pinned/run_log.jsonl" "$det_dir/t1/run_log.jsonl"
+diff "$pinned/manifest.json" "$det_dir/t1/manifest.json"
 echo "    parallel characterisation artifacts (csv, table, run log, manifest)"
-echo "    are byte-identical to sequential; csv, table and run log match $pinned"
+echo "    are byte-identical to sequential and match $pinned"
 
 echo "==> smoke determinism gate (fig3 --threads 1 vs --threads 4)"
 # Same gate for the full pipeline (characterise + fleet deploy): the
@@ -215,8 +217,9 @@ cargo run -q -p reduce-bench --release --bin fig3 -- \
 diff "$efat_dir/t1/run_log.jsonl" "$efat_dir/t4/run_log.jsonl"
 diff "$efat_dir/t1/manifest.json" "$efat_dir/t4/manifest.json"
 # The sequential run log (every epoch, the workspace counters and the
-# cluster events) is pinned like the fig2 smoke run's above.
+# cluster events) and manifest are pinned like the fig2 smoke run's above.
 diff scripts/expected/fig3-smoke-all/run_log.jsonl "$efat_dir/t1/run_log.jsonl"
+diff scripts/expected/fig3-smoke-all/manifest.json "$efat_dir/t1/manifest.json"
 grep -q '"event":"cluster_formed"' "$efat_dir/t1/run_log.jsonl"
 grep -q '"event":"warm_start_hit"' "$efat_dir/t1/run_log.jsonl"
 # Comparison-table columns, counted from the right: epochs_saved,

@@ -2,8 +2,8 @@
 //! typed errors (never panics) at every layer of the stack.
 
 use reduce_repro::core::{
-    ExecConfig, Mitigation, Reduce, ReduceError, ResilienceConfig, ResilienceTable, RetrainPolicy,
-    Statistic, TableEntry, Workbench,
+    ExecConfig, FatRunner, Mitigation, ReduceError, ResilienceAnalysis, ResilienceConfig,
+    ResilienceTable, RetrainPolicy, Statistic, TableEntry, Workbench,
 };
 use reduce_repro::data::{blobs, Dataset};
 use reduce_repro::nn::{models, CrossEntropyLoss, Sgd, TrainConfig, Trainer};
@@ -17,7 +17,7 @@ fn all_faulty_chip_is_handled_gracefully() {
     let wb = Workbench::toy(201);
     let (rows, cols) = wb.array_dims();
     let pre = wb.pretrain(5).expect("valid workbench");
-    let runner = reduce_repro::core::FatRunner::new(wb).expect("valid workbench");
+    let runner = FatRunner::new(wb).expect("valid workbench");
     let dead = FaultMap::generate(rows, cols, 1.0, FaultModel::Random, 0).expect("valid");
     let outcome = runner
         .run(
@@ -66,7 +66,8 @@ fn mask_shape_mismatch_is_typed_error() {
 #[test]
 fn resilience_errors_are_typed() {
     let wb = Workbench::toy(202);
-    let mut reduce = Reduce::new(wb, 0.9, 3).expect("valid");
+    let pretrained = wb.pretrain(3).expect("valid workbench");
+    let runner = FatRunner::new(wb).expect("valid workbench");
     // Empty grid: rejected both by the builder (at construction) and by
     // the struct-literal escape hatch (at run time).
     let builder_err = ResilienceConfig::builder().fault_rates(vec![]).build();
@@ -74,14 +75,15 @@ fn resilience_errors_are_typed() {
         builder_err,
         Err(ReduceError::InvalidConfig { .. })
     ));
-    let err = reduce.characterize(
+    let err = ResilienceAnalysis::run(
+        &runner,
+        &pretrained,
         ResilienceConfig {
             fault_rates: vec![],
             max_epochs: 2,
             repeats: 1,
             constraint: 0.9,
             fault_model: FaultModel::Random,
-            strategy: Mitigation::Fap,
             seed: 0,
         },
         &ExecConfig::default(),

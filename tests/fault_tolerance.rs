@@ -14,8 +14,8 @@
 use reduce_repro::core::exec::ChaosPolicy;
 use reduce_repro::core::telemetry::{Observer, RunLog};
 use reduce_repro::core::{
-    Checkpoint, ChipStatus, ExecConfig, FatRunner, FleetEvaluation, Mitigation, ResilienceAnalysis,
-    ResilienceConfig, RetrainPolicy, Workbench,
+    Checkpoint, ExecConfig, FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig,
+    RetrainPolicy, Workbench,
 };
 use reduce_repro::systolic::{generate_fleet, Chip, FaultModel, FleetConfig, RateDistribution};
 use std::io::Write;
@@ -49,7 +49,6 @@ fn grid_config() -> ResilienceConfig {
         repeats: 2,
         constraint: 0.88,
         fault_model: FaultModel::Random,
-        strategy: Mitigation::Fap,
         seed: 11,
     }
 }
@@ -110,10 +109,6 @@ fn fleet_quarantine_is_exact_and_thread_invariant() {
         assert_eq!(q.attempts, 2, "initial attempt + 1 retry");
         assert!(!q.error.is_empty());
     }
-    assert_eq!(
-        reference.status_counts(),
-        [(ChipStatus::Ok, 4), (ChipStatus::Quarantined, 2)]
-    );
     // Quarantined chips never perturb their siblings: the surviving chips
     // are bit-identical to the chaos-free baseline.
     let baseline_outcomes = baseline.outcomes.as_deref().expect("collected");

@@ -4,7 +4,7 @@
 //! worker panics must surface as typed errors instead of aborts.
 
 use reduce_repro::core::{
-    exec, ExecConfig, FatRunner, FleetEvaluation, Mitigation, ReduceError, ResilienceAnalysis,
+    exec, ExecConfig, FatRunner, FleetEvaluation, ReduceError, ResilienceAnalysis,
     ResilienceConfig, RetrainPolicy, Workbench,
 };
 use reduce_repro::systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
@@ -16,7 +16,6 @@ fn grid_config() -> ResilienceConfig {
         repeats: 2,
         constraint: 0.88,
         fault_model: FaultModel::Random,
-        strategy: Mitigation::Fap,
         seed: 11,
     }
 }

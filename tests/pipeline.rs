@@ -2,12 +2,60 @@
 //! ③) on the fast toy workbench, exercising every crate together.
 
 use reduce_repro::core::{
-    ExecConfig, FatRunner, Mitigation, Reduce, ResilienceConfig, RetrainPolicy, Statistic,
-    StopRule, Workbench,
+    ExecConfig, FatRunner, FleetEvaluation, FleetReport, Mitigation, Pretrained,
+    ResilienceAnalysis, ResilienceConfig, ResilienceTable, RetrainPolicy, Statistic, StopRule,
+    Workbench,
 };
-use reduce_repro::systolic::{generate_fleet, FaultMap, FaultModel, FleetConfig, RateDistribution};
+use reduce_repro::systolic::{
+    generate_fleet, Chip, FaultMap, FaultModel, FleetConfig, RateDistribution,
+};
 
-fn fleet(chips: usize, hi: f64, seed: u64) -> Vec<reduce_repro::systolic::Chip> {
+/// Step ⓪ and Step ①: pre-trains `Workbench::toy(seed)` and characterises
+/// it on `rates`, returning the runner, the baseline and the table.
+fn characterised(
+    seed: u64,
+    pretrain_epochs: usize,
+    rates: Vec<f64>,
+    max_epochs: usize,
+    repeats: usize,
+    grid_seed: u64,
+) -> (FatRunner, Pretrained, ResilienceTable) {
+    let workbench = Workbench::toy(seed);
+    let pretrained = workbench
+        .pretrain(pretrain_epochs)
+        .expect("valid workbench");
+    let runner = FatRunner::new(workbench).expect("valid workbench");
+    let config = ResilienceConfig {
+        fault_rates: rates,
+        max_epochs,
+        repeats,
+        constraint: 0.9,
+        fault_model: FaultModel::Random,
+        seed: grid_seed,
+    };
+    let analysis = ResilienceAnalysis::run(&runner, &pretrained, config, &ExecConfig::default())
+        .expect("characterisation runs");
+    (runner, pretrained, analysis.table())
+}
+
+/// Steps ② and ③: retrains `chips` under `policy` against the 0.9
+/// constraint, keeping per-chip outcomes.
+fn deploy(
+    runner: &FatRunner,
+    pretrained: &Pretrained,
+    table: &ResilienceTable,
+    chips: &[Chip],
+    policy: RetrainPolicy,
+) -> FleetReport {
+    FleetEvaluation::new(policy, 0.9)
+        .source(&chips)
+        .table(table)
+        .collect_outcomes(true)
+        .run(runner, pretrained)
+        .expect("deployment runs")
+}
+
+fn fleet(chips: usize, hi: f64, seed: u64) -> Vec<Chip> {
     generate_fleet(&FleetConfig {
         chips,
         rows: 8,
@@ -21,38 +69,16 @@ fn fleet(chips: usize, hi: f64, seed: u64) -> Vec<reduce_repro::systolic::Chip> 
 
 #[test]
 fn full_pipeline_beats_fixed_baselines() {
-    let constraint = 0.90;
-    let mut reduce = Reduce::new(Workbench::toy(101), constraint, 15).expect("valid constraint");
+    let (runner, pretrained, table) = characterised(101, 15, vec![0.0, 0.1, 0.2, 0.3], 10, 3, 7);
     assert!(
-        reduce.pretrained().baseline_accuracy >= constraint,
+        pretrained.baseline_accuracy >= 0.9,
         "pre-trained baseline must satisfy the constraint on a fault-free chip"
     );
-    let exec = ExecConfig::default();
-    reduce
-        .characterize(
-            ResilienceConfig {
-                fault_rates: vec![0.0, 0.1, 0.2, 0.3],
-                max_epochs: 10,
-                repeats: 3,
-                constraint,
-                fault_model: FaultModel::Random,
-                strategy: Mitigation::Fap,
-                seed: 7,
-            },
-            &exec,
-        )
-        .expect("characterisation runs");
-
     let chips = fleet(12, 0.3, 55);
-    let reduce_max = reduce
-        .deploy(&chips, RetrainPolicy::Reduce(Statistic::Max), &exec)
-        .expect("deployment runs");
-    let fixed_zero = reduce
-        .deploy(&chips, RetrainPolicy::Fixed(0), &exec)
-        .expect("deployment runs");
-    let fixed_high = reduce
-        .deploy(&chips, RetrainPolicy::Fixed(10), &exec)
-        .expect("deployment runs");
+    let run = |policy| deploy(&runner, &pretrained, &table, &chips, policy);
+    let reduce_max = run(RetrainPolicy::Reduce(Statistic::Max));
+    let fixed_zero = run(RetrainPolicy::Fixed(0));
+    let fixed_high = run(RetrainPolicy::Fixed(10));
 
     // The paper's headline: Reduce is at least as robust as no-retraining
     // and much cheaper than a uniformly high fixed budget.
@@ -75,30 +101,21 @@ fn full_pipeline_beats_fixed_baselines() {
 
 #[test]
 fn reduce_max_never_cheaper_than_reduce_mean() {
-    let constraint = 0.9;
-    let mut reduce = Reduce::new(Workbench::toy(102), constraint, 12).expect("valid");
-    let exec = ExecConfig::default();
-    reduce
-        .characterize(
-            ResilienceConfig {
-                fault_rates: vec![0.0, 0.15, 0.3],
-                max_epochs: 8,
-                repeats: 3,
-                constraint,
-                fault_model: FaultModel::Random,
-                strategy: Mitigation::Fap,
-                seed: 11,
-            },
-            &exec,
-        )
-        .expect("characterisation runs");
+    let (_, _, table) = characterised(102, 12, vec![0.0, 0.15, 0.3], 8, 3, 11);
     let chips = fleet(8, 0.3, 56);
-    let max_plan = reduce
-        .plan(&chips, RetrainPolicy::Reduce(Statistic::Max), &exec)
-        .expect("table ready");
-    let mean_plan = reduce
-        .plan(&chips, RetrainPolicy::Reduce(Statistic::Mean), &exec)
-        .expect("table ready");
+    let plan = |statistic| -> Vec<_> {
+        chips
+            .iter()
+            .map(|chip| {
+                RetrainPolicy::Reduce(statistic)
+                    .epochs_for_chip(Some(&table), chip.fault_rate())
+                    .expect("table ready")
+            })
+            .collect()
+    };
+    let max_plan = plan(Statistic::Max);
+    let mean_plan = plan(Statistic::Mean);
+    assert_eq!(max_plan.len(), 8);
     for (mx, mn) in max_plan.iter().zip(&mean_plan) {
         assert!(
             mx.epochs >= mn.epochs,
@@ -111,23 +128,7 @@ fn reduce_max_never_cheaper_than_reduce_mean() {
 
 #[test]
 fn per_chip_budgets_track_fault_rate() {
-    let constraint = 0.9;
-    let mut reduce = Reduce::new(Workbench::toy(103), constraint, 12).expect("valid");
-    reduce
-        .characterize(
-            ResilienceConfig {
-                fault_rates: vec![0.0, 0.1, 0.2, 0.3],
-                max_epochs: 8,
-                repeats: 2,
-                constraint,
-                fault_model: FaultModel::Random,
-                strategy: Mitigation::Fap,
-                seed: 13,
-            },
-            &ExecConfig::default(),
-        )
-        .expect("characterisation runs");
-    let table = reduce.table().expect("characterised");
+    let (_, _, table) = characterised(103, 12, vec![0.0, 0.1, 0.2, 0.3], 8, 2, 13);
     // Interpolated budgets are monotone in fault rate if grid stats are.
     let stats: Vec<usize> = table.entries().iter().map(|e| e.max_epochs).collect();
     let grid_monotone = stats.windows(2).all(|w| w[0] <= w[1]);
@@ -216,28 +217,16 @@ fn paper_array_geometry_end_to_end() {
 
 #[test]
 fn deterministic_fleet_reports() {
-    let constraint = 0.9;
     let run = || {
-        let mut reduce = Reduce::new(Workbench::toy(106), constraint, 8).expect("valid");
-        let exec = ExecConfig::default();
-        reduce
-            .characterize(
-                ResilienceConfig {
-                    fault_rates: vec![0.0, 0.2],
-                    max_epochs: 4,
-                    repeats: 2,
-                    constraint,
-                    fault_model: FaultModel::Random,
-                    strategy: Mitigation::Fap,
-                    seed: 19,
-                },
-                &exec,
-            )
-            .expect("characterisation runs");
+        let (runner, pretrained, table) = characterised(106, 8, vec![0.0, 0.2], 4, 2, 19);
         let chips = fleet(4, 0.2, 57);
-        reduce
-            .deploy(&chips, RetrainPolicy::Reduce(Statistic::Max), &exec)
-            .expect("deployment runs")
+        deploy(
+            &runner,
+            &pretrained,
+            &table,
+            &chips,
+            RetrainPolicy::Reduce(Statistic::Max),
+        )
     };
     let a = run();
     let b = run();

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use reduce_repro::core::exec::{ChaosOutcome, ChaosPolicy};
 use reduce_repro::core::{
-    ChipSource, ExecConfig, FatRunner, FleetEvaluation, Mitigation, Pretrained, ResilienceAnalysis,
+    ChipSource, ExecConfig, FatRunner, FleetEvaluation, Pretrained, ResilienceAnalysis,
     ResilienceConfig, ResilienceTable, RetrainPolicy, SeededChips, Statistic, TableEntry,
     Workbench,
 };
@@ -25,7 +25,6 @@ fn chaos_grid() -> ResilienceConfig {
         repeats: 2,
         constraint: 0.88,
         fault_model: FaultModel::Random,
-        strategy: Mitigation::Fap,
         seed: 17,
     }
 }

@@ -26,7 +26,6 @@ fn resilience_curves_have_paper_shape() {
             repeats: 3,
             constraint,
             fault_model: FaultModel::Random,
-            strategy: Mitigation::Fap,
             seed: 5,
         },
         &ExecConfig::default(),

@@ -1,14 +1,14 @@
 //! Integration tests for the telemetry subsystem: run-log event sequences
 //! must be byte-identical across thread counts (after timing redaction),
 //! the `NullObserver` path must produce reports identical to unobserved
-//! runs, and manifests must round-trip through disk.
+//! runs, and a saved manifest must hold exactly the bytes of its JSON.
 
 use reduce_repro::core::telemetry::{
     FleetManifest, GridManifest, MetricsRecorder, Observer, RunLog, RunManifest,
 };
 use reduce_repro::core::{
-    ExecConfig, FatRunner, FleetEvaluation, Mitigation, ResilienceAnalysis, ResilienceConfig,
-    RetrainPolicy, Workbench,
+    ExecConfig, FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig, RetrainPolicy,
+    Workbench,
 };
 use reduce_repro::systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
 use std::io::Write;
@@ -43,7 +43,6 @@ fn grid_config() -> ResilienceConfig {
         .repeats(2)
         .constraint(0.88)
         .fault_model(FaultModel::Random)
-        .strategy(Mitigation::Fap)
         .seed(11)
         .build()
         .expect("valid preset")
@@ -163,20 +162,25 @@ fn manifest_round_trips_through_disk() {
     manifest.policies = vec!["fixed:2".to_string()];
     manifest.fleet = Some(FleetManifest::from_config(&fleet_config));
 
-    let dir = std::env::temp_dir().join("reduce_telemetry_manifest_test");
+    let dir = std::env::temp_dir().join(format!(
+        "reduce_telemetry_manifest_test_{}",
+        std::process::id()
+    ));
     let path = dir.join("manifest.json");
     manifest.save(&path).expect("temp dir writable");
-    let loaded = RunManifest::load(&path).expect("just written");
-    assert_eq!(loaded, manifest);
-    assert_eq!(loaded.grid.as_ref().map(|g| g.fault_rates.len()), Some(3));
-    assert_eq!(loaded.fleet.as_ref().map(|f| f.chips), Some(4));
+    let written = std::fs::read_to_string(&path).expect("just written");
+    assert_eq!(written, manifest.to_json(), "save writes exactly to_json()");
+    assert!(written.contains("\"threads\": 2,"));
+    assert!(written.contains("\"fault_rates\": [0, 0.1, 0.2],"));
+    assert!(written.contains("\"strategy\": \"Fap\","));
     // A redacted manifest drops only the thread count.
     let mut redacted = manifest.clone();
     redacted.threads = None;
-    assert_ne!(redacted.to_json(), manifest.to_json());
     assert_eq!(
-        RunManifest::from_json(&redacted.to_json()).expect("parses"),
-        redacted
+        redacted.to_json(),
+        manifest
+            .to_json()
+            .replace("\"threads\": 2,", "\"threads\": null,")
     );
     let _ = std::fs::remove_dir_all(dir);
 }
