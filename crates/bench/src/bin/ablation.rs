@@ -9,7 +9,10 @@
 //! stages of the `grid`, `margin` and `early-stop` studies on the
 //! deterministic executor (`0` = auto-size); study output is
 //! byte-identical at any thread count. `--out DIR` writes a JSON-lines
-//! `run_log.jsonl` and a `manifest.json` for the run.
+//! `run_log.jsonl` and a `manifest.json` for the run. The other studies
+//! (`fault-model`, `mitigation`, `unprotected`, `bn-recal`) retrain
+//! single chips outside the executor and emit no telemetry, so they reject
+//! `--threads` and `--out` (exit 1) instead of ignoring them.
 //!
 //! Studies:
 //!
@@ -21,7 +24,10 @@
 //!   point for retraining;
 //! * `margin` (A1) — max vs mean vs mean+margin selection statistics;
 //! * `early-stop` — epochs saved by stopping FAT at the constraint instead
-//!   of spending the whole budget.
+//!   of spending the whole budget;
+//! * `unprotected` — unprotected stuck-at execution vs FAP vs FAP+T;
+//! * `bn-recal` — a batch-normalised model's masked accuracy with stale
+//!   vs recalibrated running statistics.
 
 use reduce_bench::{finish_io_fault, parse_args, Scale};
 use reduce_core::telemetry::{self, Fanout, MetricsRecorder, Observer, RunLog, RunManifest, Stage};
@@ -37,6 +43,10 @@ use std::sync::Arc;
 /// error list them.
 const STUDIES: &str = "fault-model|grid|mitigation|margin|early-stop|bn-recal|unprotected";
 
+/// The studies that never touch the executor or its observer: `--threads`
+/// and `--out` would do nothing for them.
+const UNOBSERVED_STUDIES: [&str; 4] = ["fault-model", "mitigation", "unprotected", "bn-recal"];
+
 fn main() -> std::process::ExitCode {
     finish_io_fault(run(), None)
 }
@@ -50,6 +60,19 @@ fn run() -> Result<(), Box<dyn Error>> {
         1,
     )?;
     let study = args.positional(0).unwrap_or("help").to_string();
+    if UNOBSERVED_STUDIES.contains(&study.as_str()) {
+        for flag in ["--threads", "--out"] {
+            if args.value(flag).is_some() {
+                return Err(ReduceError::InvalidConfig {
+                    what: format!(
+                        "study {study:?} runs outside the executor and writes no run log, \
+                         so it takes no {flag}"
+                    ),
+                }
+                .into());
+            }
+        }
+    }
     let scale = Scale::parse(args.value("--scale").unwrap_or("smoke"))?;
     let threads = args.threads()?;
     let redact = args.flag("--redact-timing");

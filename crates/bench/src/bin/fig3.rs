@@ -10,7 +10,7 @@
 //! cargo run -p reduce-bench --release --bin fig3 -- \
 //!     [--scale smoke|default|full] [--policy reduce-max|reduce-mean|fixed:N|all] \
 //!     [--strategy reduce|efat|fixed|all] \
-//!     [--chips N | --fleet-size N] [--threads N] [--table PATH] [--csv DIR] \
+//!     [--chips N] [--threads N] [--table PATH] [--csv DIR] \
 //!     [--out DIR] [--redact-timing] [--cost] [--early-stop] [--per-chip] \
 //!     [--retries N] [--chaos-rate P] [--chaos-seed S] \
 //!     [--resume DIR] \
@@ -37,14 +37,13 @@
 //! directory and exits with code **4** when it fires — the crash half of
 //! the storage-fault sweep; `--resume` then self-heals the journal.
 //!
-//! Large fleets: chips are streamed from a seeded [`SeededChips`] source
-//! and evaluated through the constant-memory [`FleetEvaluation`] pipeline,
-//! so `--fleet-size N` scales to 10⁵–10⁶ chips without materialising the
-//! fleet. Because per-chip outcomes are the one O(fleet) collection left,
-//! `--fleet-size` conflicts with `--per-chip` and `--csv` (and with
-//! `--chips`, which it replaces). Deploy throughput (chips/sec) and
-//! `peak_rss_kb` are printed after the summary; `--out DIR` also records
-//! the throughput in the manifest.
+//! Large fleets: chips are always streamed from a seeded [`SeededChips`]
+//! source and evaluated through the constant-memory [`FleetEvaluation`]
+//! pipeline, so `--chips N` scales to 10⁵–10⁶ chips without materialising
+//! the fleet. Per-chip outcomes are the one O(fleet) collection left:
+//! only `--per-chip` and `--csv` keep them. Deploy throughput (chips/sec)
+//! and `peak_rss_kb` are printed after the summary; `--out DIR` also
+//! records the throughput in the manifest.
 //!
 //! Strategy comparison: `--strategy reduce|efat|fixed|all` pits whole
 //! *retraining strategies* against each other on the same seeded fleet —
@@ -114,13 +113,12 @@ fn parse_strategy(s: &str, mid: usize) -> Result<Vec<(RetrainPolicy, FleetStrate
     }
 }
 
-/// Parses the chip count of `--chips` / `--fleet-size`, naming the flag
-/// in the error.
-fn chip_count(args: &ParsedArgs, key: &str) -> Result<Option<usize>, ReduceError> {
-    args.value(key)
+/// Parses the chip count of `--chips`, naming the flag in the error.
+fn chip_count(args: &ParsedArgs) -> Result<Option<usize>, ReduceError> {
+    args.value("--chips")
         .map(|s| {
             s.parse().map_err(|_| ReduceError::InvalidConfig {
-                what: format!("bad {key} value {s:?} (expected a chip count)"),
+                what: format!("bad --chips value {s:?} (expected a chip count)"),
             })
         })
         .transpose()
@@ -139,7 +137,6 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         "--policy",
         "--strategy",
         "--chips",
-        "--fleet-size",
         "--threads",
         "--table",
         "--csv",
@@ -155,19 +152,8 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let scale = Scale::parse(args.value("--scale").unwrap_or("default"))?;
     let policy_arg = args.value("--policy").map(str::to_string);
     let strategy_arg = args.value("--strategy").map(str::to_string);
-    let chips = chip_count(&args, "--chips")?;
-    let fleet_size = chip_count(&args, "--fleet-size")?;
-    // Streaming runs never collect the O(fleet) per-chip outcomes, and a
-    // strategy comparison picks its own policy list.
-    reject_conflicts(
-        "--fleet-size",
-        fleet_size.is_some(),
-        &[
-            ("--chips", chips.is_some()),
-            ("--csv", args.value("--csv").is_some()),
-            ("--per-chip", args.flag("--per-chip")),
-        ],
-    )?;
+    let chips = chip_count(&args)?;
+    // A strategy comparison picks its own policy list.
     reject_conflicts(
         "--strategy",
         strategy_arg.is_some(),
@@ -272,9 +258,9 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         None => None,
     };
 
-    let fleet_config = scale.fleet_config(array, chips.or(fleet_size));
+    let fleet_config = scale.fleet_config(array, chips);
     // Chips are streamed from the seeded source — never materialised as a
-    // Vec — so memory stays constant at any --fleet-size.
+    // Vec — so memory stays constant at any --chips without --per-chip/--csv.
     let source = SeededChips::new(fleet_config);
     let collect_outcomes = args.flag("--per-chip") || args.value("--csv").is_some();
     println!(

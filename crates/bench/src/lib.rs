@@ -586,53 +586,6 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    /// The fig3 streaming exclusion set, with only `hit` present.
-    fn fleet_size_conflict(hit: &str) -> ReduceError {
-        reject_conflicts(
-            "--fleet-size",
-            true,
-            &[
-                ("--chips", hit == "--chips"),
-                ("--csv", hit == "--csv"),
-                ("--per-chip", hit == "--per-chip"),
-            ],
-        )
-        .expect_err("conflicting pair must be rejected")
-    }
-
-    #[test]
-    fn fleet_size_conflicts_with_chips() {
-        let err = fleet_size_conflict("--chips").to_string();
-        assert!(err.contains("--fleet-size conflicts with --chips"), "{err}");
-        assert!(
-            err.contains("mutually exclusive with --fleet-size: --chips, --csv, --per-chip"),
-            "error must name the full exclusion set: {err}"
-        );
-    }
-
-    #[test]
-    fn fleet_size_conflicts_with_per_chip() {
-        let err = fleet_size_conflict("--per-chip").to_string();
-        assert!(
-            err.contains("--fleet-size conflicts with --per-chip"),
-            "{err}"
-        );
-        assert!(
-            err.contains("mutually exclusive with --fleet-size: --chips, --csv, --per-chip"),
-            "error must name the full exclusion set: {err}"
-        );
-    }
-
-    #[test]
-    fn fleet_size_conflicts_with_csv() {
-        let err = fleet_size_conflict("--csv").to_string();
-        assert!(err.contains("--fleet-size conflicts with --csv"), "{err}");
-        assert!(
-            err.contains("mutually exclusive with --fleet-size: --chips, --csv, --per-chip"),
-            "error must name the full exclusion set: {err}"
-        );
-    }
-
     #[test]
     fn strategy_conflicts_with_policy() {
         let err = reject_conflicts("--strategy", true, &[("--policy", true)])
@@ -647,14 +600,10 @@ mod tests {
 
     #[test]
     fn non_conflicting_combinations_pass() {
-        reject_conflicts("--fleet-size", false, &[("--chips", true), ("--csv", true)])
+        reject_conflicts("--strategy", false, &[("--policy", true)])
             .expect("exclusions only apply when the key is set");
-        reject_conflicts(
-            "--fleet-size",
-            true,
-            &[("--chips", false), ("--csv", false)],
-        )
-        .expect("no excluded option present");
+        reject_conflicts("--strategy", true, &[("--policy", false)])
+            .expect("no excluded option present");
     }
 
     #[test]

@@ -56,11 +56,6 @@ fn fig3_rejects_non_numeric_chip_counts() {
         &["--scale", "smoke", "--chips", "x"],
         &["--chips", "\"x\""],
     );
-    rejects(
-        FIG3,
-        &["--scale", "smoke", "--fleet-size", "12k"],
-        &["--fleet-size", "\"12k\""],
-    );
 }
 
 #[test]
@@ -71,4 +66,26 @@ fn ablation_rejects_an_unknown_study_but_prints_usage_on_request() {
         assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: ablation"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn ablation_rejects_executor_flags_for_studies_that_ignore_them() {
+    let out = std::env::temp_dir().join(format!("ablation-cli-{}", std::process::id()));
+    let out_arg = out.to_string_lossy().into_owned();
+    for study in ["fault-model", "mitigation", "unprotected", "bn-recal"] {
+        rejects(
+            ABLATION,
+            &[study, "--scale", "smoke", "--threads", "2"],
+            &[&format!("{study:?}"), "--threads"],
+        );
+        rejects(
+            ABLATION,
+            &[study, "--scale", "smoke", "--out", &out_arg],
+            &[&format!("{study:?}"), "--out"],
+        );
+    }
+    assert!(
+        !out.exists(),
+        "a rejected run must not create its --out directory"
+    );
 }

@@ -23,26 +23,35 @@
 //!
 //! # Failure containment
 //!
-//! [`parallel_map_resilient`] layers job-level fault tolerance on top:
-//! a job that returns `Err` or panics is retried up to
-//! [`ExecConfig::retry_budget`] times, each attempt reseeded with the
-//! pure [`retry_seed`] function (no wall clock, no global state — the
-//! retry schedule depends only on the job id and attempt number, so it
-//! is identical at any thread count and across resumed runs). A job that
-//! exhausts the budget is **quarantined**, not fatal: the fan-out
-//! completes and the caller receives a typed [`JobStatus::Quarantined`]
-//! outcome alongside its siblings' results. Only configuration-class
-//! errors ([`ReduceError::InvalidConfig`],
-//! [`ReduceError::MissingCharacterization`]) abort the whole map —
-//! retrying a rejected configuration can never succeed.
+//! [`run_job_resilient`] is the one retry loop: a job that returns `Err`
+//! or panics is retried up to [`ExecConfig::retry_budget`] times, each
+//! attempt reseeded with the pure [`retry_seed`] function (no wall clock,
+//! no global state — the retry schedule depends only on the job id and
+//! attempt number, so it is identical at any thread count and across
+//! resumed runs). A job that exhausts the budget is **quarantined**, not
+//! fatal: the caller receives a typed [`JobStatus::Quarantined`] outcome
+//! and its siblings run on. Only configuration-class errors
+//! ([`ReduceError::InvalidConfig`],
+//! [`ReduceError::MissingCharacterization`]) propagate — retrying a
+//! rejected configuration can never succeed.
 //!
 //! A deterministic [`ChaosPolicy`] can be injected through
 //! [`ExecConfig::with_chaos`] to force chosen `(job, attempt)` pairs to
 //! fail or panic — the test harness the containment guarantees are
 //! proved with.
+//!
+//! # Resume
+//!
+//! `run_resumable_stage` is the one resume driver, shared by Step ① (one
+//! window of grid cells) and Step ③ (the fleet's windows of batches): it
+//! replays the jobs the journal holds, fans out the rest on
+//! [`parallel_map`], and flushes every job's events and workspace
+//! counters in input order, so a resumed run's telemetry and results are
+//! those of an uninterrupted one.
 
 use crate::error::{ReduceError, Result};
-use crate::telemetry::{Event, NullObserver, Observer, Stage};
+use crate::telemetry::{self, Event, NullObserver, Observer, Stage};
+use reduce_nn::WorkspaceStats;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -100,8 +109,8 @@ impl ExecConfig {
         self
     }
 
-    /// Sets how many times [`parallel_map_resilient`] retries a failed
-    /// job before quarantining it (`0` = a single attempt, no retries).
+    /// Sets how many times [`run_job_resilient`] retries a failed job
+    /// before quarantining it (`0` = a single attempt, no retries).
     #[must_use]
     pub fn with_retry_budget(mut self, budget: u32) -> Self {
         self.retry_budget = budget;
@@ -273,9 +282,9 @@ enum ChaosMode {
     Seeded { seed: u64, fail_rate: f64 },
 }
 
-/// A deterministic fault-injection policy for
-/// [`parallel_map_resilient`]: decides, purely from the job id and
-/// attempt number, whether an attempt runs, fails, or panics.
+/// A deterministic fault-injection policy for [`run_job_resilient`]:
+/// decides, purely from the job id and attempt number, whether an
+/// attempt runs, fails, or panics.
 ///
 /// Because [`ChaosPolicy::decide`] is a pure function, injected chaos is
 /// reproducible: the same policy produces the same failures at any
@@ -387,9 +396,9 @@ pub enum JobStatus<R> {
     },
 }
 
-/// One job's sealed outcome from [`parallel_map_resilient`]: its stable
-/// id, terminal status, and the telemetry events it buffered (including
-/// the [`Event::JobFailed`] / [`Event::RetryScheduled`] /
+/// One job's sealed outcome from [`run_job_resilient`]: its stable id,
+/// terminal status, and the telemetry events it buffered (including the
+/// [`Event::JobFailed`] / [`Event::RetryScheduled`] /
 /// [`Event::DivergenceRecovered`] records of its retry history).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport<R> {
@@ -412,59 +421,23 @@ fn is_fatal(e: &ReduceError) -> bool {
     )
 }
 
-/// [`parallel_map`] with job-level failure containment.
+/// The per-job retry loop: runs `job` on `item` until an attempt
+/// succeeds or the retry budget is spent.
 ///
-/// Each item carries a caller-assigned stable `u64` job id (the first
-/// tuple element) — **not** its position in `items` — so retry seeds and
-/// chaos decisions stay attached to the same logical job when a resumed
-/// run fans out only the missing subset of a grid.
+/// `id` is a caller-assigned stable job id — a grid cell's full-grid
+/// index, a chip's id — **not** a position in whatever subset is being
+/// run, so retry seeds and chaos decisions stay attached to the same
+/// logical job when a resumed run fans out only the missing jobs, or
+/// when a fleet batch runs several chips inside one executor job.
 ///
 /// Per attempt, the job receives a *seed salt* ([`retry_seed`]): `0` on
 /// the first attempt, a fresh deterministic value per retry, to be XORed
-/// into whatever base seed the job derives its randomness from. A failed
-/// attempt's buffered events are discarded (as if the attempt never
-/// ran); the retry layer records [`Event::JobFailed`] and, if budget
-/// remains, [`Event::RetryScheduled`] in their place. A success after a
-/// divergence failure additionally records
-/// [`Event::DivergenceRecovered`].
-///
-/// `on_sealed` runs on the worker thread as soon as a job's outcome is
-/// final — the checkpoint-journal hook — and may fail, which aborts the
-/// fan-out.
-///
-/// # Errors
-///
-/// Configuration-class errors ([`is_fatal`]) from the lowest-indexed
-/// failing job, or an `on_sealed` error; never a quarantined job.
-pub fn parallel_map_resilient<T, R, F, S>(
-    items: &[(u64, T)],
-    exec: &ExecConfig,
-    stage: Stage,
-    job: F,
-    on_sealed: S,
-) -> Result<Vec<JobReport<R>>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(u64, &T, u64, &mut Vec<Event>) -> Result<R> + Sync,
-    S: Fn(&JobReport<R>) -> Result<()> + Sync,
-{
-    parallel_map(items, exec.threads, |_, (id, item)| {
-        let report = run_job_resilient(*id, item, exec, stage, &job)?;
-        on_sealed(&report)?;
-        Ok(report)
-    })
-}
-
-/// The per-job retry loop behind [`parallel_map_resilient`], exposed for
-/// schedulers that batch several logical jobs inside one executor job
-/// (e.g. the fleet epoch-budget batches, where a batch of chips shares a
-/// workspace but each chip keeps its own id-keyed retry/chaos schedule).
-///
-/// Semantics are identical to one item of [`parallel_map_resilient`]:
-/// per-attempt salts come from [`retry_seed`], chaos is consulted per
-/// `(id, attempt)`, failed attempts' events are replaced by the typed
-/// retry records, and only fatal errors propagate.
+/// into whatever base seed the job derives its randomness from. Chaos is
+/// consulted per `(id, attempt)`. A failed attempt's buffered events are
+/// discarded (as if the attempt never ran); the retry layer records
+/// [`Event::JobFailed`] and, if budget remains, [`Event::RetryScheduled`]
+/// in their place. A success after a divergence failure additionally
+/// records [`Event::DivergenceRecovered`].
 ///
 /// # Errors
 ///
@@ -547,6 +520,90 @@ where
             error: last_error,
         },
         events,
+    })
+}
+
+/// One job's sealed output, fresh or replayed from the journal: the
+/// events it buffered, its workspace counters and its result.
+pub(crate) struct Sealed<R> {
+    pub(crate) events: Vec<Event>,
+    pub(crate) workspace: WorkspaceStats,
+    pub(crate) result: R,
+}
+
+/// The resume driver of a journaled stage.
+///
+/// Inside [`telemetry::timed_stage`], pulls `windows` one at a time. For
+/// each window, `replay` is asked once per job, in order, for the output
+/// the journal holds; the jobs it returns `None` for fan out on
+/// [`parallel_map`] through `job`. Then, in input order and for replayed
+/// and fresh jobs alike, the job's events go to the observer, its
+/// workspace counters join the stage total, and its result goes to
+/// `absorb`. The next window is pulled only after this one is absorbed,
+/// so at most one window's outputs are held at once. The stage ends with
+/// [`Event::WorkspaceUsed`] and, when `checkpointed` is `Some(completed)`
+/// (a journal is attached), [`Event::CheckpointWritten`].
+///
+/// # Errors
+///
+/// A window's scheduling error, the error of a window's lowest-indexed
+/// failing job (a fatal retry-layer error or a failed journal append), or
+/// an `absorb` error; the stage then ends without
+/// [`Event::StageFinished`].
+pub(crate) fn run_resumable_stage<P, R, W, L, J, A>(
+    exec: &ExecConfig,
+    stage: Stage,
+    checkpointed: Option<usize>,
+    windows: W,
+    mut replay: L,
+    job: J,
+    mut absorb: A,
+) -> Result<()>
+where
+    P: Sync,
+    R: Send,
+    W: IntoIterator<Item = Result<Vec<P>>>,
+    L: FnMut(&P) -> Option<Sealed<R>>,
+    J: Fn(&P) -> Result<Sealed<R>> + Sync,
+    A: FnMut(&P, R) -> Result<()>,
+{
+    telemetry::timed_stage(exec.observer(), stage, || {
+        let mut workspace = WorkspaceStats::default();
+        for window in windows {
+            let window = window?;
+            let replayed: Vec<Option<Sealed<R>>> = window.iter().map(&mut replay).collect();
+            let missing: Vec<&P> = window
+                .iter()
+                .zip(&replayed)
+                .filter(|(_, sealed)| sealed.is_none())
+                .map(|(item, _)| item)
+                .collect();
+            let mut fresh = parallel_map(&missing, exec.threads, |_, item| job(item))?.into_iter();
+            for (item, sealed) in window.iter().zip(replayed) {
+                let sealed = match sealed {
+                    Some(sealed) => sealed,
+                    None => fresh.next().ok_or_else(|| ReduceError::Internal {
+                        invariant: "every job is either replayed or freshly run".to_string(),
+                    })?,
+                };
+                for event in &sealed.events {
+                    exec.observer().on_event(event);
+                }
+                workspace.merge(&sealed.workspace);
+                absorb(item, sealed.result)?;
+            }
+        }
+        exec.observer().on_event(&Event::WorkspaceUsed {
+            stage,
+            hits: workspace.hits,
+            misses: workspace.misses,
+            bytes_allocated: workspace.bytes_allocated,
+        });
+        if let Some(completed) = checkpointed {
+            exec.observer()
+                .on_event(&Event::CheckpointWritten { stage, completed });
+        }
+        Ok(())
     })
 }
 
@@ -752,11 +809,29 @@ mod tests {
         assert!((0..64).all(|j| ChaosPolicy::seeded(7, 1.0).decide(j, 0) == ChaosOutcome::Fail));
     }
 
+    /// [`run_job_resilient`] over every `(id, item)` on [`parallel_map`]:
+    /// one retry loop per item, reports in input order.
+    fn resilient_map<T, R, F>(
+        items: &[(u64, T)],
+        exec: &ExecConfig,
+        stage: Stage,
+        job: F,
+    ) -> Result<Vec<JobReport<R>>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(u64, &T, u64, &mut Vec<Event>) -> Result<R> + Sync,
+    {
+        parallel_map(items, exec.threads, |_, (id, item)| {
+            run_job_resilient(*id, item, exec, stage, &job)
+        })
+    }
+
     /// Runs a resilient map over `n` synthetic jobs; job bodies succeed
     /// unless chaos interferes, and report the salt they were given.
     fn resilient_run(n: u64, exec: &ExecConfig) -> Vec<JobReport<(u64, u64)>> {
         let items: Vec<(u64, u64)> = (0..n).map(|i| (i, i * 10)).collect();
-        parallel_map_resilient(
+        resilient_map(
             &items,
             exec,
             Stage::Characterize,
@@ -764,7 +839,6 @@ mod tests {
                 events.push(tick(id as usize, 1));
                 Ok((payload, salt))
             },
-            |_| Ok(()),
         )
         .expect("no fatal errors")
     }
@@ -865,18 +939,12 @@ mod tests {
     fn job_panics_are_quarantined_too() {
         let items: Vec<(u64, u64)> = (0..3).map(|i| (i, i)).collect();
         let exec = ExecConfig::new(2);
-        let reports = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Deploy,
-            |id, _, _, _events| {
-                if id == 1 {
-                    panic!("boom in the job body");
-                }
-                Ok(id)
-            },
-            |_| Ok(()),
-        )
+        let reports = resilient_map(&items, &exec, Stage::Deploy, |id, _, _, _events| {
+            if id == 1 {
+                panic!("boom in the job body");
+            }
+            Ok(id)
+        })
         .expect("panic is contained, not fatal");
         assert!(
             matches!(&reports[1].status, JobStatus::Quarantined { error, .. } if error.contains("boom"))
@@ -887,7 +955,7 @@ mod tests {
     fn divergence_recovery_emits_typed_event() {
         let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
         let exec = ExecConfig::new(2).with_retry_budget(1);
-        let reports = parallel_map_resilient(
+        let reports = resilient_map(
             &items,
             &exec,
             Stage::Characterize,
@@ -900,7 +968,6 @@ mod tests {
                 }
                 Ok(id)
             },
-            |_| Ok(()),
         )
         .expect("divergence is retryable");
         assert_eq!(reports[2].status, JobStatus::Ok(2));
@@ -922,62 +989,191 @@ mod tests {
     fn fatal_errors_abort_instead_of_quarantining() {
         let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
         let exec = ExecConfig::new(2).with_retry_budget(5);
-        let res = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Deploy,
-            |id, _, _, _| {
-                if id == 1 {
-                    return Err(ReduceError::MissingCharacterization {
-                        reason: "no table".to_string(),
-                    });
-                }
-                Ok(id)
-            },
-            |_: &JobReport<u64>| Ok(()),
-        );
+        let res = resilient_map(&items, &exec, Stage::Deploy, |id, _, _, _| {
+            if id == 1 {
+                return Err(ReduceError::MissingCharacterization {
+                    reason: "no table".to_string(),
+                });
+            }
+            Ok(id)
+        });
         assert!(
             matches!(res, Err(ReduceError::MissingCharacterization { .. })),
             "precondition failures must not burn the retry budget"
         );
     }
 
-    #[test]
-    fn on_sealed_sees_every_outcome_and_may_abort() {
-        let items: Vec<(u64, u64)> = (0..6).map(|i| (i, i)).collect();
-        let exec = ExecConfig::new(3).with_chaos(ChaosPolicy::fail_jobs(&[4]));
-        let sealed = Mutex::new(Vec::new());
-        let reports = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Characterize,
-            |id, _, _, _| Ok(id),
-            |report| {
-                if let Ok(mut log) = sealed.lock() {
-                    log.push(report.job);
-                }
-                Ok(())
+    /// Drives `windows` of job ids through [`run_resumable_stage`]: even
+    /// ids are "journaled" (replayed as `id + 1000`), odd ids run fresh
+    /// (as `id`), and every absorbed result is recorded in order.
+    fn drive(
+        exec: &ExecConfig,
+        windows: Vec<Vec<u64>>,
+        fail_at: Option<u64>,
+    ) -> (Result<()>, Vec<u64>, Vec<u64>) {
+        let ran = Mutex::new(Vec::new());
+        let mut absorbed = Vec::new();
+        let sealed = |id: u64, result: u64| Sealed {
+            events: vec![tick(id as usize, 1)],
+            workspace: WorkspaceStats {
+                hits: 1,
+                misses: id,
+                bytes_allocated: 0,
             },
-        )
-        .expect("quarantine is not fatal");
-        let mut seen = sealed.into_inner().expect("no poisoning");
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        assert!(matches!(reports[4].status, JobStatus::Quarantined { .. }));
-        let res = parallel_map_resilient(
-            &items,
-            &ExecConfig::new(2),
-            Stage::Characterize,
-            |id, _, _, _| Ok(id),
-            |report| {
-                if report.job == 3 {
+            result,
+        };
+        let res = run_resumable_stage(
+            exec,
+            Stage::Deploy,
+            Some(7),
+            windows.into_iter().map(Ok),
+            |&id| (id % 2 == 0).then(|| sealed(id, id + 1000)),
+            |&id| {
+                if let Ok(mut log) = ran.lock() {
+                    log.push(id);
+                }
+                if fail_at.is_some_and(|bad| id >= bad) {
                     return Err(ReduceError::InvalidConfig {
-                        what: "journal write failed".to_string(),
+                        what: format!("journal append failed for job {id}"),
                     });
                 }
+                Ok(sealed(id, id))
+            },
+            |&id, result| {
+                assert_eq!(result, if id % 2 == 0 { id + 1000 } else { id });
+                absorbed.push(id);
                 Ok(())
             },
         );
-        assert!(matches!(res, Err(ReduceError::InvalidConfig { .. })));
+        let mut ran = ran.into_inner().expect("no poisoning");
+        ran.sort_unstable();
+        (res, ran, absorbed)
+    }
+
+    #[test]
+    fn resume_driver_stitches_replayed_and_fresh_jobs_in_input_order() {
+        let mut logs = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let recorder = Arc::new(SeqRecorder::default());
+            let exec = ExecConfig::new(threads).with_observer(recorder.clone());
+            let (res, ran, absorbed) =
+                drive(&exec, vec![(0..10).collect(), (10..16).collect()], None);
+            res.expect("no job fails");
+            assert_eq!(absorbed, (0..16).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(
+                ran,
+                (0..16).filter(|id| id % 2 == 1).collect::<Vec<_>>(),
+                "replayed jobs must never run ({threads} threads)"
+            );
+            let mut log = recorder.0.lock().expect("no poisoning").clone();
+            // The stage's wall time is the one event that may vary.
+            assert!(matches!(
+                log.pop(),
+                Some(Event::StageFinished {
+                    stage: Stage::Deploy,
+                    ..
+                })
+            ));
+            logs.push(log);
+        }
+        let (first, rest) = logs.split_first().expect("three runs");
+        for other in rest {
+            assert_eq!(other, first, "event stream varied with thread count");
+        }
+        // Stage bracket, one flushed event per job in input order, then the
+        // stage totals: every job's counters merged, and the checkpoint.
+        assert!(matches!(
+            first[0],
+            Event::StageStarted {
+                stage: Stage::Deploy
+            }
+        ));
+        for (i, event) in first[1..17].iter().enumerate() {
+            assert_eq!(*event, tick(i, 1));
+        }
+        assert_eq!(
+            first[17],
+            Event::WorkspaceUsed {
+                stage: Stage::Deploy,
+                hits: 16,
+                misses: (0..16).sum(),
+                bytes_allocated: 0,
+            }
+        );
+        assert_eq!(
+            first[18],
+            Event::CheckpointWritten {
+                stage: Stage::Deploy,
+                completed: 7,
+            }
+        );
+        assert_eq!(first.len(), 19);
+    }
+
+    #[test]
+    fn resume_driver_aborts_with_the_lowest_index_error() {
+        for threads in [1usize, 3] {
+            let recorder = Arc::new(SeqRecorder::default());
+            let exec = ExecConfig::new(threads).with_observer(recorder.clone());
+            // Fresh jobs 5, 7 and 9 of the first window fail.
+            let (res, _, absorbed) =
+                drive(&exec, vec![(0..10).collect(), (10..12).collect()], Some(5));
+            match res {
+                Err(ReduceError::InvalidConfig { what }) => {
+                    assert_eq!(what, "journal append failed for job 5", "{threads} threads")
+                }
+                other => panic!("expected the job 5 error, got {other:?}"),
+            }
+            // The failing window is not absorbed and later windows never run.
+            assert!(
+                absorbed.is_empty(),
+                "{threads} threads absorbed {absorbed:?}"
+            );
+            let log = recorder.0.lock().expect("no poisoning");
+            assert!(
+                !log.iter().any(|e| matches!(
+                    e,
+                    Event::StageFinished { .. } | Event::WorkspaceUsed { .. }
+                )),
+                "an aborted stage reports no totals: {log:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn resume_driver_absorbs_each_window_before_pulling_the_next() {
+        let absorbed = std::cell::RefCell::new(Vec::new());
+        let pulled = std::cell::RefCell::new(Vec::new());
+        let windows = (0..4u64).map(|w| {
+            // Window `w` is scheduled only once windows `0..w` are absorbed.
+            assert_eq!(
+                absorbed.borrow().len() as u64,
+                w * 3,
+                "window {w} pulled early"
+            );
+            pulled.borrow_mut().push(w);
+            Ok((w * 3..w * 3 + 3).collect::<Vec<u64>>())
+        });
+        run_resumable_stage(
+            &ExecConfig::new(4),
+            Stage::Characterize,
+            None,
+            windows,
+            |_| None,
+            |&id| {
+                Ok(Sealed {
+                    events: Vec::new(),
+                    workspace: WorkspaceStats::default(),
+                    result: id,
+                })
+            },
+            |_, id| {
+                absorbed.borrow_mut().push(id);
+                Ok(())
+            },
+        )
+        .expect("no job fails");
+        assert_eq!(*pulled.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(*absorbed.borrow(), (0..12).collect::<Vec<_>>());
     }
 }

@@ -23,14 +23,14 @@
 //! byte-identical across thread counts and across kill-and-resume.
 
 use crate::error::{ReduceError, Result};
-use crate::exec::{self, ExecConfig, JobStatus};
+use crate::exec::{self, ExecConfig, JobStatus, Sealed};
 use crate::fat::{FatRunner, Mitigation, StopRule};
 use crate::journal::{Checkpoint, JournalRecord};
 use crate::policy::RetrainPolicy;
 use crate::resilience::ResilienceTable;
-use crate::telemetry::{self, EpochScope, Event, Stage};
+use crate::telemetry::{EpochScope, Event, Stage};
 use crate::workbench::Pretrained;
-use reduce_nn::{Workspace, WorkspaceStats};
+use reduce_nn::Workspace;
 use reduce_systolic::{
     chip_rate, cluster_fault_maps, generate_chip, Chip, Cluster, ClusterConfig, CostModel,
     FaultMap, FleetConfig,
@@ -73,9 +73,9 @@ pub struct ChipOutcome {
     pub clamped: bool,
     /// Whether the chip warm-started from a cluster representative's
     /// converged state instead of the pretrained baseline
-    /// ([`FleetStrategy::Clustered`]). Defaults to `false` when absent so
-    /// records written before the eFAT extension still deserialize.
-    #[serde(default)]
+    /// ([`FleetStrategy::Clustered`]). Every journaled chip record carries
+    /// this field: a `fleet_batch` record without it is refused as a
+    /// malformed record, not read as `false`.
     pub warm_started: bool,
 }
 
@@ -226,7 +226,7 @@ impl ChipSource for Vec<Chip> {
 /// A [`ChipSource`] that regenerates each chip on demand from a
 /// [`FleetConfig`] seed ([`reduce_systolic::generate_chip`]), so the fleet
 /// is never materialised: the intake primitive behind
-/// `fig3 --fleet-size 100000`.
+/// `fig3 --chips 100000`.
 #[derive(Debug, Clone)]
 pub struct SeededChips {
     config: FleetConfig,
@@ -344,12 +344,10 @@ struct BatchPlan {
     members: Vec<ChipPlan>,
 }
 
-/// The sealed output of one batch, fresh or replayed.
+/// One batch's result, fresh or replayed: its clusters and sealed chips.
 struct BatchResult {
     clusters: Vec<Cluster>,
     chips: Vec<SealedChip>,
-    workspace: WorkspaceStats,
-    events: Vec<Event>,
 }
 
 /// Streaming accumulator behind [`FleetReport`] — absorbs sealed chips
@@ -689,54 +687,57 @@ impl<'a> FleetEvaluation<'a> {
         let policy_label = self.label();
         let n = source.len();
 
-        // Index the journal's batch records under this evaluation's label.
-        let mut replayed: BTreeMap<(usize, usize, usize), JournalRecord> = BTreeMap::new();
+        // Each of this evaluation's journaled batches is converted once
+        // into the output the driver replays in its place.
+        let mut replayed = BTreeMap::new();
         if let Some(cp) = self.journal {
             for record in cp.records()? {
-                if let Some((policy, window, budget, chunk)) = record.batch_key() {
+                if let JournalRecord::FleetBatch {
+                    policy,
+                    window,
+                    budget,
+                    chunk,
+                    clusters,
+                    chips,
+                    workspace,
+                    events,
+                } = record
+                {
                     if policy == policy_label {
-                        replayed.insert((window, budget, chunk), record);
+                        let result = BatchResult { clusters, chips };
+                        let sealed = Sealed {
+                            events,
+                            workspace,
+                            result,
+                        };
+                        replayed.insert((window, budget, chunk), sealed);
                     }
                 }
             }
         }
 
-        let accumulator = telemetry::timed_stage(exec.observer(), Stage::Deploy, || {
-            let mut acc = ReportAccumulator::new(self.collect_outcomes);
-            let mut stage_ws = WorkspaceStats::default();
-            let mut window_index = 0usize;
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + self.window).min(n);
-                let plans = self.schedule_window(source, window_index, start..end)?;
-                self.run_window(
-                    runner,
-                    pretrained,
-                    source,
-                    exec,
-                    &policy_label,
-                    &plans,
-                    &replayed,
-                    &mut acc,
-                    &mut stage_ws,
-                )?;
-                window_index += 1;
-                start = end;
-            }
-            exec.observer().on_event(&Event::WorkspaceUsed {
-                stage: Stage::Deploy,
-                hits: stage_ws.hits,
-                misses: stage_ws.misses,
-                bytes_allocated: stage_ws.bytes_allocated,
-            });
-            if self.journal.is_some() {
-                exec.observer().on_event(&Event::CheckpointWritten {
-                    stage: Stage::Deploy,
-                    completed: n,
-                });
-            }
-            Ok::<_, ReduceError>(acc)
-        })?;
+        // Windows are scheduled lazily: window k+1's budgets are selected
+        // only after window k is absorbed.
+        let windows = (0..n.div_ceil(self.window)).map(|index| {
+            let start = index * self.window;
+            self.schedule_window(source, index, start..(start + self.window).min(n))
+        });
+        let mut accumulator = ReportAccumulator::new(self.collect_outcomes);
+        exec::run_resumable_stage(
+            exec,
+            Stage::Deploy,
+            self.journal.map(|_| n),
+            windows,
+            |plan: &BatchPlan| replayed.remove(&(plan.window, plan.budget, plan.chunk)),
+            |plan| self.run_batch(runner, pretrained, source, exec, &policy_label, plan),
+            |_, batch: BatchResult| {
+                accumulator.clusters += batch.clusters.len();
+                batch
+                    .chips
+                    .into_iter()
+                    .try_for_each(|sealed| accumulator.absorb(sealed))
+            },
+        )?;
 
         let retrain_cycles = match &self.cost_model {
             Some(cm) => {
@@ -786,52 +787,6 @@ impl<'a> FleetEvaluation<'a> {
         Ok(plans)
     }
 
-    /// Executes one window's batches (replaying journaled ones) and
-    /// stitches their outputs into the accumulator in scheduler order.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one call site
-    fn run_window(
-        &self,
-        runner: &FatRunner,
-        pretrained: &Pretrained,
-        source: &dyn ChipSource,
-        exec: &ExecConfig,
-        policy_label: &str,
-        plans: &[BatchPlan],
-        replayed: &BTreeMap<(usize, usize, usize), JournalRecord>,
-        acc: &mut ReportAccumulator,
-        stage_ws: &mut WorkspaceStats,
-    ) -> Result<()> {
-        // Partition into journal-replayable and fresh batches.
-        let fresh: Vec<&BatchPlan> = plans
-            .iter()
-            .filter(|plan| !replayed.contains_key(&(plan.window, plan.budget, plan.chunk)))
-            .collect();
-        let fresh_results = exec::parallel_map(&fresh, exec.threads, |_, plan| {
-            self.run_batch(runner, pretrained, source, exec, policy_label, plan)
-        })?;
-        let mut fresh_iter = fresh_results.into_iter();
-        for plan in plans {
-            let result = if let Some(record) = replayed.get(&(plan.window, plan.budget, plan.chunk))
-            {
-                replay_batch(record)?
-            } else {
-                fresh_iter.next().ok_or_else(|| ReduceError::Internal {
-                    invariant: "every scheduled batch is either replayed or freshly run"
-                        .to_string(),
-                })?
-            };
-            for event in &result.events {
-                exec.observer().on_event(event);
-            }
-            stage_ws.merge(&result.workspace);
-            acc.clusters += result.clusters.len();
-            for sealed in result.chips {
-                acc.absorb(sealed)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Runs one batch of same-budget chips through a shared workspace
     /// pool, seals every chip (retrained or quarantined) and journals the
     /// batch. Runs on an executor worker; all telemetry is buffered into
@@ -844,7 +799,7 @@ impl<'a> FleetEvaluation<'a> {
         exec: &ExecConfig,
         policy_label: &str,
         plan: &BatchPlan,
-    ) -> Result<BatchResult> {
+    ) -> Result<Sealed<BatchResult>> {
         let pool = RefCell::new(Workspace::new());
         let (clusters, chips, events) = match &self.fleet_strategy {
             FleetStrategy::PerChip => {
@@ -883,11 +838,10 @@ impl<'a> FleetEvaluation<'a> {
                 events: events.clone(),
             })?;
         }
-        Ok(BatchResult {
-            clusters,
-            chips,
-            workspace,
+        Ok(Sealed {
             events,
+            workspace,
+            result: BatchResult { clusters, chips },
         })
     }
 
@@ -1107,27 +1061,6 @@ impl<'a> FleetEvaluation<'a> {
             warm_started: warm_from.is_some(),
         };
         Ok((chip_outcome, std::mem::take(&mut outcome.final_state)))
-    }
-}
-
-/// Reconstructs a batch's output from its journal record.
-fn replay_batch(record: &JournalRecord) -> Result<BatchResult> {
-    match record {
-        JournalRecord::FleetBatch {
-            clusters,
-            chips,
-            workspace,
-            events,
-            ..
-        } => Ok(BatchResult {
-            clusters: clusters.clone(),
-            chips: chips.clone(),
-            workspace: *workspace,
-            events: events.clone(),
-        }),
-        _ => Err(ReduceError::Internal {
-            invariant: "batch-keyed journal records are fleet-batch records".to_string(),
-        }),
     }
 }
 

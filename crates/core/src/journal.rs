@@ -54,9 +54,12 @@
 //!
 //! On `--resume`, [`Checkpoint::resume`] reloads the journal and the
 //! resumable entry points ([`crate::ResilienceAnalysis::run_resumable`],
-//! [`crate::FleetEvaluation::run`]) replay the recorded outcomes —
-//! including their buffered telemetry events, re-emitted bit-identically —
-//! and compute only the missing jobs. Records carry the stable job id the
+//! [`crate::FleetEvaluation::run`]) convert each recorded outcome once and
+//! hand it to the executor's one resume driver, which replays it —
+//! including its buffered telemetry events, re-emitted bit-identically —
+//! in place of the job and computes only the missing jobs. Each fresh
+//! job appends its own record from the worker thread that sealed it.
+//! Records carry the stable job id the
 //! retry/chaos layer keys on, so a resumed run salts and injects exactly
 //! like an uninterrupted one.
 //!
@@ -255,33 +258,6 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
-    /// `(rate_index, repeat)` for grid-cell records.
-    pub fn grid_key(&self) -> Option<(usize, usize)> {
-        match self {
-            JournalRecord::Point { point, .. } => Some((point.rate_index, point.repeat)),
-            JournalRecord::PointFailed {
-                rate_index, repeat, ..
-            } => Some((*rate_index, *repeat)),
-            _ => None,
-        }
-    }
-
-    /// `(policy label, window, budget, chunk)` for fleet-batch records.
-    pub fn batch_key(&self) -> Option<(&str, usize, usize, usize)> {
-        match self {
-            JournalRecord::FleetBatch {
-                policy,
-                window,
-                budget,
-                chunk,
-                ..
-            } => Some((policy.as_str(), *window, *budget, *chunk)),
-            _ => None,
-        }
-    }
-}
-
 /// Cumulative journal-write accounting for this process: the evidence that
 /// per-append I/O is bounded by the shard size, not the journal length.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -321,9 +297,8 @@ struct CheckpointState {
 /// maintained manifest-plus-shards layout.
 ///
 /// Appends are serialised through an internal mutex, so a `Checkpoint` can
-/// be shared by the executor's worker threads (the `on_sealed` hook of
-/// [`crate::exec::parallel_map_resilient`], or the fleet evaluator's batch
-/// jobs).
+/// be shared by the executor's worker threads: each Step ① cell and each
+/// fleet batch journals its sealed output from the job that produced it.
 pub struct Checkpoint {
     path: PathBuf,
     state: Mutex<CheckpointState>,
@@ -1744,16 +1719,6 @@ mod tests {
         let text = std::fs::read_to_string(&shard).expect("shard exists");
         assert!(!text.contains("mystery"), "damaged tail was truncated away");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn journal_keys_identify_records() {
-        let r = point_record();
-        assert_eq!(r.grid_key(), Some((1, 0)));
-        assert_eq!(r.batch_key(), None);
-        let batch = batch_record();
-        assert_eq!(batch.batch_key(), Some(("Reduce (max)", 1, 3, 0)));
-        assert_eq!(batch.grid_key(), None);
     }
 
     #[test]

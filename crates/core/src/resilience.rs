@@ -14,10 +14,10 @@
 //!   amount for an arbitrary chip.
 
 use crate::error::{ReduceError, Result};
-use crate::exec::{self, ExecConfig, JobStatus};
+use crate::exec::{self, ExecConfig, JobStatus, Sealed};
 use crate::fat::{FatRunner, Mitigation, StopRule};
 use crate::journal::{Checkpoint, JournalRecord};
-use crate::telemetry::{self, EpochScope, Event, Stage};
+use crate::telemetry::{EpochScope, Event, Stage};
 use crate::workbench::Pretrained;
 use reduce_nn::WorkspaceStats;
 use reduce_systolic::{FaultMap, FaultModel};
@@ -385,27 +385,61 @@ impl ResilienceAnalysis {
                 (0..repeats).map(move |rep| ((ri * repeats + rep) as u64, (ri, rate, rep)))
             })
             .collect();
-        let mut replayed: BTreeMap<(usize, usize), JournalRecord> = BTreeMap::new();
+        // Each journaled cell is converted once into the output the
+        // driver replays in its place.
+        let mut replayed: BTreeMap<(usize, usize), Sealed<JobStatus<ResiliencePoint>>> =
+            BTreeMap::new();
         if let Some(cp) = checkpoint {
             for record in cp.records()? {
-                if let Some(key) = record.grid_key() {
-                    replayed.insert(key, record);
-                }
+                let (key, sealed) = match record {
+                    JournalRecord::Point {
+                        point,
+                        workspace,
+                        events,
+                        ..
+                    } => (
+                        (point.rate_index, point.repeat),
+                        Sealed {
+                            events,
+                            workspace,
+                            result: JobStatus::Ok(point),
+                        },
+                    ),
+                    JournalRecord::PointFailed {
+                        rate_index,
+                        repeat,
+                        attempts,
+                        error,
+                        events,
+                        ..
+                    } => (
+                        (rate_index, repeat),
+                        Sealed {
+                            events,
+                            workspace: WorkspaceStats::default(),
+                            result: JobStatus::Quarantined { attempts, error },
+                        },
+                    ),
+                    JournalRecord::FleetBatch { .. } => continue,
+                };
+                replayed.insert(key, sealed);
             }
         }
-        let missing: Vec<(u64, (usize, f64, usize))> = cells
-            .iter()
-            .filter(|(_, (ri, _, rep))| !replayed.contains_key(&(*ri, *rep)))
-            .copied()
-            .collect();
-        let (points, failures) =
-            telemetry::timed_stage(exec.observer(), Stage::Characterize, || {
-                let repeats = config.repeats;
-                let fresh = exec::parallel_map_resilient(
-                    &missing,
+        let mut points = Vec::with_capacity(cells.len());
+        let mut failures = Vec::new();
+        exec::run_resumable_stage(
+            exec,
+            Stage::Characterize,
+            checkpoint.map(|_| cells.len()),
+            [Ok(cells)],
+            |&(_, (ri, _, rep))| replayed.remove(&(ri, rep)),
+            |&(job, cell)| {
+                let report = exec::run_job_resilient(
+                    job,
+                    &cell,
                     exec,
                     Stage::Characterize,
-                    |_, &(ri, rate, rep), salt, events| {
+                    &|_, &(ri, rate, rep), salt, events: &mut Vec<Event>| {
                         let map_seed = config
                             .seed
                             .wrapping_add((ri as u64) << 32)
@@ -454,120 +488,57 @@ impl ResilienceAnalysis {
                         };
                         Ok((point, outcome.workspace))
                     },
-                    |report| {
-                        let Some(cp) = checkpoint else {
-                            return Ok(());
-                        };
-                        let record = match &report.status {
-                            JobStatus::Ok((point, workspace)) => JournalRecord::Point {
-                                job: report.job,
-                                point: point.clone(),
-                                workspace: *workspace,
-                                events: report.events.clone(),
-                            },
-                            JobStatus::Quarantined { attempts, error } => {
-                                let ri = (report.job as usize) / repeats;
-                                JournalRecord::PointFailed {
-                                    job: report.job,
-                                    rate_index: ri,
-                                    rate: rates.get(ri).copied().unwrap_or(f64::NAN),
-                                    repeat: (report.job as usize) % repeats,
-                                    attempts: *attempts,
-                                    error: error.clone(),
-                                    events: report.events.clone(),
-                                }
-                            }
-                        };
-                        cp.append(record)
-                    },
                 )?;
-                let mut fresh_by_job: BTreeMap<u64, _> =
-                    fresh.into_iter().map(|r| (r.job, r)).collect();
-                // Stitch replayed and fresh outcomes back into full-grid order;
-                // the event stream, points and aggregates below are therefore
-                // independent of both thread count and the resume split.
-                let mut points = Vec::with_capacity(cells.len());
-                let mut failures = Vec::new();
-                let mut ws = WorkspaceStats::default();
-                for &(job, (ri, rate, rep)) in &cells {
-                    if let Some(record) = replayed.get(&(ri, rep)) {
-                        match record {
-                            JournalRecord::Point {
-                                point,
-                                workspace,
-                                events,
-                                ..
-                            } => {
-                                for e in events {
-                                    exec.observer().on_event(e);
-                                }
-                                ws.merge(workspace);
-                                points.push(point.clone());
-                            }
-                            JournalRecord::PointFailed {
-                                attempts,
-                                error,
-                                events,
-                                ..
-                            } => {
-                                for e in events {
-                                    exec.observer().on_event(e);
-                                }
-                                failures.push(FailedPoint {
-                                    rate_index: ri,
-                                    rate,
-                                    repeat: rep,
-                                    attempts: *attempts,
-                                    error: error.clone(),
-                                });
-                            }
-                            _ => {
-                                return Err(ReduceError::Internal {
-                                    invariant: "grid-keyed journal records are point records"
-                                        .to_string(),
-                                })
-                            }
-                        }
-                    } else if let Some(report) = fresh_by_job.remove(&job) {
-                        for e in &report.events {
-                            exec.observer().on_event(e);
-                        }
-                        match report.status {
-                            JobStatus::Ok((point, stats)) => {
-                                ws.merge(&stats);
-                                points.push(point);
-                            }
-                            JobStatus::Quarantined { attempts, error } => {
-                                failures.push(FailedPoint {
-                                    rate_index: ri,
-                                    rate,
-                                    repeat: rep,
-                                    attempts,
-                                    error,
-                                });
-                            }
-                        }
-                    } else {
-                        return Err(ReduceError::Internal {
-                            invariant: "every grid cell is either replayed or freshly run"
-                                .to_string(),
-                        });
-                    }
+                let (result, workspace) = match report.status {
+                    JobStatus::Ok((point, workspace)) => (JobStatus::Ok(point), workspace),
+                    JobStatus::Quarantined { attempts, error } => (
+                        JobStatus::Quarantined { attempts, error },
+                        WorkspaceStats::default(),
+                    ),
+                };
+                // Sealed cells are journaled on the worker thread, in
+                // completion order; the driver restores grid order.
+                if let Some(cp) = checkpoint {
+                    let (rate_index, rate, repeat) = cell;
+                    let events = report.events.clone();
+                    cp.append(match &result {
+                        JobStatus::Ok(point) => JournalRecord::Point {
+                            job,
+                            point: point.clone(),
+                            workspace,
+                            events,
+                        },
+                        JobStatus::Quarantined { attempts, error } => JournalRecord::PointFailed {
+                            job,
+                            rate_index,
+                            rate,
+                            repeat,
+                            attempts: *attempts,
+                            error: error.clone(),
+                            events,
+                        },
+                    })?;
                 }
-                exec.observer().on_event(&Event::WorkspaceUsed {
-                    stage: Stage::Characterize,
-                    hits: ws.hits,
-                    misses: ws.misses,
-                    bytes_allocated: ws.bytes_allocated,
-                });
-                if checkpoint.is_some() {
-                    exec.observer().on_event(&Event::CheckpointWritten {
-                        stage: Stage::Characterize,
-                        completed: cells.len(),
-                    });
+                Ok(Sealed {
+                    events: report.events,
+                    workspace,
+                    result,
+                })
+            },
+            |&(_, (ri, rate, rep)), status| {
+                match status {
+                    JobStatus::Ok(point) => points.push(point),
+                    JobStatus::Quarantined { attempts, error } => failures.push(FailedPoint {
+                        rate_index: ri,
+                        rate,
+                        repeat: rep,
+                        attempts,
+                        error,
+                    }),
                 }
-                Ok::<_, ReduceError>((points, failures))
-            })?;
+                Ok(())
+            },
+        )?;
         let summaries = summarise(&rates, &points, &failures, &config);
         Ok(ResilienceAnalysis {
             config,

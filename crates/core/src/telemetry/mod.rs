@@ -24,7 +24,7 @@
 //!   workspace-arena allocation counters over the stage's jobs;
 //! * [`Event::JobFailed`] / [`Event::RetryScheduled`] /
 //!   [`Event::DivergenceRecovered`] — the retry history of a contained
-//!   job failure (see [`crate::exec::parallel_map_resilient`]);
+//!   job failure (see [`crate::exec::run_job_resilient`]);
 //! * [`Event::CheckpointWritten`] — the resume journal covers a stage's
 //!   full fan-out;
 //! * [`Event::ShardTruncated`] / [`Event::RecordDropped`] — self-healing
@@ -34,10 +34,11 @@
 //! # Determinism contract
 //!
 //! The event *sequence* is identical at any thread count: events carry
-//! logical indices (`rate_index`, `repeat`, `chip_id`), the resilient
-//! executor buffers each job's events in its [`crate::exec::JobReport`]
-//! (see [`crate::exec::run_job_resilient`]), and the stage flushes those
-//! buffers in input order after the fan-out completes. The
+//! logical indices (`rate_index`, `repeat`, `chip_id`), the retry loop
+//! buffers each job's events in its [`crate::exec::JobReport`] (see
+//! [`crate::exec::run_job_resilient`]), and the executor's one resume
+//! driver flushes those buffers — fresh or replayed from the journal —
+//! in input order after each window's fan-out completes. The
 //! only non-deterministic payload is wall-clock time, which is confined
 //! to [`Event::StageFinished::seconds`] and redactable at the sink
 //! ([`RunLog`]'s `redact_timing`), making redacted run logs byte-identical

@@ -6,8 +6,8 @@
 //! be logged verbatim alongside results.
 
 use crate::error::{ReduceError, Result};
-use reduce_data::{blobs, spirals, Dataset, SynthImageConfig, SynthTask};
-use reduce_nn::models::{lenet_with_init, mlp_with_init, vgg11_with_init, VggConfig};
+use reduce_data::{blobs, Dataset, SynthImageConfig, SynthTask};
+use reduce_nn::models::{mlp_with_init, vgg11_with_init, VggConfig};
 use reduce_nn::{
     evaluate, Adam, CrossEntropyLoss, EvalStats, Init, LrSchedule, Sequential, Sgd, TrainConfig,
     Trainer,
@@ -24,15 +24,6 @@ pub enum ModelSpec {
     },
     /// VGG11 family (the paper's model).
     Vgg(VggConfig),
-    /// LeNet-style small CNN.
-    Lenet {
-        /// Square input resolution.
-        input_hw: usize,
-        /// Input channels.
-        in_channels: usize,
-        /// Output classes.
-        classes: usize,
-    },
 }
 
 impl ModelSpec {
@@ -66,11 +57,6 @@ impl ModelSpec {
         Ok(match self {
             ModelSpec::Mlp { dims } => mlp_with_init(dims, seed, init)?,
             ModelSpec::Vgg(cfg) => vgg11_with_init(cfg, seed, init)?,
-            ModelSpec::Lenet {
-                input_hw,
-                in_channels,
-                classes,
-            } => lenet_with_init(*input_hw, *in_channels, *classes, seed, init)?,
         })
     }
 
@@ -151,21 +137,6 @@ impl ModelSpec {
                 shapes.push((batch, hidden, cfg.classes));
                 shapes
             }
-            ModelSpec::Lenet {
-                input_hw,
-                in_channels,
-                classes,
-            } => {
-                let hw = *input_hw;
-                let h2 = hw / 2;
-                let h4 = hw / 4;
-                vec![
-                    (batch * hw * hw, in_channels * 25, 6),
-                    (batch * h2 * h2, 6 * 25, 16),
-                    (batch, 16 * h4 * h4, 120),
-                    (batch, 120, *classes),
-                ]
-            }
         })
     }
 }
@@ -196,17 +167,6 @@ pub enum TaskSpec {
         std: f32,
         /// Fraction of labels flipped (keeps accuracy off 100 %).
         label_noise: f32,
-    },
-    /// Interleaved spirals (harder 2-D task).
-    Spirals {
-        /// Total samples before the split.
-        samples: usize,
-        /// Number of arms/classes.
-        classes: usize,
-        /// Revolutions per arm.
-        turns: f32,
-        /// Coordinate noise.
-        noise: f32,
     },
 }
 
@@ -240,15 +200,6 @@ impl TaskSpec {
             } => {
                 let data = blobs(*samples, *dim, *classes, *separation, *std, seed)?
                     .with_label_noise(*label_noise, seed.wrapping_add(3))?;
-                Ok(data.split(0.8, seed.wrapping_add(4))?)
-            }
-            TaskSpec::Spirals {
-                samples,
-                classes,
-                turns,
-                noise,
-            } => {
-                let data = spirals(*samples, *classes, *turns, *noise, seed)?;
                 Ok(data.split(0.8, seed.wrapping_add(4))?)
             }
         }
@@ -550,13 +501,6 @@ mod tests {
     #[test]
     fn model_specs_build() {
         assert!(ModelSpec::Mlp { dims: vec![4, 2] }.build(0).is_ok());
-        assert!(ModelSpec::Lenet {
-            input_hw: 16,
-            in_channels: 1,
-            classes: 4
-        }
-        .build(0)
-        .is_ok());
         assert!(ModelSpec::Vgg(VggConfig::nano(10)).build(0).is_ok());
         assert!(ModelSpec::Mlp { dims: vec![4] }.build(0).is_err());
     }
@@ -577,14 +521,6 @@ mod tests {
                 vec![4, 8],
             ),
             (ModelSpec::Vgg(vgg), vec![2, 3, 16, 16]),
-            (
-                ModelSpec::Lenet {
-                    input_hw: 16,
-                    in_channels: 1,
-                    classes: 4,
-                },
-                vec![2, 1, 16, 16],
-            ),
         ];
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (spec, input) in specs {
@@ -623,16 +559,6 @@ mod tests {
         .materialize(0)
         .expect("valid");
         assert_eq!(tr.len() + te.len(), 100);
-
-        let (tr, te) = TaskSpec::Spirals {
-            samples: 50,
-            classes: 2,
-            turns: 1.0,
-            noise: 0.05,
-        }
-        .materialize(0)
-        .expect("valid");
-        assert_eq!(tr.len() + te.len(), 50);
 
         let (tr, te) = TaskSpec::SynthImages {
             config: SynthImageConfig::cifar_like(10, 0),

@@ -6,9 +6,8 @@
 //! [`synthetic_cifar`] / [`SynthTask`]: a procedurally generated, balanced
 //! image-classification task whose difficulty (pixel noise, geometric
 //! jitter, label noise) is tuned so a nano-VGG saturates in the low-to-mid
-//! 90s — making the paper's 91 % accuracy constraint meaningful. Toy
-//! tabular generators ([`blobs`], [`two_moons`], [`spirals`]) support fast
-//! tests.
+//! 90s — making the paper's 91 % accuracy constraint meaningful. The toy
+//! tabular generator [`blobs`] supports fast tests.
 //!
 //! Everything is deterministic given its seeds.
 //!
@@ -37,4 +36,4 @@ mod toy;
 
 pub use dataset::{DataError, Dataset, Result};
 pub use synth::{synthetic_cifar, SynthImageConfig, SynthTask};
-pub use toy::{blobs, spirals, two_moons};
+pub use toy::blobs;

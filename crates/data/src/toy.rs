@@ -1,8 +1,8 @@
-//! Toy tabular datasets for fast tests and examples.
+//! The toy tabular dataset for fast tests and examples: Gaussian blobs.
 
 use crate::dataset::{DataError, Dataset, Result};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use reduce_tensor::Tensor;
 
 /// Gaussian blobs: `classes` isotropic clusters in `dim` dimensions.
@@ -60,70 +60,6 @@ pub fn blobs(
     Dataset::new(Tensor::from_vec(data, [samples, dim])?, labels, classes)
 }
 
-/// The classic two-moons binary dataset in 2-D.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidConfig`] for zero samples.
-pub fn two_moons(samples: usize, noise: f32, seed: u64) -> Result<Dataset> {
-    if samples == 0 {
-        return Err(DataError::InvalidConfig {
-            what: "zero samples".to_string(),
-        });
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(samples * 2);
-    let mut labels = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let class = i % 2;
-        let t: f32 = rng.gen_range(0.0..std::f32::consts::PI);
-        let (mut x, mut y) = if class == 0 {
-            (t.cos(), t.sin())
-        } else {
-            (1.0 - t.cos(), 0.5 - t.sin())
-        };
-        x += rng.gen_range(-noise..=noise);
-        y += rng.gen_range(-noise..=noise);
-        data.push(x);
-        data.push(y);
-        labels.push(class);
-    }
-    Dataset::new(Tensor::from_vec(data, [samples, 2])?, labels, 2)
-}
-
-/// Interleaved spirals: `classes` arms winding `turns` revolutions.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidConfig`] for zero samples/classes.
-pub fn spirals(
-    samples: usize,
-    classes: usize,
-    turns: f32,
-    noise: f32,
-    seed: u64,
-) -> Result<Dataset> {
-    if samples == 0 || classes == 0 {
-        return Err(DataError::InvalidConfig {
-            what: format!("spirals({samples}, {classes}) has a zero argument"),
-        });
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(samples * 2);
-    let mut labels = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let class = i % classes;
-        let t: f32 = rng.gen_range(0.1f32..1.0);
-        let angle = t * turns * 2.0 * std::f32::consts::PI
-            + class as f32 * 2.0 * std::f32::consts::PI / classes as f32;
-        let r = t;
-        data.push(r * angle.cos() + rng.gen_range(-noise..=noise));
-        data.push(r * angle.sin() + rng.gen_range(-noise..=noise));
-        labels.push(class);
-    }
-    Dataset::new(Tensor::from_vec(data, [samples, 2])?, labels, classes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,23 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn moons_shapes() {
-        let d = two_moons(100, 0.05, 2).expect("valid");
-        assert_eq!(d.features().dims(), &[100, 2]);
-        assert_eq!(d.classes(), 2);
-    }
-
-    #[test]
-    fn spirals_shapes() {
-        let d = spirals(90, 3, 1.5, 0.02, 3).expect("valid");
-        assert_eq!(d.class_counts(), vec![30; 3]);
-    }
-
-    #[test]
     fn zero_args_rejected() {
         assert!(blobs(0, 2, 2, 1.0, 0.1, 0).is_err());
         assert!(blobs(10, 0, 2, 1.0, 0.1, 0).is_err());
-        assert!(two_moons(0, 0.1, 0).is_err());
-        assert!(spirals(10, 0, 1.0, 0.1, 0).is_err());
+        assert!(blobs(10, 2, 0, 1.0, 0.1, 0).is_err());
     }
 }

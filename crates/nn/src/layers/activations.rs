@@ -1,4 +1,4 @@
-//! Elementwise activation layers.
+//! The elementwise activation layer: ReLU.
 
 use crate::error::{NnError, Result};
 use crate::layers::{Layer, Mode};
@@ -38,111 +38,25 @@ fn zip_map_into_ws<F: Fn(f32, f32) -> f32>(
     Ok(out)
 }
 
-macro_rules! unary_activation {
-    ($(#[$doc:meta])* $name:ident, $label:literal, $fwd:expr, $bwd:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Default)]
-        pub struct $name {
-            cached_input: Option<Tensor>,
-        }
-
-        impl $name {
-            /// Creates the activation layer.
-            pub fn new() -> Self {
-                Self { cached_input: None }
-            }
-        }
-
-        impl Layer for $name {
-            fn name(&self) -> String {
-                $label.to_string()
-            }
-
-            fn forward_ws(&mut self, x: &Tensor, _mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-                if let Some(stale) = self.cached_input.take() {
-                    ws.give(stale);
-                }
-                // xtask:allow(hot-path-alloc): O(1) copy-on-write handle clone for the backward cache
-                self.cached_input = Some(x.clone());
-                Ok(map_into_ws(x, ws, $fwd))
-            }
-
-            fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-                let x = self
-                    .cached_input
-                    .as_ref()
-                    .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
-                zip_map_into_ws(grad, x, ws, |g, xv| g * $bwd(xv))
-            }
-        }
-    };
-}
-
-unary_activation!(
-    /// Rectified linear unit: `max(0, x)`.
-    ///
-    /// The derivative at exactly 0 is taken as 0 (the subgradient
-    /// convention PyTorch uses).
-    Relu,
-    "relu",
-    |x: f32| x.max(0.0),
-    |x: f32| if x > 0.0 { 1.0 } else { 0.0 }
-);
-
-unary_activation!(
-    /// Hyperbolic tangent activation.
-    Tanh,
-    "tanh",
-    |x: f32| x.tanh(),
-    |x: f32| {
-        let t = x.tanh();
-        1.0 - t * t
-    }
-);
-
-unary_activation!(
-    /// Logistic sigmoid activation.
-    Sigmoid,
-    "sigmoid",
-    |x: f32| 1.0 / (1.0 + (-x).exp()),
-    |x: f32| {
-        let s = 1.0 / (1.0 + (-x).exp());
-        s * (1.0 - s)
-    }
-);
-
-/// Leaky rectified linear unit: `x` for positive inputs, `alpha·x`
-/// otherwise.
-#[derive(Debug)]
-pub struct LeakyRelu {
-    alpha: f32,
+/// Rectified linear unit: `max(0, x)`.
+///
+/// The derivative at exactly 0 is taken as 0 (the subgradient convention
+/// PyTorch uses).
+#[derive(Debug, Default)]
+pub struct Relu {
     cached_input: Option<Tensor>,
 }
 
-impl LeakyRelu {
-    /// Creates a leaky ReLU with the given negative-side slope.
-    pub fn new(alpha: f32) -> Self {
-        LeakyRelu {
-            alpha,
-            cached_input: None,
-        }
-    }
-
-    /// The negative-side slope.
-    pub fn alpha(&self) -> f32 {
-        self.alpha
+impl Relu {
+    /// Creates the activation layer.
+    pub fn new() -> Self {
+        Self { cached_input: None }
     }
 }
 
-impl Default for LeakyRelu {
-    fn default() -> Self {
-        LeakyRelu::new(0.01)
-    }
-}
-
-impl Layer for LeakyRelu {
+impl Layer for Relu {
     fn name(&self) -> String {
-        format!("leaky_relu({})", self.alpha)
+        "relu".to_string()
     }
 
     fn forward_ws(&mut self, x: &Tensor, _mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
@@ -151,8 +65,7 @@ impl Layer for LeakyRelu {
         }
         // xtask:allow(hot-path-alloc): O(1) copy-on-write handle clone for the backward cache
         self.cached_input = Some(x.clone());
-        let a = self.alpha;
-        Ok(map_into_ws(x, ws, |v| if v > 0.0 { v } else { a * v }))
+        Ok(map_into_ws(x, ws, |v| v.max(0.0)))
     }
 
     fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
@@ -160,8 +73,7 @@ impl Layer for LeakyRelu {
             .cached_input
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
-        let a = self.alpha;
-        zip_map_into_ws(grad, x, ws, |g, xv| if xv > 0.0 { g } else { a * g })
+        zip_map_into_ws(grad, x, ws, |g, xv| g * if xv > 0.0 { 1.0 } else { 0.0 })
     }
 }
 
@@ -194,41 +106,16 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_negative_slope() {
-        let mut l = LeakyRelu::new(0.1);
-        let x = Tensor::from_vec(vec![-2.0, 2.0], [2]).expect("ok");
-        let y = l.forward(&x, Mode::Eval).expect("any shape ok");
-        assert!(y.approx_eq(&Tensor::from_vec(vec![-0.2, 2.0], [2]).expect("ok"), 1e-6));
-    }
-
-    #[test]
-    fn tanh_and_sigmoid_ranges() {
-        let x = Tensor::rand_uniform([32], -5.0, 5.0, 1);
-        let mut t = Tanh::new();
-        let y = t.forward(&x, Mode::Eval).expect("any shape ok");
-        assert!(y.data().iter().all(|&v| (-1.0..=1.0).contains(&v)));
-        let mut s = Sigmoid::new();
-        let y = s.forward(&x, Mode::Eval).expect("any shape ok");
-        assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn gradcheck_all_activations() {
+    fn gradcheck_relu() {
         // Avoid the ReLU kink: keep probes away from 0.
         let x =
             Tensor::from_vec(vec![-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, -3.0], [2, 4]).expect("ok");
         gradcheck::check_input_grad(&mut Relu::new(), &x, 1e-2);
-        gradcheck::check_input_grad(&mut LeakyRelu::new(0.1), &x, 1e-2);
-        gradcheck::check_input_grad(&mut Tanh::new(), &x, 1e-2);
-        gradcheck::check_input_grad(&mut Sigmoid::new(), &x, 1e-2);
     }
 
     #[test]
     fn backward_without_forward_errors() {
         assert!(Relu::new().backward(&Tensor::ones([1])).is_err());
-        assert!(Tanh::new().backward(&Tensor::ones([1])).is_err());
-        assert!(Sigmoid::new().backward(&Tensor::ones([1])).is_err());
-        assert!(LeakyRelu::default().backward(&Tensor::ones([1])).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Batch normalisation layers.
+//! Batch normalisation over NCHW channels.
 
 use crate::error::{NnError, Result};
 use crate::layers::{Layer, Mode};
@@ -9,7 +9,7 @@ use reduce_tensor::Tensor;
 const DEFAULT_EPS: f32 = 1e-5;
 const DEFAULT_MOMENTUM: f32 = 0.1;
 
-/// Shared state of the 1-D/2-D batch-norm implementations.
+/// Batch-norm parameters, running statistics and backward cache.
 #[derive(Debug)]
 struct BatchNormState {
     gamma: Parameter,
@@ -46,8 +46,7 @@ impl BatchNormState {
 
     /// Normalises `x` where element `i` belongs to feature `feat(i)`.
     ///
-    /// `group_size` is the number of elements per feature (N for 1-D,
-    /// N·H·W for 2-D).
+    /// `group_size` is the number of elements per feature (N·H·W).
     fn forward_grouped<F: Fn(usize) -> usize>(
         &mut self,
         x: &Tensor,
@@ -182,55 +181,6 @@ impl BatchNormState {
     }
 }
 
-/// Batch normalisation over the feature axis of a `(N, F)` matrix.
-#[derive(Debug)]
-pub struct BatchNorm1d {
-    state: BatchNormState,
-}
-
-impl BatchNorm1d {
-    /// Creates a batch-norm layer for `features` columns.
-    pub fn new(features: usize) -> Self {
-        BatchNorm1d {
-            state: BatchNormState::new(features),
-        }
-    }
-}
-
-impl Layer for BatchNorm1d {
-    fn name(&self) -> String {
-        format!("batch_norm1d({})", self.state.features)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        let (n, f) = x.shape().as_matrix().map_err(|_| NnError::BadInput {
-            layer: self.name(),
-            reason: format!("expected rank-2 input, got {:?}", x.dims()),
-        })?;
-        if f != self.state.features {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: format!("expected {} features, got {f}", self.state.features),
-            });
-        }
-        self.state.forward_grouped(x, |i| i % f, n, mode, ws)
-    }
-
-    fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let (n, f) = grad.shape().as_matrix()?;
-        let name = self.name();
-        self.state.backward_grouped(grad, |i| i % f, n, &name, ws)
-    }
-
-    fn params(&self) -> Vec<&Parameter> {
-        vec![&self.state.gamma, &self.state.beta]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.state.gamma, &mut self.state.beta]
-    }
-}
-
 /// Batch normalisation over the channel axis of an NCHW tensor.
 #[derive(Debug)]
 pub struct BatchNorm2d {
@@ -298,21 +248,6 @@ mod tests {
     use crate::layers::gradcheck;
 
     #[test]
-    fn normalises_batch_statistics_1d() {
-        let mut bn = BatchNorm1d::new(3);
-        let x = Tensor::rand_uniform([64, 3], 5.0, 9.0, 1);
-        let y = bn.forward(&x, Mode::Train).expect("valid input");
-        // Each column of y should be ~N(0,1).
-        for f in 0..3 {
-            let col: Vec<f32> = (0..64).map(|i| y.data()[i * 3 + f]).collect();
-            let mean: f32 = col.iter().sum::<f32>() / 64.0;
-            let var: f32 = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 64.0;
-            assert!(mean.abs() < 1e-4, "mean {mean}");
-            assert!((var - 1.0).abs() < 1e-2, "var {var}");
-        }
-    }
-
-    #[test]
     fn normalises_channel_statistics_2d() {
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::rand_uniform([4, 2, 5, 5], -3.0, 3.0, 2);
@@ -332,29 +267,23 @@ mod tests {
 
     #[test]
     fn eval_uses_running_stats() {
-        let mut bn = BatchNorm1d::new(2);
-        // Warm the running statistics with several train batches.
+        let mut bn = BatchNorm2d::new(2);
+        // Warm the running statistics with several train batches of 64
+        // values per channel.
         for seed in 0..60 {
-            let x = Tensor::rand_normal([64, 2], 4.0, 2.0, seed);
+            let x = Tensor::rand_normal([16, 2, 2, 2], 4.0, 2.0, seed);
             bn.forward(&x, Mode::Train).expect("valid input");
         }
-        let x = Tensor::rand_normal([256, 2], 4.0, 2.0, 999);
+        let x = Tensor::rand_normal([64, 2, 2, 2], 4.0, 2.0, 999);
         let y = bn.forward(&x, Mode::Eval).expect("valid input");
         // Eval normalisation with converged stats should roughly whiten.
         assert!(y.mean().abs() < 0.3, "mean {}", y.mean());
     }
 
     #[test]
-    fn gradcheck_input_1d() {
-        let mut bn = BatchNorm1d::new(3);
-        let x = Tensor::rand_uniform([6, 3], -1.0, 1.0, 3);
-        gradcheck::check_input_grad(&mut bn, &x, 5e-2);
-    }
-
-    #[test]
-    fn gradcheck_params_1d() {
-        let mut bn = BatchNorm1d::new(3);
-        let x = Tensor::rand_uniform([6, 3], -1.0, 1.0, 4);
+    fn gradcheck_params_2d() {
+        let mut bn = BatchNorm2d::new(2);
+        let x = Tensor::rand_uniform([2, 2, 3, 3], -1.0, 1.0, 4);
         gradcheck::check_param_grad(&mut bn, &x, 0, 5e-2);
         gradcheck::check_param_grad(&mut bn, &x, 1, 5e-2);
     }
@@ -368,8 +297,6 @@ mod tests {
 
     #[test]
     fn shape_validation() {
-        let mut bn1 = BatchNorm1d::new(3);
-        assert!(bn1.forward(&Tensor::zeros([4, 2]), Mode::Train).is_err());
         let mut bn2 = BatchNorm2d::new(3);
         assert!(bn2
             .forward(&Tensor::zeros([4, 2, 2, 2]), Mode::Train)
@@ -379,9 +306,6 @@ mod tests {
 
     #[test]
     fn backward_before_forward_is_error() {
-        assert!(BatchNorm1d::new(2)
-            .backward(&Tensor::zeros([2, 2]))
-            .is_err());
         assert!(BatchNorm2d::new(2)
             .backward(&Tensor::zeros([1, 2, 2, 2]))
             .is_err());

@@ -8,13 +8,13 @@ mod flatten;
 mod linear;
 mod pool;
 
-pub use activations::{LeakyRelu, Relu, Sigmoid, Tanh};
-pub use batchnorm::{BatchNorm1d, BatchNorm2d};
+pub use activations::Relu;
+pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::MaxPool2d;
 
 use crate::error::Result;
 use crate::param::Parameter;

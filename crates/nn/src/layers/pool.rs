@@ -74,55 +74,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// 2-D average pooling over NCHW tensors (no padding).
-#[derive(Debug)]
-pub struct AvgPool2d {
-    window: usize,
-    stride: usize,
-    cached_input_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with a square window.
-    pub fn new(window: usize, stride: usize) -> Self {
-        AvgPool2d {
-            window,
-            stride,
-            cached_input_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn name(&self) -> String {
-        format!(
-            "avg_pool2d({}x{}, s{})",
-            self.window, self.window, self.stride
-        )
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, _mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        let mut y = ws.take(pool_out_dims(x, self.window, self.stride)?);
-        ops::avg_pool2d_into(x, self.window, self.stride, &mut y)?;
-        // xtask:allow(hot-path-alloc): empty Vec::new initialises the cache once; reused after
-        let dims = self.cached_input_dims.get_or_insert_with(Vec::new);
-        dims.clear();
-        dims.extend_from_slice(x.dims());
-        Ok(y)
-    }
-
-    fn backward_ws(&mut self, grad: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let dims = self
-            .cached_input_dims
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardState { layer: self.name() })?;
-        // xtask:allow(hot-path-alloc): clones a handful of usize shape entries, not a buffer
-        let mut gx = ws.take(dims.clone());
-        ops::avg_pool2d_backward_into(grad, self.window, self.stride, &mut gx)?;
-        Ok(gx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,19 +100,8 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_mean_preserved() {
-        let mut p = AvgPool2d::new(2, 2);
-        let x = Tensor::rand_uniform([1, 1, 4, 4], -1.0, 1.0, 4);
-        let y = p.forward(&x, Mode::Eval).expect("valid input");
-        assert!((y.mean() - x.mean()).abs() < 1e-5);
-    }
-
-    #[test]
     fn backward_before_forward_is_error() {
         assert!(MaxPool2d::new(2, 2)
-            .backward(&Tensor::zeros([1, 1, 2, 2]))
-            .is_err());
-        assert!(AvgPool2d::new(2, 2)
             .backward(&Tensor::zeros([1, 1, 2, 2]))
             .is_err());
     }

@@ -6,15 +6,15 @@
 //!
 //! The crate provides:
 //!
-//! * [`layers`] — `Linear`, `Conv2d`, activations, pooling, batch norm,
-//!   dropout, flatten; every layer implements exact forward/backward passes
-//!   verified against finite differences;
+//! * [`layers`] — `Linear`, `Conv2d`, `Relu`, `MaxPool2d`, `BatchNorm2d`,
+//!   `Dropout`, `Flatten`; every layer implements exact forward/backward
+//!   passes verified against finite differences;
 //! * [`Sequential`] — the model container with checkpointing and **fault
 //!   masks** on its GEMM weight matrices (the hook fault-aware training
 //!   uses);
 //! * [`CrossEntropyLoss`]/[`MseLoss`], [`Sgd`]/[`Adam`] (mask-projecting
 //!   optimizers), [`LrSchedule`]s, and an epoch-granular [`Trainer`];
-//! * [`models`] — VGG11 (paper topology, configurable width), LeNet, MLPs.
+//! * [`models`] — VGG11 (paper topology, configurable width) and MLPs.
 //!
 //! # Examples
 //!

@@ -3,8 +3,8 @@
 //! The paper evaluates Reduce on VGG11/CIFAR-10. [`vgg11`] builds the same
 //! 8-conv + classifier topology with a configurable channel width so the
 //! reproduction can run at CPU scale ([`VggConfig::nano`]) or at the paper's
-//! full width ([`VggConfig::full`]). [`mlp`] and [`lenet`] provide cheaper
-//! models for tests and fast experiments.
+//! full width ([`VggConfig::full`]). [`mlp`] provides the cheaper model
+//! for tests and fast experiments.
 
 use crate::error::{NnError, Result};
 use crate::init::Init;
@@ -180,54 +180,6 @@ pub fn mlp_with_init(dims: &[usize], seed: u64, init: Init) -> Result<Sequential
     Ok(model)
 }
 
-/// Builds a LeNet-style small CNN for `input_hw`×`input_hw` inputs.
-///
-/// Two 5×5 conv/pool stages followed by a two-layer classifier — the classic
-/// fast benchmark model.
-///
-/// # Errors
-///
-/// Returns [`NnError::InvalidConfig`] if the input is smaller than 12×12 or
-/// any size is zero.
-pub fn lenet(input_hw: usize, in_channels: usize, classes: usize, seed: u64) -> Result<Sequential> {
-    lenet_with_init(input_hw, in_channels, classes, seed, Init::KaimingNormal)
-}
-
-/// [`lenet`] with an explicit weight initialisation; see
-/// [`vgg11_with_init`].
-///
-/// # Errors
-///
-/// Same conditions as [`lenet`].
-pub fn lenet_with_init(
-    input_hw: usize,
-    in_channels: usize,
-    classes: usize,
-    seed: u64,
-    init: Init,
-) -> Result<Sequential> {
-    if input_hw < 12 || in_channels == 0 || classes == 0 {
-        return Err(NnError::InvalidConfig {
-            what: format!("lenet needs input_hw >= 12, got {input_hw}"),
-        });
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // conv 5x5 (pad 2) keeps hw; pool halves it, twice.
-    let hw_after = input_hw / 2 / 2;
-    let feat = 16 * hw_after * hw_after;
-    Ok(Sequential::new()
-        .push(Conv2d::with_init(in_channels, 6, 5, 1, 2, init, &mut rng))
-        .push(Relu::new())
-        .push(MaxPool2d::new(2, 2))
-        .push(Conv2d::with_init(6, 16, 5, 1, 2, init, &mut rng))
-        .push(Relu::new())
-        .push(MaxPool2d::new(2, 2))
-        .push(Flatten::new())
-        .push(Linear::with_init(feat, 120, init, &mut rng))
-        .push(Relu::new())
-        .push(Linear::with_init(120, classes, init, &mut rng)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,16 +245,6 @@ mod tests {
         assert_eq!(m.num_params(), 4 * 16 + 16 + 16 * 3 + 3);
         assert!(mlp(&[4], 1).is_err());
         assert!(mlp(&[4, 0, 2], 1).is_err());
-    }
-
-    #[test]
-    fn lenet_forward() {
-        let mut m = lenet(16, 1, 10, 2).expect("valid config");
-        let y = m
-            .forward(&Tensor::zeros([1, 1, 16, 16]), Mode::Eval)
-            .expect("valid input");
-        assert_eq!(y.dims(), &[1, 10]);
-        assert!(lenet(8, 1, 10, 2).is_err());
     }
 
     #[test]

@@ -584,127 +584,6 @@ pub fn max_pool2d_backward_into(grad: &Tensor, argmax: &[usize], out: &mut Tenso
     Ok(())
 }
 
-/// 2-D average pooling over an NCHW tensor (no padding).
-///
-/// # Errors
-///
-/// Same conditions as [`max_pool2d`].
-pub fn avg_pool2d(x: &Tensor, window: usize, stride: usize) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw("avg_pool2d", x)?;
-    let geom = Conv2dGeometry::new(h, w, window, window, stride, 0)?;
-    let mut output = Tensor::zeros([n, c, geom.out_h, geom.out_w]);
-    avg_pool2d_into(x, window, stride, &mut output)?;
-    Ok(output)
-}
-
-/// Like [`avg_pool2d`] but writing into `out` (shape `(N, C, OH, OW)`).
-/// Every element is overwritten; results are bit-identical to
-/// [`avg_pool2d`].
-///
-/// # Errors
-///
-/// Same conditions as [`avg_pool2d`], plus a shape check on `out`.
-pub fn avg_pool2d_into(x: &Tensor, window: usize, stride: usize, out: &mut Tensor) -> Result<()> {
-    let (n, c, h, w) = check_nchw("avg_pool2d", x)?;
-    let geom = Conv2dGeometry::new(h, w, window, window, stride, 0)?;
-    let (oh, ow) = (geom.out_h, geom.out_w);
-    if out.dims() != [n, c, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            op: "avg_pool2d_into",
-            lhs: vec![n, c, oh, ow],
-            rhs: out.dims().to_vec(),
-        });
-    }
-    let inv = 1.0 / (window * window) as f32;
-    let output = out;
-    let xd = x.data();
-    let od = output.data_mut();
-    for img in 0..n {
-        for ch in 0..c {
-            let chan_base = (img * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            acc += xd[chan_base + (oy * stride + ky) * w + (ox * stride + kx)];
-                        }
-                    }
-                    od[((img * c + ch) * oh + oy) * ow + ox] = acc * inv;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Backward pass of [`avg_pool2d`]: spreads each output gradient uniformly
-/// over its window.
-///
-/// # Errors
-///
-/// Returns an error if dims are inconsistent with the window geometry.
-pub fn avg_pool2d_backward(
-    grad: &Tensor,
-    input_dims: &[usize],
-    window: usize,
-    stride: usize,
-) -> Result<Tensor> {
-    if grad.rank() != 4 || input_dims.len() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "avg_pool2d_backward",
-            reason: "expected rank-4 grad and input dims".to_string(),
-        });
-    }
-    let mut out = Tensor::zeros(input_dims.to_vec());
-    avg_pool2d_backward_into(grad, window, stride, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`avg_pool2d_backward`] but accumulating into a caller-provided
-/// tensor already shaped like the pooling input. `out` is zeroed first;
-/// results are bit-identical to [`avg_pool2d_backward`].
-///
-/// # Errors
-///
-/// Returns an error if `grad` or `out` is not rank-4.
-pub fn avg_pool2d_backward_into(
-    grad: &Tensor,
-    window: usize,
-    stride: usize,
-    out: &mut Tensor,
-) -> Result<()> {
-    let d = grad.dims().to_vec();
-    if d.len() != 4 || out.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "avg_pool2d_backward",
-            reason: "expected rank-4 grad and input dims".to_string(),
-        });
-    }
-    let (n, c, oh, ow) = (d[0], d[1], d[2], d[3]);
-    let (h, w) = (out.dims()[2], out.dims()[3]);
-    let inv = 1.0 / (window * window) as f32;
-    out.fill_zero();
-    let gd = grad.data();
-    let od = out.data_mut();
-    for img in 0..n {
-        for ch in 0..c {
-            let chan_base = (img * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gd[((img * c + ch) * oh + oy) * ow + ox] * inv;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            od[chan_base + (oy * stride + ky) * w + (ox * stride + kx)] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,15 +716,6 @@ mod tests {
         assert_eq!(gx.sum(), 4.0);
         assert_eq!(gx.at(&[0, 0, 1, 1]).expect("valid"), 1.0); // element 5
         assert_eq!(gx.at(&[0, 0, 0, 0]).expect("valid"), 0.0);
-    }
-
-    #[test]
-    fn avg_pool_forward_backward() {
-        let x = Tensor::from_fn([1, 1, 2, 2], |i| i as f32);
-        let y = avg_pool2d(&x, 2, 2).expect("valid window");
-        assert_eq!(y.data(), &[1.5]);
-        let gx = avg_pool2d_backward(&y, x.dims(), 2, 2).expect("consistent");
-        assert!(gx.data().iter().all(|&v| (v - 0.375).abs() < 1e-6));
     }
 
     #[test]

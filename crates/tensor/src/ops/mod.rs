@@ -13,10 +13,9 @@ mod matmul;
 mod softmax;
 
 pub use conv::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, col2im,
-    col2im_into, im2col, im2col_into, max_pool2d, max_pool2d_backward, max_pool2d_backward_into,
-    max_pool2d_into, nchw_to_rows, nchw_to_rows_into, rows_to_nchw, rows_to_nchw_into,
-    Conv2dGeometry, MaxPoolOutput,
+    col2im, col2im_into, im2col, im2col_into, max_pool2d, max_pool2d_backward,
+    max_pool2d_backward_into, max_pool2d_into, nchw_to_rows, nchw_to_rows_into, rows_to_nchw,
+    rows_to_nchw_into, Conv2dGeometry, MaxPoolOutput,
 };
 pub use matmul::{
     add_bias_rows, add_bias_rows_in_place, dot, matmul, matmul_into, matmul_nt, matmul_nt_into,

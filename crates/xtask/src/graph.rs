@@ -8,11 +8,13 @@
 //!
 //! **Roots.** The deterministic-executor contract says a job body must be
 //! a pure function of `(inputs, seed)`. The roots are therefore the
-//! closures passed to `exec::parallel_map` / `parallel_map_resilient` /
-//! `run_job_resilient` (which includes retry bodies — a retry re-runs
-//! the same closure — and the `on_sealed` checkpoint hooks), plus the
-//! named journal-replay functions (`EXTRA_ROOT_SUFFIXES`): a
-//! resumed run must reconstruct byte-identical state from the journal.
+//! closures passed to the one map (`exec::parallel_map`), the one retry
+//! loop (`run_job_resilient`, whose closure is also every retry's body)
+//! and the one resume driver (`run_resumable_stage`: a stage's replay
+//! lookup, its job — which journals the sealed output — and its absorb
+//! step), plus the named journal-replay functions
+//! (`EXTRA_ROOT_SUFFIXES`): a resumed run must reconstruct
+//! byte-identical state from the journal.
 //!
 //! **Islands.** Two sanctioned exceptions subtract their effect at the
 //! island boundary, so callers observe them as pure: the
@@ -42,11 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Call names whose closure arguments are parallel job roots.
-pub const ROOT_MARKERS: [&str; 3] = [
-    "parallel_map",
-    "parallel_map_resilient",
-    "run_job_resilient",
-];
+pub const ROOT_MARKERS: [&str; 3] = ["parallel_map", "run_job_resilient", "run_resumable_stage"];
 
 /// Function-id suffixes rooted directly: the resumable journal replay
 /// path. `Checkpoint::resume`'s raw file read is intake, not replay; the

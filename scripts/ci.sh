@@ -94,10 +94,16 @@ echo "==> kill-and-resume gate (fig2 chaos run, interrupted ≡ uninterrupted)"
 jt() { cargo run -q -p reduce-bench --release --bin journal-tool -- "$@"; }
 # The per-kind record counts `journal-tool stat` lists, one per line.
 jt_kinds() { jt stat "$1" | grep -E '^  [a-z_]+: [0-9]+$' || true; }
+# `journal-tool stat` of run directory $1 with the directory prefix
+# stripped, for diffing against a pin under scripts/expected/.
+jt_stat() { jt stat "$1" | sed "s#^$1/##"; }
 chaos="--scale smoke --retries 2 --chaos-rate 0.35 --chaos-seed 7 --redact-timing"
 mkdir -p "$det_dir/ref" "$det_dir/cut"
 cargo run -q -p reduce-bench --release --bin fig2 -- \
     $chaos --threads 1 --csv "$det_dir/ref" --out "$det_dir/ref" >/dev/null
+# The uninterrupted run journals exactly one record per grid cell: its
+# record counts and byte size are pinned.
+diff scripts/expected/fig2-chaos/journal_stat.txt <(jt_stat "$det_dir/ref")
 rc=0
 cargo run -q -p reduce-bench --release --bin fig2 -- \
     $chaos --threads 4 --csv "$det_dir/cut" --out "$det_dir/cut" \
@@ -184,7 +190,7 @@ diff <(normalise_nums BENCH_gemm.json) \
 echo "    all kernels pass their correctness gates; BENCH_gemm.json schema"
 echo "    matches the checked-in document"
 
-echo "==> large-fleet streaming gate (fig3 --fleet-size 20000)"
+echo "==> large-fleet streaming gate (fig3 --chips 20000)"
 # The streaming fleet pipeline must hold memory constant at 10^4+ chips:
 # chips come from a seeded source (never a materialised Vec), outcomes
 # fold into a constant-size report, and the journal is sharded. Gate on
@@ -192,7 +198,7 @@ echo "==> large-fleet streaming gate (fig3 --fleet-size 20000)"
 fleet_out="$det_dir/fleet"
 mkdir -p "$fleet_out"
 cargo run -q -p reduce-bench --release --bin fig3 -- \
-    --scale smoke --policy fixed:0 --fleet-size 20000 --threads 4 \
+    --scale smoke --policy fixed:0 --chips 20000 --threads 4 \
     > "$fleet_out/stdout.txt"
 grep -E "chips/sec" "$fleet_out/stdout.txt"
 rss_kb=$(grep -oE 'peak_rss_kb=[0-9]+' "$fleet_out/stdout.txt" | cut -d= -f2)
@@ -249,6 +255,9 @@ echo "    eFAT: $efat_epochs aggregate epochs vs Reduce's $reduce_epochs at yiel
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --strategy efat --threads 1 \
     --out "$efat_dir/ref" --redact-timing >/dev/null
+# One record per grid cell and one per fleet batch, pinned like the fig2
+# chaos journal above.
+diff scripts/expected/fig3-smoke-efat/journal_stat.txt <(jt_stat "$efat_dir/ref")
 rc=0
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --strategy efat --threads 4 \
