@@ -59,7 +59,7 @@ use reduce_bench::{
 };
 use reduce_core::telemetry::{
     self, Fanout, FleetManifest, GridManifest, MetricsRecorder, Observer, RunLog, RunManifest,
-    Stage, Stopwatch, ThroughputManifest,
+    Stage, Stopwatch, TableManifest, ThroughputManifest,
 };
 use reduce_core::{
     report, ExecConfig, FatRunner, FleetEvaluation, FleetStrategy, ReduceError, ResilienceAnalysis,
@@ -231,11 +231,12 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let runner = FatRunner::new(workbench)?;
 
     let needs_table = runs.iter().any(|(p, _)| p.needs_table());
-    let mut grid_manifest = None;
+    let (mut grid_manifest, mut table_manifest) = (None, None);
     let table = match args.value("--table") {
         Some(path) => {
             let table = ResilienceTable::load(std::path::Path::new(path))?;
             println!("step 1: resilience table loaded from {path} (characterisation skipped)");
+            table_manifest = Some(TableManifest::of(&table));
             Some(table)
         }
         None if needs_table => {
@@ -379,6 +380,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         manifest.constraint = constraint;
         manifest.workbench = workbench_spec;
         manifest.grid = grid_manifest;
+        manifest.table = table_manifest;
         manifest.policies = reports.iter().map(|r| r.policy.clone()).collect();
         // Workspace counters are deterministic per configuration, so the
         // manifest stays byte-identical across thread counts.

@@ -212,6 +212,24 @@ pub fn workloads() -> Vec<Workload> {
             why: "headline timing shape (criterion baseline)",
         },
         Workload {
+            m: 8,
+            k: 8192,
+            n: 27,
+            why: "nano-VGG batch-32 conv0 weight gradient: k crosses the KC reduction block",
+        },
+        Workload {
+            m: 2048,
+            k: 72,
+            n: 16,
+            why: "nano-VGG batch-32 conv1 forward: tall output, one NR column panel",
+        },
+        Workload {
+            m: 128,
+            k: 576,
+            n: 64,
+            why: "nano-VGG batch-32 conv5 forward: deep reduction, square-ish output",
+        },
+        Workload {
             m: 67,
             k: 129,
             n: 43,

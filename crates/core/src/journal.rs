@@ -87,7 +87,7 @@ pub const DEFAULT_SHARD_RECORDS: usize = 256;
 /// hand-rolled bitwise implementation: journal lines are short and shard
 /// digests are computed once per seal, so a lookup table isn't worth the
 /// footprint.
-fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= u32::from(b);

@@ -5,7 +5,7 @@
 use super::json::{push_json_f32, push_json_f64, push_json_string};
 use super::StageWorkspace;
 use crate::error::Result;
-use crate::resilience::ResilienceConfig;
+use crate::resilience::{ResilienceConfig, ResilienceTable};
 use reduce_systolic::FleetConfig;
 use std::path::Path;
 
@@ -39,6 +39,28 @@ impl GridManifest {
             constraint: config.constraint,
             fault_model: format!("{:?}", config.fault_model),
             seed: config.seed,
+        }
+    }
+}
+
+/// The resilience table a run loaded instead of characterising Step ①
+/// (`fig3 --table`), as recorded in its manifest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TableManifest {
+    /// CRC-32 (the journal's framing checksum) of the table's text as
+    /// [`ResilienceTable::to_text`] renders it: the bytes of the file
+    /// `fig2 --table-out` wrote.
+    pub crc32: u32,
+    /// Table rows: one per characterised fault rate.
+    pub rows: usize,
+}
+
+impl TableManifest {
+    /// Records a loaded table.
+    pub fn of(table: &ResilienceTable) -> Self {
+        TableManifest {
+            crc32: crate::journal::crc32(table.to_text().as_bytes()),
+            rows: table.entries().len(),
         }
     }
 }
@@ -113,6 +135,11 @@ pub struct RunManifest {
     pub workbench: String,
     /// Characterisation grid, when the run performed Step ①.
     pub grid: Option<GridManifest>,
+    /// The loaded resilience table, when the run took its budgets from a
+    /// file instead. Unlike the other optional sections it is left out of
+    /// the JSON when absent, not written as `null`, so the manifests of
+    /// runs that characterise keep their bytes.
+    pub table: Option<TableManifest>,
     /// Retraining policies evaluated, in evaluation order.
     pub policies: Vec<String>,
     /// Per-stage workspace allocation counters (empty when the run did not
@@ -138,6 +165,7 @@ impl RunManifest {
             constraint: 0.0,
             workbench: String::new(),
             grid: None,
+            table: None,
             policies: Vec::new(),
             workspace: Vec::new(),
             throughput: None,
@@ -186,6 +214,12 @@ impl RunManifest {
                 s.push_str("  },\n");
             }
             None => s.push_str("  \"grid\": null,\n"),
+        }
+        if let Some(table) = &self.table {
+            s.push_str("  \"table\": {\n");
+            push_nested_str_field(&mut s, "crc32", &format!("{:08x}", table.crc32));
+            push_nested_field_last(&mut s, "rows", &table.rows.to_string());
+            s.push_str("  },\n");
         }
         let mut policies = String::from("[");
         for (i, p) in self.policies.iter().enumerate() {
@@ -385,11 +419,33 @@ mod tests {
             fleet.field("seed").and_then(JsonValue::as_u64),
             Some(0xF1EE7)
         );
-        // Absent optional sections are written as explicit nulls.
+        // Absent optional sections are written as explicit nulls, except
+        // the loaded table, which is left out.
         let bare = json::parse(&RunManifest::new("fig2", "default").to_json()).expect("parses");
         for key in ["threads", "grid", "throughput", "fleet"] {
             assert!(bare.field(key).is_some_and(JsonValue::is_null), "{key}");
         }
+        assert!(bare.field("table").is_none());
+    }
+
+    #[test]
+    fn a_loaded_table_is_recorded_by_digest_and_row_count() {
+        let table = ResilienceTable::from_text(
+            "# reduce resilience table v1\nepoch_cap 8\nrate mean_epochs max_epochs\n0 0 0\n0.3 1 2\n",
+        )
+        .expect("well-formed table");
+        let recorded = TableManifest::of(&table);
+        assert_eq!(recorded.rows, 2);
+        let mut m = sample();
+        m.table = Some(recorded.clone());
+        let doc = json::parse(&m.to_json()).expect("own output parses");
+        let section = doc.field("table").expect("table section");
+        let digest = format!("{:08x}", recorded.crc32);
+        assert_eq!(
+            section.field("crc32").and_then(JsonValue::as_str),
+            Some(digest.as_str())
+        );
+        assert_eq!(section.field("rows").and_then(JsonValue::as_usize), Some(2));
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod manifest;
 mod metrics;
 mod runlog;
 
-pub use manifest::{FleetManifest, GridManifest, RunManifest, ThroughputManifest};
+pub use manifest::{FleetManifest, GridManifest, RunManifest, TableManifest, ThroughputManifest};
 pub use metrics::{MetricsRecorder, MetricsSnapshot, StageWorkspace, StatSummary};
 pub use runlog::RunLog;
 pub(crate) use runlog::{parse_event, render_event};

@@ -4,22 +4,22 @@
 //! friends. It is organised BLIS-style in three layers:
 //!
 //! * [`pack`] — copies cache-block-sized pieces of `A` and `B` into
-//!   contiguous, zero-padded *panels* (`MR`-row panels of `A`, `NR`-column
-//!   panels of `B`) so the innermost loops only ever touch unit-stride
-//!   memory, regardless of the GEMM variant's logical transposes;
+//!   contiguous *panels* (`MR`-row panels of `A`, `NR`-column panels of
+//!   `B`) so the innermost loops only ever touch unit-stride memory,
+//!   regardless of the GEMM variant's logical transposes;
 //! * [`microkernel`] — the register-blocked `MR × NR` tile kernel: a
 //!   fixed-size `f32` accumulator array that LLVM keeps in vector
-//!   registers (f32x4-style lanes without any `unsafe`), fed one packed
+//!   registers (f32x8 lanes without any `unsafe`), fed one packed
 //!   `A`-panel and one packed `B`-panel;
-//! * the driver in this file — loops over `NC`/`MC` cache blocks, packs,
-//!   and dispatches tiles to the microkernel.
+//! * the driver in this file — loops over `NC` column, `KC` reduction
+//!   and `MC` row blocks, packs, and dispatches tiles to the microkernel.
 //!
 //! All three GEMM variants (`NN`, `TN`, `NT`) share this single driver:
-//! a variant is nothing but a `(row-stride, column-stride)` pair per
-//! operand (see [`GemmVariant::strides`]), and only the packing routines
-//! ever see strides. Shapes that are not multiples of the tile sizes are
-//! handled by zero-padding the panels — the microkernel always computes a
-//! full `MR × NR` tile and the store-back clips to the valid region.
+//! a variant is nothing but a storage [`pack::Layout`] per operand (see
+//! [`GemmVariant::layouts`]), and only the packing routines ever see
+//! storage. Shapes that are not multiples of the tile sizes are handled
+//! by zero-padding the panels — the microkernel always computes a full
+//! `MR × NR` tile and the store-back clips to the valid region.
 //!
 //! # Determinism and accuracy
 //!
@@ -37,15 +37,17 @@
 //! to them; the harness and the property tests gate it against the naive
 //! oracle with a reduction-length-scaled tolerance.
 //!
-//! The packed panels span the *full* reduction dimension instead of
-//! being blocked along `k` the way classic BLIS `KC` blocking would:
-//! splitting `k` would sum each block into the register tile separately
-//! and then add block subtotals, making the result depend on the block
-//! size chosen. One register tile per output block accumulates the whole
-//! chain in order, keeping the kernel's rounding a pure function of the
-//! operands, at the price of pack buffers that grow with `k`
-//! (`MC × k` and `k × NC` floats — comfortably cache-sized for every
-//! layer shape in this framework).
+//! The packed kernel's result is also a fixed function of the operands
+//! alone, whatever the block sizes: every output element is one FMA
+//! chain that starts from `+0.0`, applies `b.mul_add(a, acc)` for
+//! `p = 0, 1, …, k - 1`, and is stored as `+0.0 + acc` into the zeroed
+//! output. The reduction dimension is cut into [`KC`]-step panels, and a
+//! tile's accumulator is carried across them through `C`: its raw
+//! partial sum is stored at the end of one panel and reloaded at the
+//! start of the next. A store and a reload round nothing, so the chain
+//! is the one a single full-`k` panel would run, with no block subtotals
+//! added. The property tests hold the packed kernel to that FMA-chain
+//! oracle bit for bit at `k` on both sides of `KC`.
 //!
 //! # Dispatch
 //!
@@ -63,13 +65,20 @@ pub mod reference;
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 use microkernel::{MR, NR};
+use pack::Layout;
+use std::cell::RefCell;
 
-/// Row cache block: one packed `A` block is `MC × k` floats, sized so a
-/// single `k × MR` micro-panel stays L1-resident while every `B` panel
-/// of the block streams past it.
+/// Row cache block: one packed `A` block is at most `MC × KC` floats,
+/// and each of its `KC × MR` micro-panels stays L1-resident while every
+/// `B` panel of the block streams past it.
 pub(crate) const MC: usize = 128;
 
-/// Column cache block: one packed `B` block is `k × NC` floats at most,
+/// Reduction block: panels span at most `KC` steps. Each output tile's
+/// accumulator is carried across the panels through `C` (module docs),
+/// so the value only sizes the pack buffers and never moves a bit.
+pub const KC: usize = 512;
+
+/// Column cache block: one packed `B` block is at most `KC × NC` floats,
 /// streamed through the microkernel once per `MC` rows.
 pub(crate) const NC: usize = 1024;
 
@@ -99,16 +108,17 @@ impl GemmVariant {
         }
     }
 
-    /// `((rsa, csa), (rsb, csb))`: element `a(i, p)` of the *logical*
-    /// `(m, k)` left operand lives at `ad[i * rsa + p * csa]`, and
-    /// element `b(p, j)` of the logical `(k, n)` right operand at
-    /// `bd[p * rsb + j * csb]`. Transposition is nothing but a stride
-    /// swap, which is why one packed driver serves all three variants.
-    pub(crate) fn strides(self, m: usize, k: usize, n: usize) -> ((usize, usize), (usize, usize)) {
+    /// The storage layout of the logical `(m, k)` left operand and the
+    /// logical `(k, n)` right operand, in the packers' terms: the lanes
+    /// of `A` are its rows `i`, the lanes of `B` its columns `j`, and
+    /// both share the reduction steps `p`. Transposition is nothing but
+    /// a change of layout, which is why one packed driver serves all
+    /// three variants.
+    pub(crate) fn layouts(self, m: usize, k: usize, n: usize) -> (Layout, Layout) {
         match self {
-            GemmVariant::NN => ((k, 1), (n, 1)),
-            GemmVariant::TN => ((1, m), (n, 1)),
-            GemmVariant::NT => ((k, 1), (1, k)),
+            GemmVariant::NN => (Layout::Reduction(k), Layout::Step(n)),
+            GemmVariant::TN => (Layout::Step(m), Layout::Step(n)),
+            GemmVariant::NT => (Layout::Reduction(k), Layout::Reduction(k)),
         }
     }
 
@@ -181,10 +191,9 @@ pub(crate) fn use_packed(m: usize, k: usize, n: usize) -> bool {
     m >= MR && n >= NR && k >= 2 && m * k * n >= PACKED_MIN_MACS
 }
 
-/// Computes `C += op(A) · op(B)` over a **pre-zeroed** (or accumulating)
-/// output slice, choosing between the packed and blocked kernels by
-/// shape. This is the single compute entry behind every `matmul*`
-/// public function.
+/// Computes `C = op(A) · op(B)` into `cd`, which callers zero first,
+/// choosing between the packed and blocked kernels by shape. This is
+/// the single compute entry behind every `matmul*` public function.
 pub(crate) fn dispatch_into(
     variant: GemmVariant,
     m: usize,
@@ -195,62 +204,99 @@ pub(crate) fn dispatch_into(
     cd: &mut [f32],
 ) {
     if use_packed(m, k, n) {
-        let ((rsa, csa), (rsb, csb)) = variant.strides(m, k, n);
-        gemm_packed(m, k, n, ad, rsa, csa, bd, rsb, csb, cd);
+        let (a, b) = variant.layouts(m, k, n);
+        gemm_packed(m, k, n, ad, a, bd, b, cd);
     } else {
         reference::blocked_slices(variant, m, k, n, ad, bd, cd);
     }
 }
 
+thread_local! {
+    /// Per-thread pack buffer of [`gemm_packed`]: one packed `A` block
+    /// (at most `MC × KC` floats) followed by one packed `B` block (at
+    /// most `KC × NC`). It grows to the largest pair of blocks the
+    /// thread has packed and is then reused, so the packed path does not
+    /// allocate once warm. It is never cleared: the packers write every
+    /// float of a panel, padding included, before the microkernel reads
+    /// it, so results never depend on what it held.
+    static PACKS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The packed, cache-tiled, register-blocked driver. `cd` must hold
-/// `m * n` elements and is accumulated into (callers zero it first).
+/// `m * n` elements, zeroed by the caller: each is overwritten, except
+/// when `k == 0`, which leaves the zeros.
 ///
-/// Loop structure, outermost first: `NC` column blocks of `B` (each
-/// packed once into `bpack`), `MC` row blocks of `A` (each packed once
-/// into `apack`), then `MR × NR` register tiles. Panels span the full
-/// reduction dimension so each output element is one ascending-`k`
-/// accumulation chain — the bit-exactness invariant of the module docs.
+/// Loop structure, outermost first: `NC` column blocks, `KC` reduction
+/// panels (the `B` block of each is packed once), `MC` row blocks (the
+/// `A` block of each is packed once), then `MR × NR` register tiles.
 /// The packed `A` micro-panel is the hot operand: it stays in L1 while
-/// every `B` panel of the block streams past it.
-// BLAS-style kernel signature: problem size + two strided operands + out.
+/// every `B` panel of the block streams past it. A tile's accumulator
+/// starts from `+0.0` on the first panel, is reloaded from `C` on every
+/// later one, and is stored raw to `C` between panels, so each output
+/// element is one ascending-`k` FMA chain — the bit-exactness invariant
+/// of the module docs.
+// BLAS-style kernel signature: problem size + two operands + out.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed(
     m: usize,
     k: usize,
     n: usize,
     ad: &[f32],
-    rsa: usize,
-    csa: usize,
+    a: Layout,
     bd: &[f32],
-    rsb: usize,
-    csb: usize,
+    b: Layout,
     cd: &mut [f32],
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // xtask:allow(hot-path-alloc): pack buffers are O(k·(MC+NC)) and amortised over O(m·k·n) multiply-adds; tensor-level callers reuse `out`, the packing copies are the price of unit-stride inner loops
-    let mut apack: Vec<f32> = Vec::new();
-    // xtask:allow(hot-path-alloc): second half of the same amortised pack workspace
-    let mut bpack: Vec<f32> = Vec::new();
-    for jc in (0..n).step_by(NC) {
-        let nc = (jc + NC).min(n) - jc;
-        pack::pack_b(bd, rsb, csb, 0, jc, k, nc, &mut bpack);
-        for ic in (0..m).step_by(MC) {
-            let mc = (ic + MC).min(m) - ic;
-            pack::pack_a(ad, rsa, csa, ic, 0, mc, k, &mut apack);
-            for (qa, ap) in apack.chunks_exact(k * MR).enumerate() {
-                let i0 = ic + qa * MR;
-                let mr_v = MR.min(mc - qa * MR);
-                for (qb, bp) in bpack.chunks_exact(k * NR).enumerate() {
-                    let j0 = jc + qb * NR;
-                    let nr_v = NR.min(nc - qb * NR);
-                    let acc = microkernel::microtile(ap, bp);
-                    microkernel::store_tile(&acc, cd, n, i0, j0, mr_v, nr_v);
+    let a_len = m.min(MC).div_ceil(MR) * MR * k.min(KC);
+    let b_len = n.min(NC).div_ceil(NR) * NR * k.min(KC);
+    PACKS.with_borrow_mut(|packs| {
+        if packs.len() < a_len + b_len {
+            packs.resize(a_len + b_len, 0.0);
+        }
+        let (apack, bpack) = packs.split_at_mut(a_len);
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let (first, last) = (pc == 0, pc + kc == k);
+                pack::pack::<NR>(bd, b, jc, nc, pc, kc, bpack);
+                // xtask:allow(index): b_len covers ceil(nc / NR) panels of kc × NR floats
+                let bpanels = &bpack[..nc.div_ceil(NR) * kc * NR];
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    pack::pack::<MR>(ad, a, ic, mc, pc, kc, apack);
+                    // xtask:allow(index): a_len covers ceil(mc / MR) panels of kc × MR floats
+                    let apanels = &apack[..mc.div_ceil(MR) * kc * MR];
+                    for (qa, ap) in apanels.chunks_exact(kc * MR).enumerate() {
+                        let i0 = ic + qa * MR;
+                        let mr_v = MR.min(mc - qa * MR);
+                        for (qb, bp) in bpanels.chunks_exact(kc * NR).enumerate() {
+                            let tile = microkernel::Tile {
+                                i0,
+                                j0: jc + qb * NR,
+                                rows: mr_v,
+                                cols: NR.min(nc - qb * NR),
+                            };
+                            let acc = if first {
+                                [[0.0; NR]; MR]
+                            } else {
+                                tile.load(cd, n)
+                            };
+                            let acc = microkernel::microtile(acc, ap, bp);
+                            if last {
+                                tile.store_finished(&acc, cd, n);
+                            } else {
+                                tile.store_partial(&acc, cd, n);
+                            }
+                        }
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// Runs the packed kernel for `variant` into `out` regardless of shape
@@ -272,19 +318,8 @@ pub fn packed_into(variant: GemmVariant, a: &Tensor, b: &Tensor, out: &mut Tenso
     let (m, k, n) = variant.problem_size("gemm_packed_into", a, b)?;
     check_out("gemm_packed_into", out, m, n)?;
     out.fill_zero();
-    let ((rsa, csa), (rsb, csb)) = variant.strides(m, k, n);
-    gemm_packed(
-        m,
-        k,
-        n,
-        a.data(),
-        rsa,
-        csa,
-        b.data(),
-        rsb,
-        csb,
-        out.data_mut(),
-    );
+    let (la, lb) = variant.layouts(m, k, n);
+    gemm_packed(m, k, n, a.data(), la, b.data(), lb, out.data_mut());
     Ok(())
 }
 
@@ -305,14 +340,16 @@ mod tests {
     }
 
     #[test]
-    fn strides_address_the_logical_operands() {
+    fn layouts_address_the_logical_operands() {
         // NN: a(i, p) at i*k + p; TN reads the transpose in place.
-        let ((rsa, csa), (rsb, csb)) = GemmVariant::TN.strides(3, 5, 2);
-        assert_eq!((rsa, csa), (1, 3));
-        assert_eq!((rsb, csb), (2, 1));
-        let ((rsa, csa), (rsb, csb)) = GemmVariant::NT.strides(3, 5, 2);
-        assert_eq!((rsa, csa), (5, 1));
-        assert_eq!((rsb, csb), (1, 5));
+        assert_eq!(
+            GemmVariant::NN.layouts(3, 5, 2),
+            (Layout::Reduction(5), Layout::Step(2))
+        );
+        let (a, b) = GemmVariant::TN.layouts(3, 5, 2);
+        assert_eq!((a.strides(), b.strides()), ((1, 3), (1, 2)));
+        let (a, b) = GemmVariant::NT.layouts(3, 5, 2);
+        assert_eq!((a.strides(), b.strides()), ((5, 1), (5, 1)));
     }
 
     #[test]
@@ -344,9 +381,9 @@ mod tests {
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (MR - 1, 3, NR - 1),
-            (MR, 256, NR),
-            (MR + 1, 257, NR + 1),
-            (2 * MR + 3, 517, 2 * NR + 7),
+            (MR, KC, NR),
+            (MR + 1, KC + 1, NR + 1),
+            (2 * MR + 3, 2 * KC + 37, 2 * NR + 7),
             (MC + MR + 1, 259, NR + 3),
         ] {
             for (variant, adim, bdim) in [
@@ -367,6 +404,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn packed_bits(variant: GemmVariant, (m, k, n): (usize, usize, usize)) -> Vec<u32> {
+        let (adim, bdim) = match variant {
+            GemmVariant::NN => ([m, k], [k, n]),
+            GemmVariant::TN => ([k, m], [k, n]),
+            GemmVariant::NT => ([m, k], [n, k]),
+        };
+        let mut out = Tensor::full([m, n], f32::NAN);
+        packed_into(variant, &rand(adim, 5), &rand(bdim, 6), &mut out).expect("conformable");
+        out.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn dirty_pack_buffers_never_reach_a_result() {
+        // A large product fills this thread's pack buffer with its
+        // panels; a smaller, ragged one run after it must match the same
+        // product on a fresh thread, whose buffer starts empty.
+        for variant in [GemmVariant::NN, GemmVariant::TN, GemmVariant::NT] {
+            packed_bits(variant, (MC + 9, 2 * KC + 37, 5 * NR + 3));
+            let small = (MR + 3, KC + 1, NR + 5);
+            let dirty = packed_bits(variant, small);
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| packed_bits(variant, small))
+                    .join()
+                    .expect("the fresh thread runs")
+            });
+            assert_eq!(dirty, fresh, "variant {}", variant.name());
+        }
+    }
+
+    #[test]
+    fn chains_carried_across_panels_keep_their_signed_zero() {
+        // Every product underflows to -0.0, so each chain is -0.0 from
+        // its first step on, across the KC boundary; the finished store
+        // adds it to +0.0 as the zeroed output does, giving +0.0.
+        let (m, k, n) = (MR, KC + 3, NR);
+        let a = Tensor::full([m, k], 1e-30);
+        let b = Tensor::full([k, n], -1e-30);
+        let mut out = Tensor::full([m, n], f32::NAN);
+        packed_into(GemmVariant::NN, &a, &b, &mut out).expect("conformable");
+        assert!(out.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
     }
 
     #[test]

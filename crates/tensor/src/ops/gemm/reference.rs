@@ -67,13 +67,14 @@ pub(crate) fn naive_slices(
     bd: &[f32],
     cd: &mut [f32],
 ) {
-    let ((rsa, csa), (rsb, csb)) = variant.strides(m, k, n);
+    let (a, b) = variant.layouts(m, k, n);
+    let ((a_lane, a_step), (b_lane, b_step)) = (a.strides(), b.strides());
     for (i, crow) in cd.chunks_exact_mut(n.max(1)).enumerate().take(m) {
         for (j, c) in crow.iter_mut().enumerate() {
             let mut acc = 0.0f32;
             for p in 0..k {
-                let av = ad.get(i * rsa + p * csa).copied().unwrap_or(0.0);
-                let bv = bd.get(p * rsb + j * csb).copied().unwrap_or(0.0);
+                let av = ad.get(i * a_lane + p * a_step).copied().unwrap_or(0.0);
+                let bv = bd.get(j * b_lane + p * b_step).copied().unwrap_or(0.0);
                 acc += av * bv;
             }
             *c = acc;

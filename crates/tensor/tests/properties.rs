@@ -16,8 +16,18 @@ fn gemm_axis() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Strategy: a reduction length, also drawn just below, at and past the
+/// packed kernel's reduction block `KC` and across two of its panels.
+fn gemm_k() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        5 => gemm_axis(),
+        1 => (gemm::KC - 1)..=(gemm::KC + 1),
+        1 => Just(2 * gemm::KC + 37),
+    ]
+}
+
 fn gemm_dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (gemm_axis(), gemm_axis(), gemm_axis())
+    (gemm_axis(), gemm_k(), gemm_axis())
 }
 
 /// Tolerance for comparing the fused (FMA) packed kernel against the
@@ -45,6 +55,56 @@ fn variant_operands(
         Tensor::rand_uniform(adim, -10.0, 10.0, seed),
         Tensor::rand_uniform(bdim, -10.0, 10.0, seed.wrapping_add(1)),
     )
+}
+
+/// [`variant_operands`] with about one entry in eight set to `+0.0` and
+/// one in eight to `-0.0`, the exact zeros FAP masks write into operands.
+fn masked_operands(
+    variant: GemmVariant,
+    m: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+) -> (Tensor, Tensor) {
+    let (mut a, mut b) = variant_operands(variant, m, k, n, seed);
+    for t in [&mut a, &mut b] {
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                _ => {}
+            }
+        }
+    }
+    (a, b)
+}
+
+/// The packed kernel's exact contract, one element at a time: an FMA
+/// chain from `+0.0` over ascending `k`, `acc = b.mul_add(a, acc)`,
+/// stored as `0.0 + acc` (the zeroed output it is added to).
+fn fma_chain_oracle(
+    variant: GemmVariant,
+    a: &Tensor,
+    b: &Tensor,
+    (m, k, n): (usize, usize, usize),
+) -> Tensor {
+    let (ad, bd) = (a.data(), b.data());
+    let at = |i: usize, p: usize| match variant {
+        GemmVariant::TN => ad[p * m + i],
+        GemmVariant::NN | GemmVariant::NT => ad[i * k + p],
+    };
+    let bt = |p: usize, j: usize| match variant {
+        GemmVariant::NT => bd[j * k + p],
+        GemmVariant::NN | GemmVariant::TN => bd[p * n + j],
+    };
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let acc = (0..k).fold(0.0f32, |acc, p| bt(p, j).mul_add(at(i, p), acc));
+            out.push(0.0 + acc);
+        }
+    }
+    Tensor::from_vec(out, [m, n]).expect("m * n elements")
 }
 
 /// Strategy: a small matrix with bounded entries.
@@ -207,6 +267,26 @@ proptest! {
             gemm::reference::naive_into(variant, &a, &b, &mut naive).expect("conformable");
             prop_assert!(
                 packed.approx_eq(&naive, fma_tol(k)),
+                "variant {} shape {}x{}x{}", variant.name(), m, k, n
+            );
+        }
+    }
+
+    #[test]
+    fn packed_kernel_is_bit_identical_to_the_fma_chain_oracle(
+        (m, k, n) in gemm_dims(),
+        seed in 0u64..1000,
+    ) {
+        // Whatever the blocking (k on both sides of KC, ragged tiles),
+        // every element is one ascending-k FMA chain from +0.0, including
+        // on FAP-masked operands with exact signed zeros.
+        for variant in [GemmVariant::NN, GemmVariant::TN, GemmVariant::NT] {
+            let (a, b) = masked_operands(variant, m, k, n, seed);
+            let mut packed = Tensor::full([m, n], f32::NAN);
+            gemm::packed_into(variant, &a, &b, &mut packed).expect("conformable");
+            let want = fma_chain_oracle(variant, &a, &b, (m, k, n));
+            prop_assert_eq!(
+                bits(&packed), bits(&want),
                 "variant {} shape {}x{}x{}", variant.name(), m, k, n
             );
         }

@@ -140,8 +140,12 @@ cargo run -q -p reduce-bench --release --bin fig2 -- \
     --io-fault enospc@1000000 >/dev/null 2>"$sweep_dir/probe.err" || rc=$?
 [ "$rc" -eq 0 ] || { echo "op-count probe failed ($rc)"; cat "$sweep_dir/probe.err"; exit 1; }
 total_ops=$(grep -oE "beyond the run's [0-9]+" "$sweep_dir/probe.err" | grep -oE '[0-9]+')
-[ -n "$total_ops" ] && [ "$total_ops" -ge 30 ] || {
-    echo "probe reported too few artifact IO ops: '${total_ops:-none}'"; exit 1; }
+# The campaign's artifact IO-op count repeats exactly at any thread count,
+# so it is pinned: a change that adds or drops an IO op re-records the
+# file and says why in CHANGES.md.
+expected_ops=$(cat scripts/expected/fig2-chaos/io_ops.txt)
+[ "${total_ops:-none}" = "$expected_ops" ] || {
+    echo "probe counted '${total_ops:-none}' artifact IO ops, expected $expected_ops"; exit 1; }
 kinds=(torn short enospc rename-fail)
 repaired=0
 for ((i = 0; i < total_ops; i++)); do
