@@ -53,7 +53,7 @@ use crate::error::{ReduceError, Result};
 use crate::telemetry::{self, Event, NullObserver, Observer, Stage};
 use reduce_nn::WorkspaceStats;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a framework entry point executes: worker-thread count plus the
@@ -177,7 +177,9 @@ pub fn resolve_workers(threads: usize, jobs: usize) -> usize {
 /// `threads == 0` auto-sizes the pool (see [`resolve_workers`]); one
 /// worker (or one item) degenerates to an inline sequential loop with the
 /// same panic containment, so sequential and parallel runs share one code
-/// path and one behaviour.
+/// path and one behaviour: once a job fails, no worker claims another
+/// (jobs already running finish), just as the loop stops at its first
+/// error.
 ///
 /// # Errors
 ///
@@ -199,12 +201,21 @@ where
     }
     // Work queue of item indices; slot `i` only ever receives job `i`'s
     // result, which is what makes the output order-independent of the
-    // scheduling.
+    // scheduling. Indices are claimed in order, so when job `i` fails
+    // every job below `i` is already claimed and will fill its slot: the
+    // slots left empty by stopping early all lie above a failure, and the
+    // in-order scan below returns an error before it reaches one. `failed`
+    // publishes no data (results travel through the slot mutexes and the
+    // scope's join), so `Relaxed` suffices.
     let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
     let slots: Vec<Mutex<Option<Result<R>>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
+                if failed.load(Ordering::Relaxed) {
+                    break;
+                }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
@@ -213,6 +224,9 @@ where
                     break;
                 };
                 let out = run_contained(&job, i, item);
+                if out.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
                 // Jobs cannot panic (contained above), so the lock cannot
                 // be poisoned by this loop; handle poisoning anyway — the
                 // stored value is still the slot we are about to fill.
@@ -713,6 +727,35 @@ mod tests {
         match res {
             Err(ReduceError::InvalidConfig { what }) => assert_eq!(what, "job 5"),
             other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parallel_workers_stop_claiming_jobs_after_a_failure() {
+        let items: Vec<usize> = (0..1000).collect();
+        for threads in [2usize, 4] {
+            let ran = AtomicUsize::new(0);
+            let res: Result<Vec<usize>> = parallel_map(&items, threads, |i, &x| {
+                if i == 0 {
+                    return Err(ReduceError::InvalidConfig {
+                        what: "job 0".to_string(),
+                    });
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                ran.fetch_add(1, Ordering::Relaxed);
+                Ok(x)
+            });
+            match res {
+                Err(ReduceError::InvalidConfig { what }) => assert_eq!(what, "job 0"),
+                other => panic!("expected the job 0 error, got {other:?}"),
+            }
+            // Only the jobs already claimed when job 0 failed run: about
+            // one per other worker, far from the 999 a full map runs.
+            let ran = ran.load(Ordering::Relaxed);
+            assert!(
+                ran < items.len() / 2,
+                "{threads} threads ran {ran} jobs after job 0 failed"
+            );
         }
     }
 

@@ -12,6 +12,9 @@
 //! bounded by the shard size — not by the total number of records — while
 //! a killed process still always leaves a complete, parseable journal: the
 //! worst case loses the in-flight jobs, never corrupts the finished ones.
+//! The shard size therefore sets what an append costs: a shard of `n`
+//! records is rewritten `n` times before it seals, so the bytes written
+//! per shard grow as `n²` ([`DEFAULT_SHARD_RECORDS`] says why it is 32).
 //!
 //! # Integrity framing
 //!
@@ -78,25 +81,48 @@ use reduce_systolic::Cluster;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Default records per shard segment: large enough that a shard rewrite
-/// stays one buffered write, small enough that per-append I/O is trivially
-/// bounded even for million-chip journals.
-pub const DEFAULT_SHARD_RECORDS: usize = 256;
+/// Default records per shard segment. Every append rewrites the whole
+/// active shard, so this size is what one append costs. The streaming
+/// fleet journals one record per 32-chip batch (about 12.6 KB for the
+/// toy workbench), so 32 records — one default 1 024-chip intake window
+/// — keep the largest rewrite near 400 KB, where 256 records grew it to
+/// 3.2 MB and wrote each shard's bytes about 110 times over. The price is
+/// more seals, each one more manifest write (five artifact IO ops, two
+/// fsyncs). A resumed journal keeps the size its manifest names.
+pub const DEFAULT_SHARD_RECORDS: usize = 32;
 
-/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bit-reflected. A
-/// hand-rolled bitwise implementation: journal lines are short and shard
-/// digests are computed once per seal, so a lookup table isn't worth the
-/// footprint.
+/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bit-reflected, one
+/// table lookup per byte. A fleet batch line is about 12.6 KB and resume
+/// runs the CRC over each shard twice (its frames, then its whole-file
+/// digest), so the eight shift steps per byte of a bitwise loop show up.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        // xtask:allow(index): a `u8` index always lies inside the 256-entry table
+        crc = (crc >> 8) ^ CRC32_TABLE[usize::from(crc as u8 ^ b)];
     }
     !crc
+}
+
+/// `CRC32_TABLE[n]`: the CRC register after byte `n` is shifted through
+/// the eight steps of the bitwise loop.
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut n = 0;
+    while n < 256 {
+        let mut crc = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        // xtask:allow(index): the loop bound keeps `n` below the table's 256 entries
+        table[n] = crc;
+        n += 1;
+    }
+    table
 }
 
 /// Frames a JSON payload as one v3 journal line:
@@ -283,8 +309,10 @@ struct Store {
     /// Whole-file digest of each sealed shard, in shard order; the active
     /// shard's index is `sealed.len()`.
     sealed: Vec<String>,
-    /// Framed lines of the active (partial) shard, exactly as on disk.
-    active: Vec<String>,
+    /// The active (partial) shard's framed lines, exactly as on disk.
+    active: String,
+    /// Records in `active`.
+    active_records: usize,
 }
 
 struct CheckpointState {
@@ -324,7 +352,8 @@ impl Checkpoint {
                     shard_records: DEFAULT_SHARD_RECORDS,
                     manifest_written: false,
                     sealed: Vec::new(),
-                    active: Vec::new(),
+                    active: String::new(),
+                    active_records: 0,
                 },
                 io: IoStats::default(),
             }),
@@ -340,7 +369,7 @@ impl Checkpoint {
         if n > 0 {
             if let Ok(mut state) = self.state.lock() {
                 let store = &mut state.store;
-                if !store.manifest_written && store.active.is_empty() {
+                if !store.manifest_written && store.active_records == 0 {
                     store.shard_records = n;
                 }
             }
@@ -423,7 +452,10 @@ impl Checkpoint {
     }
 
     /// Appends one sealed outcome, atomically rewriting only the active
-    /// shard so the on-disk journal is complete after every append.
+    /// shard so the on-disk journal is complete after every append. The
+    /// record is rendered and framed before the lock is taken, so
+    /// concurrent appenders serialise only on the push and the writes,
+    /// and records keep one order in memory and on disk.
     ///
     /// # Errors
     ///
@@ -431,8 +463,8 @@ impl Checkpoint {
     /// checkpoint as fatal (the resume contract would otherwise be
     /// silently broken).
     pub fn append(&self, record: JournalRecord) -> Result<()> {
-        let mut state = self.lock()?;
         let line = frame_line(&render_record(&record));
+        let mut state = self.lock()?;
         state.records.push(record);
         let store = &mut state.store;
         let mut bytes: u64 = 0;
@@ -442,24 +474,29 @@ impl Checkpoint {
             write_atomic(&self.path, &manifest)?;
             store.manifest_written = true;
         }
-        store.active.push(line);
-        if store.active.len() >= store.shard_records {
+        store.active.push_str(&line);
+        store.active_records += 1;
+        let shard = shard_path(&self.path, store.sealed.len());
+        if store.active_records >= store.shard_records {
             // Seal: the footered shard goes to disk *before* the manifest
             // that names its digest — a crash between the two leaves a
             // footered shard resume detects and adopts without data loss.
-            let mut contents = store.active.concat();
-            contents.push_str(&render_footer(store.active.len()));
-            bytes += contents.len() as u64;
-            write_atomic(&shard_path(&self.path, store.sealed.len()), &contents)?;
-            store.sealed.push(shard_digest(&contents));
+            let body = store.active.len();
+            store.active.push_str(&render_footer(store.active_records));
+            bytes += store.active.len() as u64;
+            if let Err(e) = write_atomic(&shard, &store.active) {
+                store.active.truncate(body);
+                return Err(e);
+            }
+            store.sealed.push(shard_digest(&store.active));
             store.active.clear();
+            store.active_records = 0;
             let manifest = render_manifest(store.shard_records, &store.sealed);
             bytes += manifest.len() as u64;
             write_atomic(&self.path, &manifest)?;
         } else {
-            let contents = store.active.concat();
-            bytes += contents.len() as u64;
-            write_atomic(&shard_path(&self.path, store.sealed.len()), &contents)?;
+            bytes += store.active.len() as u64;
+            write_atomic(&shard, &store.active)?;
         }
         state.io.appends += 1;
         state.io.bytes_written += bytes;
@@ -878,31 +915,32 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
     let mut dropped_bytes = 0usize;
 
     let mut sealed_digests: Vec<String> = Vec::new();
-    let mut active: Vec<String> = Vec::new();
+    let mut active = String::new();
+    let mut active_records = 0usize;
     let mut manifest_dirty = manifest_damage.is_some();
     for (i, shard) in shards.into_iter().enumerate() {
         if damage_shard == Some(i) {
             // Truncate this shard back to its valid record prefix.
             let dropped_slots = shard.dropped_record_slots();
-            let mut lines = Vec::with_capacity(shard.valid.len());
+            let kept_here = shard.valid.len();
+            let mut contents = String::new();
             for (line, record) in shard.valid {
-                lines.push(line);
+                contents.push_str(&line);
                 records.push(record);
             }
-            let kept_here = lines.len();
             let resealable = kept_here == shard_records;
-            let mut contents = lines.concat();
             if resealable {
                 contents.push_str(&render_footer(kept_here));
             }
             write_atomic(&shard_path(path, i), &contents)?;
+            manifest_dirty = true;
+            let dropped = shard.bytes.saturating_sub(contents.len());
             if resealable {
                 sealed_digests.push(shard_digest(&contents));
             } else {
-                active = lines;
+                active = contents;
+                active_records = kept_here;
             }
-            manifest_dirty = true;
-            let dropped = shard.bytes.saturating_sub(contents.len());
             observer.on_event(&Event::ShardTruncated {
                 shard: i,
                 kept: kept_here,
@@ -941,8 +979,9 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
             }
         } else {
             // The clean active (partial) shard.
+            active_records = shard.valid.len();
             for (line, record) in shard.valid {
-                active.push(line);
+                active.push_str(&line);
                 records.push(record);
             }
         }
@@ -967,6 +1006,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
             manifest_written: true,
             sealed: sealed_digests,
             active,
+            active_records,
         },
         kept,
         dropped_records,
@@ -1796,11 +1836,39 @@ mod tests {
         }
     }
 
+    /// The bitwise CRC-32 the lookup table is built from: eight shift
+    /// steps per byte. The oracle [`crc32`] is held to.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The standard IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every single-byte input exercises one table entry.
+        for b in 0..=u8::MAX {
+            assert_eq!(crc32(&[b]), crc32_bitwise(&[b]), "byte {b:#04x}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn table_crc32_matches_the_bitwise_oracle(
+            bytes in proptest::collection::vec(0u8..=u8::MAX, 0..4096),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 
     #[test]
@@ -1937,6 +2005,43 @@ mod tests {
         assert_eq!(
             inspect_journal(&path).expect("inspect").status,
             JournalStatus::Clean
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_failed_seal_leaves_the_active_shard_unsealed() {
+        use crate::artifact::{install_io_policy, FaultKind, FaultyIo, IoPolicy};
+        use std::sync::Arc;
+
+        let path = scratch("failed_seal");
+        let scope = path.parent().expect("has parent").to_path_buf();
+        std::fs::create_dir_all(&scope).expect("temp dir");
+        let journal = Checkpoint::create(&path).with_shard_records(2);
+        journal.append(small_record(0)).expect("append");
+        // The second append seals shard 0: its temporary-file write (the
+        // seal's second IO op) runs out of space.
+        {
+            let io = Arc::new(FaultyIo::armed(&scope, 0, 1, FaultKind::Enospc));
+            let _guard = install_io_policy(IoPolicy::Faulty(io.clone()));
+            assert!(journal.append(small_record(1)).is_err());
+            assert!(io.fired());
+        }
+        // The disk recovers and an appender already in flight carries on:
+        // the failed seal's footer must not strand the record behind it.
+        journal
+            .append(small_record(2))
+            .expect("append after the failed seal");
+        assert_eq!(
+            inspect_journal(&path).expect("inspect").status,
+            JournalStatus::Clean
+        );
+        assert_eq!(
+            Checkpoint::resume(&path)
+                .expect("resume")
+                .records()
+                .expect("records"),
+            (0..3).map(small_record).collect::<Vec<_>>()
         );
         cleanup(&path);
     }

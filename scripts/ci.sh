@@ -262,6 +262,24 @@ cargo run -q -p reduce-bench --release --bin fig3 -- \
 # One record per grid cell and one per fleet batch, pinned like the fig2
 # chaos journal above.
 diff scripts/expected/fig3-smoke-efat/journal_stat.txt <(jt_stat "$efat_dir/ref")
+# Its artifact IO-op count repeats exactly at any thread count, so it is
+# pinned like the fig2 chaos campaign's: probed at one and four threads
+# with a fault armed past the end of the run.
+efat_ops=$(cat scripts/expected/fig3-smoke-efat/io_ops.txt)
+for threads in 1 4; do
+    probe="$efat_dir/probe-t$threads"
+    mkdir -p "$probe"
+    rc=0
+    cargo run -q -p reduce-bench --release --bin fig3 -- \
+        --scale smoke --strategy efat --threads "$threads" \
+        --out "$probe" --redact-timing --io-fault enospc@1000000 \
+        >/dev/null 2>"$probe.err" || rc=$?
+    [ "$rc" -eq 0 ] || { echo "fig3 eFAT op-count probe failed ($rc)"; cat "$probe.err"; exit 1; }
+    ops=$(grep -oE "beyond the run's [0-9]+" "$probe.err" | grep -oE '[0-9]+' || true)
+    [ "${ops:-none}" = "$efat_ops" ] || {
+        echo "fig3 eFAT probe at $threads thread(s) counted '${ops:-none}' artifact IO ops, expected $efat_ops"
+        exit 1; }
+done
 rc=0
 cargo run -q -p reduce-bench --release --bin fig3 -- \
     --scale smoke --strategy efat --threads 4 \
@@ -280,7 +298,8 @@ diff "$efat_dir/ref/manifest.json" "$efat_dir/cut/manifest.json"
 jt verify "$efat_dir/cut" >/dev/null || {
     echo "resumed eFAT journal did not verify clean"; exit 1; }
 echo "    clustered artifacts are byte-identical across thread counts and"
-echo "    across kill-and-resume (journal verifies clean after resume)"
+echo "    across kill-and-resume (journal verifies clean after resume); the"
+echo "    run performs $efat_ops artifact IO ops at 1 and 4 threads"
 
 echo "==> perfbench output gate (every workload once at the recorded seed)"
 # perfbench/ is its own cargo package, so nothing above builds it: an API

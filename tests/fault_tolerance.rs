@@ -11,11 +11,13 @@
 //! * retried jobs re-derive their seeds deterministically, so chaotic runs
 //!   are exactly reproducible.
 
+use reduce_repro::core::artifact::{install_io_policy, FaultKind, FaultyIo, IoOp, IoPolicy};
 use reduce_repro::core::exec::ChaosPolicy;
 use reduce_repro::core::telemetry::{Observer, RunLog};
 use reduce_repro::core::{
-    Checkpoint, ExecConfig, FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig,
-    RetrainPolicy, Workbench,
+    inspect_journal, Checkpoint, ExecConfig, FatRunner, FleetEvaluation, JournalStatus,
+    ResilienceAnalysis, ResilienceConfig, RetrainPolicy, SeededChips, Workbench,
+    DEFAULT_SHARD_RECORDS,
 };
 use reduce_repro::systolic::{generate_fleet, Chip, FaultModel, FleetConfig, RateDistribution};
 use std::io::Write;
@@ -340,6 +342,122 @@ fn fleet_resume_crosses_shard_boundaries() {
         "resumed redacted run log differs from uninterrupted"
     );
     assert_eq!(resumed_cp.records().expect("readable").len(), 6);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The default shard size on a fleet-sized journal: 70 batch records seal
+/// two 32-record shards, no append rewrites more than one full shard plus
+/// the manifest, and a crash at the second seal — at its shard write or at
+/// its manifest write, torn or out of space — resumes to the uninterrupted
+/// report.
+#[test]
+fn default_shard_fleet_journal_seals_and_resumes_across_a_seal() {
+    let wb = Workbench::toy(707);
+    let pre = wb.pretrain(10).expect("valid workbench");
+    let runner = FatRunner::new(wb).expect("valid workbench");
+    // 70 batches of 32 chips: two full 1 024-chip windows and a 192-chip
+    // tail.
+    let chips = SeededChips::new(FleetConfig {
+        chips: 70 * 32,
+        rows: 8,
+        cols: 8,
+        rates: RateDistribution::Uniform { lo: 0.0, hi: 0.2 },
+        model: FaultModel::Random,
+        seed: 9,
+    });
+    let dir = scratch_dir("default_shards");
+    let exec = ExecConfig::new(2);
+    let run = |cp: &Checkpoint| {
+        FleetEvaluation::new(RetrainPolicy::Fixed(0), 0.85)
+            .source(&chips)
+            .journal(cp)
+            .exec(&exec)
+            .run(&runner, &pre)
+    };
+
+    // Uninterrupted reference, its artifact IO traced.
+    let full = dir.join("full");
+    let journal = full.join("journal.jsonl");
+    let counter = Arc::new(FaultyIo::counting(&full));
+    let (reference, io) = {
+        let _guard = install_io_policy(IoPolicy::Faulty(counter.clone()));
+        let cp = Checkpoint::create(&journal);
+        let report = run(&cp).expect("clean run");
+        (report, cp.io_stats().expect("journal stats"))
+    };
+    let health = inspect_journal(&journal).expect("inspect");
+    assert_eq!(health.status, JournalStatus::Clean);
+    assert_eq!(health.shard_records, DEFAULT_SHARD_RECORDS);
+    assert_eq!((health.records, health.sealed_shards), (70, 2));
+
+    // The largest append is a seal: one full shard, its footer and the
+    // manifest (on disk it names both seals, the most it ever holds).
+    let line_lens = |shard: usize| -> Vec<u64> {
+        let text = std::fs::read_to_string(full.join(format!("journal-{shard:05}.jsonl")))
+            .expect("shard file");
+        text.lines().map(|l| l.len() as u64 + 1).collect()
+    };
+    let sealed = line_lens(0);
+    let footer = *sealed.last().expect("sealed shard has a footer");
+    let largest_record = (0..3)
+        .flat_map(line_lens)
+        .filter(|&len| len != footer)
+        .max()
+        .expect("records on disk");
+    let manifest = std::fs::metadata(&journal).expect("manifest").len();
+    let bound = DEFAULT_SHARD_RECORDS as u64 * largest_record + footer + manifest;
+    assert!(
+        io.max_append_bytes <= bound,
+        "an append rewrote more than a shard: {} > {bound}",
+        io.max_append_bytes
+    );
+
+    // The second seal writes shard 1 for the last time, then the manifest
+    // for the last time. Crash at each rename: a torn rename publishes a
+    // truncated file, ENOSPC leaves the previous one in place.
+    let trace = counter.trace();
+    let last_rename = |file: &str| -> u64 {
+        trace
+            .iter()
+            .rposition(|(op, path)| {
+                *op == IoOp::Rename && path.file_name().is_some_and(|n| n == file)
+            })
+            .expect("the file was renamed into place") as u64
+    };
+    let seal_writes = [
+        ("shard", last_rename("journal-00001.jsonl")),
+        ("manifest", last_rename("journal.jsonl")),
+    ];
+    for (write, at) in seal_writes {
+        for kind in [FaultKind::Torn, FaultKind::Enospc] {
+            let cut = dir.join(format!("cut-{write}-{}", kind.name()));
+            let journal = cut.join("journal.jsonl");
+            let io = Arc::new(FaultyIo::armed(&cut, 0xC0FFEE, at, kind));
+            {
+                let _guard = install_io_policy(IoPolicy::Faulty(io.clone()));
+                assert!(
+                    run(&Checkpoint::create(&journal)).is_err(),
+                    "{} at the seal's {write} write must fail the run",
+                    kind.name()
+                );
+            }
+            assert!(io.fired(), "op {at} never executed");
+            let resumed = Checkpoint::resume(&journal).expect("a crash at a seal heals");
+            let kept = resumed.records().expect("readable").len();
+            assert!(
+                (DEFAULT_SHARD_RECORDS..=2 * DEFAULT_SHARD_RECORDS).contains(&kept),
+                "{} at the seal's {write} write kept {kept} records",
+                kind.name()
+            );
+            let report = run(&resumed).expect("resumed run");
+            assert_eq!(
+                report,
+                reference,
+                "{} at the seal's {write} write resumed to a different report",
+                kind.name()
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
