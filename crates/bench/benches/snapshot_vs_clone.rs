@@ -1,12 +1,12 @@
-//! O(1) CoW snapshots vs deep state copies — the memory-model claim behind
-//! the zero-copy model lifecycle.
+//! O(1) CoW state dicts vs deep state copies — the memory-model claim
+//! behind the zero-copy model lifecycle.
 //!
-//! `Sequential::snapshot`/`restore` bump reference counts on the shared
-//! copy-on-write storage, so their cost is independent of parameter count
-//! and byte volume; the deep-copy baseline (what snapshotting cost before
-//! the CoW storage landed) scales with model size. Benched on both the
-//! toy MLP and the paper-scale nano-VGG so the size-independence is
-//! visible: snapshot time stays flat while deep-copy time grows with the
+//! `Sequential::state_dict`/`load_state_dict` bump reference counts on the
+//! shared copy-on-write storage, so their cost is independent of parameter
+//! count and byte volume; the deep-copy baseline (what a state dict cost
+//! before the CoW storage landed) scales with model size. Benched on both
+//! the toy MLP and the paper-scale nano-VGG so the size-independence is
+//! visible: state-dict time stays flat while deep-copy time grows with the
 //! parameter count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -35,14 +35,16 @@ fn bench_snapshot_vs_clone(c: &mut Criterion) {
         let model = wb.model.build(wb.seed).expect("valid spec");
         let mut group = c.benchmark_group(&format!("snapshot_vs_clone/{name}"));
 
-        group.bench_function("cow_snapshot", |b| b.iter(|| black_box(&model).snapshot()));
+        group.bench_function("cow_snapshot", |b| {
+            b.iter(|| black_box(&model).state_dict())
+        });
 
         group.bench_function("cow_snapshot_and_restore", |b| {
-            let snapshot = model.snapshot();
+            let state = model.state_dict();
             let mut target = wb.model.build(wb.seed).expect("valid spec");
             b.iter(|| {
                 target
-                    .restore(black_box(&snapshot))
+                    .load_state_dict(black_box(&state))
                     .expect("matching architecture")
             })
         });

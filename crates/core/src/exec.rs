@@ -196,7 +196,7 @@ where
         return items
             .iter()
             .enumerate()
-            .map(|(i, item)| run_contained(&job, i, item))
+            .map(|(i, item)| contain_unwind(i, || job(i, item)))
             .collect();
     }
     // Work queue of item indices; slot `i` only ever receives job `i`'s
@@ -223,7 +223,7 @@ where
                 let (Some(item), Some(slot)) = (items.get(i), slots.get(i)) else {
                     break;
                 };
-                let out = run_contained(&job, i, item);
+                let out = contain_unwind(i, || job(i, item));
                 if out.is_err() {
                     failed.store(true, Ordering::Relaxed);
                 }
@@ -621,33 +621,17 @@ where
     })
 }
 
-/// Closure variant of [`run_contained`]: panics become typed errors.
-fn contain_unwind<R>(id: u64, f: impl FnOnce() -> Result<R>) -> Result<R> {
+/// Runs one job with panic containment: a panic becomes
+/// [`ReduceError::Internal`] carrying the job id and panic message.
+fn contain_unwind<R>(id: impl std::fmt::Display, f: impl FnOnce() -> Result<R>) -> Result<R> {
+    // AssertUnwindSafe: on panic the in-flight result is discarded whole
+    // and its slot reports a typed error, so no partially mutated state
+    // is ever observed across the unwind boundary.
     match std::panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => Err(ReduceError::Internal {
             invariant: format!(
                 "worker jobs must not panic (job {id} panicked: {})",
-                panic_message(payload.as_ref())
-            ),
-        }),
-    }
-}
-
-/// Runs one job with panic containment: a panic becomes
-/// [`ReduceError::Internal`] carrying the job index and panic message.
-fn run_contained<T, R, F>(job: &F, index: usize, item: &T) -> Result<R>
-where
-    F: Fn(usize, &T) -> Result<R>,
-{
-    // AssertUnwindSafe: on panic the in-flight result is discarded whole
-    // and its slot reports a typed error, so no partially mutated state
-    // is ever observed across the unwind boundary.
-    match std::panic::catch_unwind(AssertUnwindSafe(|| job(index, item))) {
-        Ok(result) => result,
-        Err(payload) => Err(ReduceError::Internal {
-            invariant: format!(
-                "worker jobs must not panic (job {index} panicked: {})",
                 panic_message(payload.as_ref())
             ),
         }),

@@ -158,7 +158,7 @@ impl FatRunner {
     /// Propagates dataset/model construction errors.
     pub fn new(workbench: Workbench) -> Result<Self> {
         let (train, test) = workbench.datasets()?;
-        let weight_dims = workbench.model.weight_dims(workbench.seed)?;
+        let weight_dims = workbench.model.weight_dims()?;
         Ok(FatRunner {
             workbench,
             train,

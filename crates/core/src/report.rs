@@ -4,44 +4,6 @@
 use crate::fleet::FleetReport;
 use crate::resilience::ResilienceAnalysis;
 
-/// Basic summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryStats {
-    /// Sample size.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Population standard deviation.
-    pub std: f64,
-}
-
-/// Computes summary statistics (zeros for an empty slice).
-pub fn summary_stats(values: &[f64]) -> SummaryStats {
-    if values.is_empty() {
-        return SummaryStats {
-            n: 0,
-            min: 0.0,
-            mean: 0.0,
-            max: 0.0,
-            std: 0.0,
-        };
-    }
-    let n = values.len();
-    let mean = values.iter().sum::<f64>() / n as f64;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-    SummaryStats {
-        n,
-        min: values.iter().copied().fold(f64::INFINITY, f64::min),
-        mean,
-        max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        std: var.sqrt(),
-    }
-}
-
 /// Renders the Fig. 2a table: mean accuracy at each (fault rate, retraining
 /// level) cell.
 pub fn render_resilience_curves(analysis: &ResilienceAnalysis, levels: &[usize]) -> String {
@@ -295,17 +257,6 @@ pub fn fleet_csv(report: &FleetReport) -> (Vec<&'static str>, Vec<Vec<String>>) 
 mod tests {
     use super::*;
     use crate::fleet::ChipOutcome;
-
-    #[test]
-    fn summary_stats_basic() {
-        let s = summary_stats(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!((s.std - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(summary_stats(&[]).n, 0);
-    }
 
     fn fake_report() -> FleetReport {
         FleetReport {

@@ -40,8 +40,8 @@ impl ModelSpec {
     /// model [`ModelSpec::build`] followed by
     /// [`Sequential::load_state_dict`] gives, without drawing the initial
     /// weights the load would overwrite. Layer state a state dict does not
-    /// carry (dropout seeds, batch-norm statistics) never depends on those
-    /// draws, so it comes out the same.
+    /// carry (batch-norm statistics) never depends on those draws, so it
+    /// comes out the same.
     ///
     /// # Errors
     ///
@@ -61,13 +61,15 @@ impl ModelSpec {
     }
 
     /// The `(out, in)` shapes of the model's GEMM weight matrices — the
-    /// tensors a systolic fault map masks.
+    /// tensors a systolic fault map masks — read off the zero-initialised
+    /// skeleton [`ModelSpec::build_from_state`] loads into, so no weight is
+    /// drawn.
     ///
     /// # Errors
     ///
     /// Propagates build errors.
-    pub fn weight_dims(&self, seed: u64) -> Result<Vec<(usize, usize)>> {
-        let model = self.build(seed)?;
+    pub fn weight_dims(&self) -> Result<Vec<(usize, usize)>> {
+        let model = self.build_with_init(0, Init::Zeros)?;
         model
             .weight_params()
             .iter()
@@ -108,35 +110,7 @@ impl ModelSpec {
                 // xtask:allow(index): windows(2) yields exactly-2-element slices
                 dims.windows(2).map(|w| (batch, w[0], w[1])).collect()
             }
-            ModelSpec::Vgg(cfg) => {
-                // Mirrors the layer plan in `reduce_nn::models::vgg11`.
-                let w = cfg.width;
-                let plan: [(usize, bool); 8] = [
-                    (w, true),
-                    (2 * w, true),
-                    (4 * w, false),
-                    (4 * w, true),
-                    (8 * w, false),
-                    (8 * w, true),
-                    (8 * w, false),
-                    (8 * w, true),
-                ];
-                let mut shapes = Vec::with_capacity(10);
-                let mut channels = cfg.in_channels;
-                let mut hw = cfg.input_hw;
-                for (out_ch, pool) in plan {
-                    shapes.push((batch * hw * hw, channels * 9, out_ch));
-                    if pool && hw >= 2 {
-                        hw /= 2;
-                    }
-                    channels = out_ch;
-                }
-                let feat = channels * hw * hw;
-                let hidden = 16 * w;
-                shapes.push((batch, feat, hidden));
-                shapes.push((batch, hidden, cfg.classes));
-                shapes
-            }
+            ModelSpec::Vgg(cfg) => cfg.gemm_shapes(batch),
         })
     }
 }
@@ -494,8 +468,46 @@ mod tests {
     #[test]
     fn weight_dims_match_built_model() {
         let wb = Workbench::toy(3);
-        let dims = wb.model.weight_dims(wb.seed).expect("builds");
+        let dims = wb.model.weight_dims().expect("builds");
         assert_eq!(dims, vec![(48, 8), (32, 48), (4, 32)]);
+        let vgg = ModelSpec::Vgg(VggConfig::nano(10));
+        let built: Vec<(usize, usize)> = vgg
+            .build(3)
+            .expect("valid spec")
+            .weight_params()
+            .iter()
+            .map(|p| (p.value().dims()[0], p.value().dims()[1]))
+            .collect();
+        assert_eq!(vgg.weight_dims().expect("builds"), built);
+    }
+
+    #[test]
+    fn gemm_shapes_match_the_built_weights() {
+        let small = VggConfig {
+            input_hw: 8,
+            ..VggConfig::nano(10)
+        };
+        let specs = [
+            ModelSpec::Vgg(VggConfig::nano(10)),
+            ModelSpec::Vgg(VggConfig::full(10)),
+            ModelSpec::Vgg(small),
+            Workbench::toy(0).model,
+        ];
+        for spec in specs {
+            let shapes = spec.gemm_shapes(3).expect("nonzero batch");
+            let kn: Vec<(usize, usize)> = shapes.iter().map(|&(_, k, n)| (k, n)).collect();
+            let weights = spec.weight_dims().expect("builds");
+            let in_out: Vec<(usize, usize)> = weights.iter().map(|&(o, i)| (i, o)).collect();
+            assert_eq!(kn, in_out, "{spec:?}");
+            assert!(spec.gemm_shapes(0).is_err());
+        }
+        let nano = ModelSpec::Vgg(VggConfig::nano(10))
+            .gemm_shapes(1)
+            .expect("nonzero batch");
+        let (convs, head) = nano.split_at(8);
+        let m: Vec<usize> = convs.iter().map(|&(m, _, _)| m).collect();
+        assert_eq!(m, [256, 64, 16, 16, 4, 4, 1, 1]);
+        assert_eq!(head, [(1, 64, 128), (1, 128, 10)]);
     }
 
     #[test]
@@ -507,12 +519,8 @@ mod tests {
 
     #[test]
     fn build_from_state_equals_build_then_load() {
-        // Dropout and batch norm carry state a state dict does not: the
-        // dropout stream must come out the same too, which a train-mode
-        // forward pass shows.
-        let mut vgg = VggConfig::nano(10);
-        vgg.dropout = 0.5;
-        vgg.dropout_seed = 3;
+        // Batch norm carries state a state dict does not: it must come out
+        // the same too, which a train-mode forward pass shows.
         let specs = [
             (
                 ModelSpec::Mlp {
@@ -520,7 +528,7 @@ mod tests {
                 },
                 vec![4, 8],
             ),
-            (ModelSpec::Vgg(vgg), vec![2, 3, 16, 16]),
+            (ModelSpec::Vgg(VggConfig::nano(10)), vec![2, 3, 16, 16]),
         ];
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (spec, input) in specs {

@@ -67,7 +67,7 @@ impl Conv2d {
         rng: &mut R,
     ) -> Self {
         let fan_in = in_channels * kernel * kernel;
-        let w = init.tensor(&[out_channels, fan_in], fan_in, out_channels, rng);
+        let w = init.tensor(&[out_channels, fan_in], fan_in, rng);
         Conv2d {
             weight: Parameter::new("conv2d.weight", w),
             bias: Parameter::new("conv2d.bias", Tensor::zeros([out_channels])),

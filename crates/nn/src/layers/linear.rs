@@ -51,7 +51,7 @@ impl Linear {
         init: Init,
         rng: &mut R,
     ) -> Self {
-        let w = init.tensor(&[out_features, in_features], in_features, out_features, rng);
+        let w = init.tensor(&[out_features, in_features], in_features, rng);
         Linear {
             weight: Parameter::new("linear.weight", w),
             bias: Parameter::new("linear.bias", Tensor::zeros([out_features])),
@@ -59,16 +59,6 @@ impl Linear {
             out_features,
             cached_input: None,
         }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
     }
 
     /// The weight parameter (shape `(out, in)`).
@@ -224,7 +214,8 @@ mod tests {
 
     #[test]
     fn masked_weight_blocks_signal() {
-        let mut l = Linear::with_init(2, 1, Init::Constant(1.0), &mut rng());
+        let mut l = Linear::with_init(2, 1, Init::Zeros, &mut rng());
+        l.weight_mut().value_mut().fill(1.0);
         l.weight_mut()
             .set_mask(Some(Tensor::from_vec(vec![0.0, 1.0], [1, 2]).expect("ok")))
             .expect("valid mask");

@@ -3,7 +3,6 @@
 mod activations;
 mod batchnorm;
 mod conv2d;
-mod dropout;
 mod flatten;
 mod linear;
 mod pool;
@@ -11,7 +10,6 @@ mod pool;
 pub use activations::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::MaxPool2d;
@@ -24,14 +22,14 @@ use std::fmt;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Train mode enables dropout and batch statistics; eval mode uses running
-/// statistics and disables stochastic regularisers.
+/// Only batch normalisation tells the two apart: train mode normalises
+/// with batch statistics and accumulates them, eval mode uses the running
+/// statistics. Every other layer computes the same function in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
-    /// Training: stochastic regularisers active, batch statistics used and
-    /// accumulated.
+    /// Training: batch statistics used and accumulated.
     Train,
-    /// Inference: deterministic, running statistics used.
+    /// Inference: running statistics used.
     #[default]
     Eval,
 }

@@ -25,7 +25,7 @@ pub trait Loss: std::fmt::Debug + Send {
     fn evaluate(&self, predictions: &Tensor, targets: Target<'_>) -> Result<LossOutput>;
 }
 
-/// Training targets: class labels or dense regression values.
+/// Training targets: one class label per batch row.
 ///
 /// Targets borrow the caller's data — a trainer hands each batch's label
 /// slice straight through without copying it per batch.
@@ -33,41 +33,6 @@ pub trait Loss: std::fmt::Debug + Send {
 pub enum Target<'a> {
     /// One class index per batch row.
     Labels(&'a [usize]),
-    /// Dense targets of the same shape as the predictions.
-    Values(&'a Tensor),
-}
-
-impl Target<'_> {
-    /// Number of examples in the target.
-    pub fn len(&self) -> usize {
-        match self {
-            Target::Labels(l) => l.len(),
-            Target::Values(v) => v.dims().first().copied().unwrap_or(0),
-        }
-    }
-
-    /// Whether the target holds no examples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'a> From<&'a [usize]> for Target<'a> {
-    fn from(labels: &'a [usize]) -> Self {
-        Target::Labels(labels)
-    }
-}
-
-impl<'a> From<&'a Vec<usize>> for Target<'a> {
-    fn from(labels: &'a Vec<usize>) -> Self {
-        Target::Labels(labels)
-    }
-}
-
-impl<'a> From<&'a Tensor> for Target<'a> {
-    fn from(values: &'a Tensor) -> Self {
-        Target::Values(values)
-    }
 }
 
 /// Softmax cross-entropy over logits, fused for numerical stability.
@@ -86,14 +51,7 @@ impl CrossEntropyLoss {
 
 impl Loss for CrossEntropyLoss {
     fn evaluate(&self, predictions: &Tensor, targets: Target<'_>) -> Result<LossOutput> {
-        let labels = match targets {
-            Target::Labels(l) => l,
-            Target::Values(_) => {
-                return Err(NnError::InvalidConfig {
-                    what: "cross-entropy requires class labels".to_string(),
-                })
-            }
-        };
+        let Target::Labels(labels) = targets;
         let (n, c) = predictions.shape().as_matrix()?;
         if labels.len() != n {
             return Err(NnError::InvalidConfig {
@@ -122,47 +80,6 @@ impl Loss for CrossEntropyLoss {
             grad.data_mut()[i * c + y] -= 1.0;
         }
         grad.scale(inv);
-        Ok(LossOutput { loss, grad })
-    }
-}
-
-/// Mean squared error over dense targets: `(1/N·D) Σ (p - t)²`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MseLoss;
-
-impl MseLoss {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        MseLoss
-    }
-}
-
-impl Loss for MseLoss {
-    fn evaluate(&self, predictions: &Tensor, targets: Target<'_>) -> Result<LossOutput> {
-        let values = match targets {
-            Target::Values(v) => v,
-            Target::Labels(_) => {
-                return Err(NnError::InvalidConfig {
-                    what: "mse requires dense targets".to_string(),
-                })
-            }
-        };
-        if predictions.dims() != values.dims() {
-            return Err(NnError::Tensor(reduce_tensor::TensorError::ShapeMismatch {
-                op: "mse",
-                lhs: predictions.dims().to_vec(),
-                rhs: values.dims().to_vec(),
-            }));
-        }
-        if predictions.is_empty() {
-            return Err(NnError::InvalidConfig {
-                what: "empty batch".to_string(),
-            });
-        }
-        let diff = (predictions - values)?;
-        let n = predictions.len() as f32;
-        let loss = diff.norm_sq() / n;
-        let grad = &diff * (2.0 / n);
         Ok(LossOutput { loss, grad })
     }
 }
@@ -229,59 +146,8 @@ mod tests {
         assert!(CrossEntropyLoss
             .evaluate(&logits, Target::Labels(&[0, 3]))
             .is_err());
-        let dense = Tensor::zeros([2, 3]);
-        assert!(CrossEntropyLoss
-            .evaluate(&logits, Target::Values(&dense))
-            .is_err());
         assert!(CrossEntropyLoss
             .evaluate(&Tensor::zeros([0, 3]), Target::Labels(&[]))
             .is_err());
-    }
-
-    #[test]
-    fn mse_zero_for_exact_prediction() {
-        let p = Tensor::rand_uniform([4, 2], -1.0, 1.0, 3);
-        let out = MseLoss.evaluate(&p, Target::Values(&p)).expect("valid");
-        assert_eq!(out.loss, 0.0);
-        assert_eq!(out.grad.sum(), 0.0);
-    }
-
-    #[test]
-    fn mse_grad_matches_finite_diff() {
-        let p = Tensor::rand_uniform([2, 3], -1.0, 1.0, 4);
-        let tv = Tensor::rand_uniform([2, 3], -1.0, 1.0, 5);
-        let t = Target::Values(&tv);
-        let out = MseLoss.evaluate(&p, t).expect("valid");
-        let eps = 1e-3;
-        for i in [0usize, 3, 5] {
-            let mut pp = p.clone();
-            pp.data_mut()[i] += eps;
-            let fp = MseLoss.evaluate(&pp, t).expect("valid").loss;
-            let mut pm = p.clone();
-            pm.data_mut()[i] -= eps;
-            let fm = MseLoss.evaluate(&pm, t).expect("valid").loss;
-            let fd = (fp - fm) / (2.0 * eps);
-            assert!((fd - out.grad.data()[i]).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn mse_validation() {
-        assert!(MseLoss
-            .evaluate(&Tensor::zeros([2, 2]), Target::Labels(&[0, 1]))
-            .is_err());
-        let wrong = Tensor::zeros([2, 3]);
-        assert!(MseLoss
-            .evaluate(&Tensor::zeros([2, 2]), Target::Values(&wrong))
-            .is_err());
-    }
-
-    #[test]
-    fn target_len() {
-        let labels = vec![1usize, 2, 3];
-        assert_eq!(Target::from(&labels).len(), 3);
-        let dense = Tensor::zeros([5, 2]);
-        assert_eq!(Target::from(&dense).len(), 5);
-        assert!(!Target::from(&labels[..1]).is_empty());
     }
 }

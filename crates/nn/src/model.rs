@@ -6,44 +6,6 @@ use crate::param::Parameter;
 use crate::workspace::{Workspace, WorkspaceStats};
 use reduce_tensor::Tensor;
 
-/// An O(1) snapshot of a model's parameter values.
-///
-/// Tensors use copy-on-write storage, so each entry is a reference-count
-/// bump rather than a data copy: snapshotting an N-parameter model costs N
-/// `Arc` increments and zero float copies. The snapshot stays bit-identical
-/// to the weights at capture time — the first later write to a parameter
-/// (an optimizer step, a fault-mask application) un-shares just that
-/// tensor, leaving the snapshot untouched.
-///
-/// Entries are keyed `"{layer}.{param}"` in layer order, exactly like
-/// [`Sequential::state_dict`].
-#[derive(Debug, Clone, Default)]
-pub struct ModelSnapshot {
-    entries: Vec<(String, Tensor)>,
-}
-
-impl ModelSnapshot {
-    /// Wraps raw `(key, value)` entries as a snapshot.
-    pub fn from_entries(entries: Vec<(String, Tensor)>) -> Self {
-        ModelSnapshot { entries }
-    }
-
-    /// The `(key, value)` entries, in layer order.
-    pub fn entries(&self) -> &[(String, Tensor)] {
-        &self.entries
-    }
-
-    /// Number of parameter entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// A feed-forward stack of layers executed in order.
 ///
 /// `Sequential` is the model type used throughout the reproduction: VGG-style
@@ -184,27 +146,6 @@ impl Sequential {
         Ok(())
     }
 
-    /// Takes an O(1) copy-on-write snapshot of every parameter value.
-    ///
-    /// See [`ModelSnapshot`] for the sharing/isolation semantics.
-    pub fn snapshot(&self) -> ModelSnapshot {
-        ModelSnapshot::from_entries(self.state_dict())
-    }
-
-    /// Restores parameter values from a [`Sequential::snapshot`].
-    ///
-    /// Installed masks are re-applied to the restored values (mask
-    /// application is the copy-on-write trigger, so two models restored
-    /// from one snapshot never observe each other's masked weights).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CheckpointMismatch`] exactly as
-    /// [`Sequential::load_state_dict`] does.
-    pub fn restore(&mut self, snapshot: &ModelSnapshot) -> Result<()> {
-        self.load_state_dict(snapshot.entries())
-    }
-
     /// The model's shared buffer arena, e.g. for a trainer that wants its
     /// per-batch tensors to come from (and return to) the same pools the
     /// layers use.
@@ -215,11 +156,6 @@ impl Sequential {
     /// Workspace hit/miss/allocation counters since the last reset.
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.workspace.stats()
-    }
-
-    /// Zeroes the workspace counters (pooled buffers are kept).
-    pub fn reset_workspace_stats(&mut self) {
-        self.workspace.reset_stats();
     }
 
     /// Zeroes all parameter gradients.
@@ -289,20 +225,19 @@ impl Sequential {
         Ok(())
     }
 
-    /// Clears every installed mask.
-    pub fn clear_masks(&mut self) {
-        for p in self.params_mut() {
-            // Clearing is always valid.
-            let _ = p.set_mask(None);
-        }
-    }
-
     /// Whether every masked weight is currently zero.
     pub fn mask_invariants_hold(&self) -> bool {
         self.params().iter().all(|p| p.mask_invariant_holds())
     }
 
     /// Snapshot of all parameter values, keyed `"{layer}.{param}"`.
+    ///
+    /// Tensors use copy-on-write storage, so each entry is a reference-count
+    /// bump rather than a data copy: an N-parameter model costs N `Arc`
+    /// increments and zero float copies. The entries stay bit-identical to
+    /// the weights at capture time — the first later write to a parameter
+    /// (an optimizer step, a fault-mask application) un-shares just that
+    /// tensor, leaving the state dict untouched.
     pub fn state_dict(&self) -> Vec<(String, Tensor)> {
         let mut out = Vec::new();
         for (i, layer) in self.layers.iter().enumerate() {
@@ -315,7 +250,9 @@ impl Sequential {
 
     /// Restores parameter values from a [`Sequential::state_dict`] snapshot.
     ///
-    /// Masks installed on the model are re-applied to the loaded values.
+    /// Masks installed on the model are re-applied to the loaded values
+    /// (mask application is the copy-on-write trigger, so two models loaded
+    /// from one state dict never observe each other's masked weights).
     ///
     /// # Errors
     ///
@@ -418,12 +355,14 @@ mod tests {
         let mut m = model();
         let masks = vec![Some(Tensor::zeros([8, 4])), None];
         m.set_weight_masks(&masks).expect("count matches");
-        assert_eq!(m.weight_params()[0].masked_fraction(), 1.0);
-        assert_eq!(m.weight_params()[1].masked_fraction(), 0.0);
+        assert!(m.weight_params()[0].mask().is_some());
+        assert_eq!(m.weight_params()[0].value().norm_sq(), 0.0);
+        assert!(m.weight_params()[1].mask().is_none());
+        assert!(m.weight_params()[1].value().norm_sq() > 0.0);
         assert!(m.mask_invariants_hold());
         assert!(m.set_weight_masks(&[None]).is_err());
-        m.clear_masks();
-        assert_eq!(m.weight_params()[0].masked_fraction(), 0.0);
+        m.set_weight_masks(&[None, None]).expect("count matches");
+        assert!(m.weight_params().iter().all(|p| p.mask().is_none()));
     }
 
     #[test]
@@ -486,33 +425,25 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_zero_copy_and_restore_round_trips() {
+    fn state_dict_is_zero_copy_and_load_round_trips() {
         let mut m = model();
-        let snap = m.snapshot();
-        // Snapshot entries alias the live parameters until a write happens.
-        for ((_, t), p) in snap.entries().iter().zip(m.params()) {
+        let state = m.state_dict();
+        // State-dict entries alias the live parameters until a write happens.
+        for ((_, t), p) in state.iter().zip(m.params()) {
             assert!(t.shares_storage(p.value()));
         }
         for p in m.params_mut() {
             p.value_mut().fill(7.0);
         }
-        // The write un-shared the parameters; the snapshot kept old values.
-        for ((_, t), p) in snap.entries().iter().zip(m.params()) {
+        // The write un-shared the parameters; the state dict kept old values.
+        for ((_, t), p) in state.iter().zip(m.params()) {
             assert!(!t.shares_storage(p.value()));
         }
-        m.restore(&snap).expect("matching snapshot");
-        for ((_, t), p) in snap.entries().iter().zip(m.params()) {
+        m.load_state_dict(&state).expect("matching state dict");
+        for ((_, t), p) in state.iter().zip(m.params()) {
             assert_eq!(t, p.value());
         }
-    }
-
-    #[test]
-    fn restore_validates_like_load_state_dict() {
-        let mut m = model();
-        let snap = ModelSnapshot::from_entries(vec![]);
-        assert!(m.restore(&snap).is_err());
-        assert!(snap.is_empty());
-        assert_eq!(m.snapshot().len(), 4);
+        assert!(m.load_state_dict(&[]).is_err());
     }
 
     #[test]
@@ -541,7 +472,5 @@ mod tests {
             "steady-state iterations must not allocate: {stats:?}"
         );
         assert!(stats.hits > 0);
-        m.reset_workspace_stats();
-        assert_eq!(m.workspace_stats().requests(), 0);
     }
 }

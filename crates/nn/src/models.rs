@@ -8,10 +8,26 @@
 
 use crate::error::{NnError, Result};
 use crate::init::Init;
-use crate::layers::{BatchNorm2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d, Relu};
+use crate::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use crate::model::Sequential;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Side of every VGG convolution's square kernel (stride 1, padding 1).
+const KERNEL: usize = 3;
+
+/// The VGG11 feature extractor: each convolution's output channels in
+/// units of the base width, and whether a 2×2 max pool follows it.
+const PLAN: [(usize, bool); 8] = [
+    (1, true),
+    (2, true),
+    (4, false),
+    (4, true),
+    (8, false),
+    (8, true),
+    (8, false),
+    (8, true),
+];
 
 /// Configuration of the VGG11 family.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,10 +43,6 @@ pub struct VggConfig {
     pub width: usize,
     /// Insert `BatchNorm2d` after every convolution.
     pub batch_norm: bool,
-    /// Classifier dropout probability (0 disables).
-    pub dropout: f32,
-    /// Seed for dropout masks.
-    pub dropout_seed: u64,
 }
 
 impl VggConfig {
@@ -43,8 +55,6 @@ impl VggConfig {
             classes,
             width: 8,
             batch_norm: true,
-            dropout: 0.0,
-            dropout_seed: 0,
         }
     }
 
@@ -57,9 +67,43 @@ impl VggConfig {
             classes,
             width: 64,
             batch_norm: true,
-            dropout: 0.5,
-            dropout_seed: 0,
         }
+    }
+
+    /// Walks the layer plan at this configuration: calls `conv` with each
+    /// convolution's `(in_channels, out_channels, hw, pool)`, where `hw` is
+    /// the side of the square feature map it runs on and `pool` says
+    /// whether a 2×2 max pool follows it, then returns the classifier's
+    /// `(features, hidden)` widths. Pools that would shrink a map below
+    /// 1×1 are skipped, so small-input variants stay valid.
+    fn plan(&self, mut conv: impl FnMut(usize, usize, usize, bool)) -> (usize, usize) {
+        let (mut channels, mut hw) = (self.in_channels, self.input_hw);
+        for (multiple, pool) in PLAN {
+            let out = multiple * self.width;
+            let pool = pool && hw >= 2;
+            conv(channels, out, hw, pool);
+            channels = out;
+            if pool {
+                hw /= 2;
+            }
+        }
+        // The hidden width scales like VGG's 4096 head at w = 256.
+        (channels * hw * hw, 16 * self.width)
+    }
+
+    /// The `(m, k, n)` GEMM shapes one forward pass over `batch` inputs
+    /// executes, in layer order: each convolution's im2col GEMM
+    /// (`m = batch · hw²`, `k = in_channels · 3 · 3`), then the two
+    /// classifier layers. Each `(k, n)` is the `(in, out)` of that layer's
+    /// weight matrix.
+    pub fn gemm_shapes(&self, batch: usize) -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::with_capacity(PLAN.len() + 2);
+        let (features, hidden) = self.plan(|c, out, hw, _| {
+            shapes.push((batch * hw * hw, c * KERNEL * KERNEL, out));
+        });
+        shapes.push((batch, features, hidden));
+        shapes.push((batch, hidden, self.classes));
+        shapes
     }
 }
 
@@ -105,41 +149,22 @@ pub fn vgg11_with_init(config: &VggConfig, seed: u64, init: Init) -> Result<Sequ
         });
     }
     let mut rng = SmallRng::seed_from_u64(seed);
-    let w = config.width;
-    // Channel plan of VGG11: (channels, pool-after?).
-    let plan: [(usize, bool); 8] = [
-        (w, true),
-        (2 * w, true),
-        (4 * w, false),
-        (4 * w, true),
-        (8 * w, false),
-        (8 * w, true),
-        (8 * w, false),
-        (8 * w, true),
-    ];
     let mut model = Sequential::new();
-    let mut channels = config.in_channels;
-    let mut hw = config.input_hw;
-    for (out_ch, pool) in plan {
-        model.add(Conv2d::with_init(channels, out_ch, 3, 1, 1, init, &mut rng));
+    let (features, hidden) = config.plan(|in_ch, out_ch, _, pool| {
+        model.add(Conv2d::with_init(
+            in_ch, out_ch, KERNEL, 1, 1, init, &mut rng,
+        ));
         if config.batch_norm {
             model.add(BatchNorm2d::new(out_ch));
         }
         model.add(Relu::new());
-        if pool && hw >= 2 {
+        if pool {
             model.add(MaxPool2d::new(2, 2));
-            hw /= 2;
         }
-        channels = out_ch;
-    }
+    });
     model.add(Flatten::new());
-    let feat = channels * hw * hw;
-    let hidden = 16 * w; // scales like VGG's 4096 head at w = 256
-    model.add(Linear::with_init(feat, hidden, init, &mut rng));
+    model.add(Linear::with_init(features, hidden, init, &mut rng));
     model.add(Relu::new());
-    if config.dropout > 0.0 {
-        model.add(Dropout::new(config.dropout, config.dropout_seed)?);
-    }
     model.add(Linear::with_init(hidden, config.classes, init, &mut rng));
     Ok(model)
 }

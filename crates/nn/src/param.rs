@@ -185,21 +185,6 @@ impl Parameter {
         self.value.is_empty()
     }
 
-    /// Fraction of weights zeroed by the mask (0 without a mask).
-    pub fn masked_fraction(&self) -> f32 {
-        match &self.mask {
-            Some(m) => {
-                if m.is_empty() {
-                    0.0
-                } else {
-                    // xtask:allow(float-eq): masks hold exact 0.0/1.0 sentinels
-                    m.data().iter().filter(|&&v| v == 0.0).count() as f32 / m.len() as f32
-                }
-            }
-            None => 0.0,
-        }
-    }
-
     /// Checks the mask invariant: every masked entry of the value is zero.
     pub fn mask_invariant_holds(&self) -> bool {
         match &self.mask {
@@ -236,7 +221,6 @@ mod tests {
         ))
         .expect("valid mask");
         assert_eq!(p.value().data(), &[1.0, 0.0, 0.0, 1.0]);
-        assert!((p.masked_fraction() - 0.5).abs() < 1e-6);
         assert!(p.mask_invariant_holds());
     }
 
@@ -278,11 +262,5 @@ mod tests {
         p.load_value(Tensor::full([2], 7.0)).expect("same shape");
         assert_eq!(p.value().data(), &[0.0, 7.0]);
         assert!(p.load_value(Tensor::ones([3])).is_err());
-    }
-
-    #[test]
-    fn masked_fraction_without_mask_is_zero() {
-        let p = Parameter::new("w", Tensor::ones([2]));
-        assert_eq!(p.masked_fraction(), 0.0);
     }
 }

@@ -11,44 +11,13 @@ pub enum LrSchedule {
     /// Constant learning rate.
     #[default]
     Constant,
-    /// Multiply by `gamma` every `step` epochs.
-    StepDecay {
-        /// Epoch interval between decays.
-        step: usize,
-        /// Multiplicative decay factor.
-        gamma: f32,
-    },
-    /// Cosine annealing from the base rate to `min_lr` over `total` epochs.
-    Cosine {
-        /// Total annealing horizon in epochs.
-        total: usize,
-        /// Floor learning rate.
-        min_lr: f32,
-    },
-    /// Exponential decay: `base · gamma^epoch`.
-    Exponential {
-        /// Per-epoch decay factor.
-        gamma: f32,
-    },
 }
 
 impl LrSchedule {
     /// The learning rate to use for `epoch` (0-based) given `base_lr`.
-    pub fn rate(&self, base_lr: f32, epoch: usize) -> f32 {
+    pub fn rate(&self, base_lr: f32, _epoch: usize) -> f32 {
         match *self {
             LrSchedule::Constant => base_lr,
-            LrSchedule::StepDecay { step, gamma } => match epoch.checked_div(step) {
-                Some(k) => base_lr * gamma.powi(k as i32),
-                None => base_lr,
-            },
-            LrSchedule::Cosine { total, min_lr } => {
-                if total == 0 {
-                    return base_lr;
-                }
-                let t = (epoch.min(total)) as f32 / total as f32;
-                min_lr + 0.5 * (base_lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-            LrSchedule::Exponential { gamma } => base_lr * gamma.powi(epoch as i32),
         }
     }
 }
@@ -61,48 +30,5 @@ mod tests {
     fn constant_never_changes() {
         assert_eq!(LrSchedule::Constant.rate(0.1, 0), 0.1);
         assert_eq!(LrSchedule::Constant.rate(0.1, 100), 0.1);
-    }
-
-    #[test]
-    fn step_decay_steps() {
-        let s = LrSchedule::StepDecay {
-            step: 2,
-            gamma: 0.1,
-        };
-        assert!((s.rate(1.0, 0) - 1.0).abs() < 1e-6);
-        assert!((s.rate(1.0, 1) - 1.0).abs() < 1e-6);
-        assert!((s.rate(1.0, 2) - 0.1).abs() < 1e-6);
-        assert!((s.rate(1.0, 4) - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_decay_zero_step_is_constant() {
-        let s = LrSchedule::StepDecay {
-            step: 0,
-            gamma: 0.1,
-        };
-        assert_eq!(s.rate(1.0, 5), 1.0);
-    }
-
-    #[test]
-    fn cosine_endpoints() {
-        let s = LrSchedule::Cosine {
-            total: 10,
-            min_lr: 0.01,
-        };
-        assert!((s.rate(1.0, 0) - 1.0).abs() < 1e-6);
-        assert!((s.rate(1.0, 10) - 0.01).abs() < 1e-6);
-        // Beyond the horizon it stays at the floor.
-        assert!((s.rate(1.0, 20) - 0.01).abs() < 1e-6);
-        // Midpoint is halfway.
-        let mid = s.rate(1.0, 5);
-        assert!((mid - 0.505).abs() < 1e-3, "mid {mid}");
-    }
-
-    #[test]
-    fn exponential_decays_monotonically() {
-        let s = LrSchedule::Exponential { gamma: 0.5 };
-        assert!(s.rate(1.0, 3) < s.rate(1.0, 2));
-        assert!((s.rate(1.0, 3) - 0.125).abs() < 1e-6);
     }
 }

@@ -38,20 +38,6 @@ impl Default for TrainConfig {
     }
 }
 
-/// Statistics of one training epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochStats {
-    /// 0-based epoch index.
-    pub epoch: usize,
-    /// Mean training loss over the epoch.
-    pub loss: f32,
-    /// Training accuracy over the epoch (classification targets only;
-    /// 0 for regression).
-    pub accuracy: f32,
-    /// Learning rate used during this epoch.
-    pub lr: f32,
-}
-
 /// Statistics of an evaluation pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalStats {
@@ -212,7 +198,7 @@ impl Trainer {
         model: &mut Sequential,
         x: &Tensor,
         labels: &[usize],
-    ) -> Result<EpochStats> {
+    ) -> Result<()> {
         let n = x.dims().first().copied().unwrap_or(0);
         if n == 0 || labels.len() != n {
             return Err(NnError::InvalidConfig {
@@ -225,15 +211,13 @@ impl Trainer {
             });
         }
         let epoch = self.epochs_run;
-        let lr = self.config.schedule.rate(self.base_lr, epoch);
-        self.optimizer.set_learning_rate(lr);
+        self.optimizer
+            .set_learning_rate(self.config.schedule.rate(self.base_lr, epoch));
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = SmallRng::seed_from_u64(self.config.shuffle_seed.wrapping_add(epoch as u64));
         order.shuffle(&mut rng);
 
-        let mut total_loss = 0.0f64;
-        let mut correct = 0.0f64;
         // One label buffer reused across batches; the loss borrows it.
         let mut by: Vec<usize> = Vec::with_capacity(self.config.batch_size);
         for chunk in order.chunks(self.config.batch_size) {
@@ -246,8 +230,6 @@ impl Trainer {
             let logits = model.forward(&bx, Mode::Train)?;
             model.workspace_mut().give(bx);
             let out = self.loss.evaluate(&logits, Target::Labels(&by))?;
-            total_loss += out.loss as f64 * chunk.len() as f64;
-            correct += accuracy(&logits, &by)? as f64 * chunk.len() as f64;
             model.workspace_mut().give(logits);
             model.zero_grad();
             model.backward_params(&out.grad)?;
@@ -256,17 +238,10 @@ impl Trainer {
             self.optimizer.step(&mut params)?;
         }
         self.epochs_run += 1;
-        Ok(EpochStats {
-            epoch,
-            // xtask:allow(lossy-float-cast): f64 accumulator narrowed once for reporting
-            loss: (total_loss / n as f64) as f32,
-            // xtask:allow(lossy-float-cast): f64 accumulator narrowed once for reporting
-            accuracy: (correct / n as f64) as f32,
-            lr,
-        })
+        Ok(())
     }
 
-    /// Runs `epochs` epochs, returning per-epoch statistics.
+    /// Runs `epochs` epochs.
     ///
     /// # Errors
     ///
@@ -277,12 +252,11 @@ impl Trainer {
         x: &Tensor,
         labels: &[usize],
         epochs: usize,
-    ) -> Result<Vec<EpochStats>> {
-        let mut history = Vec::with_capacity(epochs);
+    ) -> Result<()> {
         for _ in 0..epochs {
-            history.push(self.train_epoch(model, x, labels)?);
+            self.train_epoch(model, x, labels)?;
         }
-        Ok(history)
+        Ok(())
     }
 }
 
@@ -331,12 +305,12 @@ mod tests {
             CrossEntropyLoss,
             TrainConfig::default(),
         );
-        let history = trainer.fit(&mut model, &x, &y, 10).expect("valid data");
-        assert_eq!(history.len(), 10);
-        let eval = evaluate(&mut model, &CrossEntropyLoss, &x, &y, 32).expect("valid data");
-        assert!(eval.accuracy > 0.95, "accuracy {}", eval.accuracy);
+        let before = evaluate(&mut model, &CrossEntropyLoss, &x, &y, 32).expect("valid data");
+        trainer.fit(&mut model, &x, &y, 10).expect("valid data");
+        let after = evaluate(&mut model, &CrossEntropyLoss, &x, &y, 32).expect("valid data");
+        assert!(after.accuracy > 0.95, "accuracy {}", after.accuracy);
         // Loss decreased.
-        assert!(history.last().expect("non-empty").loss < history[0].loss);
+        assert!(after.loss < before.loss);
         assert_eq!(trainer.epochs_run(), 10);
     }
 
@@ -355,24 +329,6 @@ mod tests {
         for ((_, t1), (_, t2)) in a.iter().zip(&b) {
             assert_eq!(t1, t2);
         }
-    }
-
-    #[test]
-    fn schedule_changes_lr_across_epochs() {
-        let (x, y) = blobs(32, 5);
-        let mut model = tiny_model(6);
-        let config = TrainConfig {
-            schedule: LrSchedule::StepDecay {
-                step: 1,
-                gamma: 0.5,
-            },
-            ..TrainConfig::default()
-        };
-        let mut trainer = Trainer::new(Sgd::new(0.1), CrossEntropyLoss, config);
-        let h = trainer.fit(&mut model, &x, &y, 3).expect("valid data");
-        assert!((h[0].lr - 0.1).abs() < 1e-6);
-        assert!((h[1].lr - 0.05).abs() < 1e-6);
-        assert!((h[2].lr - 0.025).abs() < 1e-6);
     }
 
     #[test]

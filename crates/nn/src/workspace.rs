@@ -137,11 +137,6 @@ impl Workspace {
         self.stats
     }
 
-    /// Resets the counters (the pooled buffers are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = WorkspaceStats::default();
-    }
-
     /// Drops every pooled buffer (counters are kept).
     pub fn clear(&mut self) {
         self.pools.clear();

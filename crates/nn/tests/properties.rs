@@ -6,8 +6,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use reduce_nn::layers::{Linear, Mode, Relu};
 use reduce_nn::{
-    accuracy, models, CrossEntropyLoss, Loss, Parameter, Sequential, Sgd, Target, TrainConfig,
-    Trainer,
+    accuracy, evaluate, models, CrossEntropyLoss, Loss, Parameter, Sequential, Sgd, Target,
+    TrainConfig, Trainer,
 };
 use reduce_tensor::Tensor;
 
@@ -63,9 +63,9 @@ proptest! {
         prop_assert!(lg < lb);
     }
 
-    /// A few epochs of SGD never leave the loss higher than 3x the initial
-    /// loss, and usually reduce it, for arbitrary small MLPs on separable
-    /// blobs.
+    /// A few epochs of SGD never leave the evaluated loss higher than 3x
+    /// the initial loss, and usually reduce it, for arbitrary small MLPs on
+    /// separable blobs.
     #[test]
     fn sgd_training_reduces_loss(dims in mlp_dims(), seed in 0u64..500) {
         let inp = dims[0];
@@ -90,9 +90,11 @@ proptest! {
             CrossEntropyLoss,
             TrainConfig { batch_size: 16, shuffle_seed: seed, ..TrainConfig::default() },
         );
-        let history = trainer.fit(&mut model, &x, &labels, 6).expect("valid data");
-        let first = history.first().expect("non-empty").loss;
-        let last = history.last().expect("non-empty").loss;
+        let first = evaluate(&mut model, &CrossEntropyLoss, &x, &labels, 16)
+            .expect("valid data").loss;
+        trainer.fit(&mut model, &x, &labels, 6).expect("valid data");
+        let last = evaluate(&mut model, &CrossEntropyLoss, &x, &labels, 16)
+            .expect("valid data").loss;
         prop_assert!(last.is_finite());
         prop_assert!(last <= first * 3.0 + 1.0, "diverged: {first} -> {last}");
     }
@@ -172,18 +174,25 @@ proptest! {
         prop_assert!((delta2 - 2.0 * delta1).abs() < 1e-5);
     }
 
-    /// snapshot() / restore() round-trips weights bit-identically for
-    /// arbitrary MLPs, even after the live model is mutated in between.
+    /// A state dict taken before the live model is mutated loads back
+    /// bit-identically for arbitrary MLPs: its copy-on-write entries do not
+    /// follow the mutation.
     #[test]
-    fn snapshot_restore_round_trips_bit_identically(dims in mlp_dims(), seed in 0u64..500) {
+    fn state_dict_survives_mutation_bit_identically(dims in mlp_dims(), seed in 0u64..500) {
         let mut model = models::mlp(&dims, seed).expect("valid dims");
-        let snap = model.snapshot();
-        let reference = model.state_dict();
-        // Mutate the live model: the snapshot must not follow.
+        let snap = model.state_dict();
+        let reference: Vec<(String, Tensor)> = snap
+            .iter()
+            .map(|(k, t)| {
+                let copy = Tensor::from_vec(t.data().to_vec(), t.dims().to_vec());
+                (k.clone(), copy.expect("same volume"))
+            })
+            .collect();
+        // Mutate the live model: the state dict must not follow.
         for p in model.params_mut() {
             p.value_mut().fill(3.25);
         }
-        model.restore(&snap).expect("same architecture");
+        model.load_state_dict(&snap).expect("same architecture");
         let back = model.state_dict();
         prop_assert_eq!(back.len(), reference.len());
         for ((k1, v1), (k2, v2)) in back.iter().zip(&reference) {
@@ -192,9 +201,9 @@ proptest! {
         }
     }
 
-    /// Two models restored from one shared snapshot stay isolated: masking
+    /// Two models loaded from one shared state dict stay isolated: masking
     /// one (the copy-on-write trigger) never leaks masked zeros into the
-    /// other model or back into the snapshot.
+    /// other model or back into the state dict.
     #[test]
     fn restored_models_do_not_alias_across_masks(
         dims in mlp_dims(),
@@ -202,11 +211,11 @@ proptest! {
         seed in 0u64..500,
     ) {
         let pretrained = models::mlp(&dims, seed).expect("valid dims");
-        let snap = pretrained.snapshot();
+        let snap = pretrained.state_dict();
         let mut chip_a = models::mlp(&dims, seed + 1).expect("valid dims");
         let mut chip_b = models::mlp(&dims, seed + 2).expect("valid dims");
-        chip_a.restore(&snap).expect("same architecture");
-        chip_b.restore(&snap).expect("same architecture");
+        chip_a.load_state_dict(&snap).expect("same architecture");
+        chip_b.load_state_dict(&snap).expect("same architecture");
         // Mask chip A's first weight matrix with arbitrary bits.
         let wdims = chip_a.weight_params()[0].value().dims().to_vec();
         let len: usize = wdims.iter().product();
@@ -222,11 +231,11 @@ proptest! {
             .collect();
         chip_a.set_weight_masks(&masks).expect("count matches");
         prop_assert!(chip_a.mask_invariants_hold());
-        // Chip B and the snapshot keep the original (unmasked) weights.
-        for ((_, s), p) in snap.entries().iter().zip(chip_b.params()) {
+        // Chip B and the state dict keep the original (unmasked) weights.
+        for ((_, s), p) in snap.iter().zip(chip_b.params()) {
             prop_assert_eq!(s, p.value());
         }
-        for ((_, s), p) in snap.entries().iter().zip(pretrained.params()) {
+        for ((_, s), p) in snap.iter().zip(pretrained.params()) {
             prop_assert_eq!(s, p.value());
         }
     }

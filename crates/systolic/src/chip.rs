@@ -24,14 +24,6 @@ pub enum RateDistribution {
         /// Upper bound (inclusive).
         hi: f64,
     },
-    /// `Exp(mean)` truncated to `[0, max]` — most chips mildly faulty, a
-    /// tail of bad ones; closer to real yield curves.
-    TruncatedExponential {
-        /// Mean of the exponential before truncation.
-        mean: f64,
-        /// Truncation point.
-        max: f64,
-    },
 }
 
 impl RateDistribution {
@@ -52,15 +44,6 @@ impl RateDistribution {
                     });
                 }
                 Ok(if lo == hi { lo } else { rng.gen_range(lo..=hi) })
-            }
-            RateDistribution::TruncatedExponential { mean, max } => {
-                if mean <= 0.0 || !(0.0..=1.0).contains(&max) {
-                    return Err(SystolicError::InvalidConfig {
-                        what: format!("truncated exponential (mean {mean}, max {max}) invalid"),
-                    });
-                }
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                Ok((-mean * u.ln()).min(max))
             }
         }
     }
@@ -301,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_exponential_is_bounded() {
-        let mut cfg = small_config();
-        cfg.rates = RateDistribution::TruncatedExponential {
-            mean: 0.05,
-            max: 0.15,
-        };
-        let fleet = generate_fleet(&cfg).expect("valid");
-        assert!(fleet.iter().all(|c| c.fault_rate() <= 0.16));
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         let mut cfg = small_config();
         cfg.chips = 0;
@@ -321,12 +293,6 @@ mod tests {
         assert!(generate_fleet(&cfg).is_err());
         let mut cfg = small_config();
         cfg.rates = RateDistribution::Fixed(1.5);
-        assert!(generate_fleet(&cfg).is_err());
-        let mut cfg = small_config();
-        cfg.rates = RateDistribution::TruncatedExponential {
-            mean: 0.0,
-            max: 0.1,
-        };
         assert!(generate_fleet(&cfg).is_err());
     }
 

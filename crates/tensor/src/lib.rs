@@ -24,7 +24,8 @@
 //! let x = Tensor::rand_uniform([4, 3], -1.0, 1.0, 0);
 //! let w = Tensor::rand_uniform([2, 3], -1.0, 1.0, 1);
 //! let b = Tensor::zeros([2]);
-//! let y = ops::add_bias_rows(&ops::matmul_nt(&x, &w)?, &b)?;
+//! let mut y = ops::matmul_nt(&x, &w)?;
+//! ops::add_bias_rows_in_place(&mut y, &b)?;
 //! assert_eq!(y.dims(), &[4, 2]);
 //! # Ok(())
 //! # }

@@ -109,29 +109,13 @@ fn check_nchw(op: &'static str, x: &Tensor) -> Result<(usize, usize, usize, usiz
     Ok((d[0], d[1], d[2], d[3]))
 }
 
-/// Unrolls input patches: `(N, C, H, W)` → `(N·OH·OW, C·KH·KW)`.
+/// Unrolls input patches: `(N, C, H, W)` → `(N·OH·OW, C·KH·KW)`, written
+/// into a caller-provided scratch tensor of that shape.
 ///
 /// Row `n·OH·OW + oy·OW + ox` holds the flattened receptive field of output
 /// position `(oy, ox)` of image `n`; out-of-bounds (padding) taps are zero.
-///
-/// # Errors
-///
-/// Returns an error if `x` is not rank-4 or the geometry does not match its
-/// spatial dims.
-pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
-    let (n, c, _, _) = check_nchw("im2col", x)?;
-    let mut out = Tensor::zeros([
-        n * geom.out_h * geom.out_w,
-        c * geom.kernel_h * geom.kernel_w,
-    ]);
-    im2col_into(x, geom, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`im2col`] but writing into a caller-provided scratch tensor of
-/// shape `(N·OH·OW, C·KH·KW)`. Every element of `out` is overwritten, so
-/// its prior contents do not matter; results are bit-identical to
-/// [`im2col`] and to the scatter-loop oracle
+/// Every element of `out` is overwritten, so its prior contents do not
+/// matter; results are bit-identical to the scatter-loop oracle
 /// [`super::conv_reference::im2col_into`].
 ///
 /// Each image is first copied into a per-thread zero-padded scratch
@@ -140,12 +124,13 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`im2col`], plus a shape check on `out`.
+/// Returns an error if `x` is not rank-4, the geometry does not match its
+/// spatial dims, or `out` has the wrong shape.
 pub fn im2col_into(x: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Result<()> {
-    let (n, c, h, w) = check_nchw("im2col", x)?;
+    let (n, c, h, w) = check_nchw("im2col_into", x)?;
     if h != geom.in_h || w != geom.in_w {
         return Err(TensorError::ShapeMismatch {
-            op: "im2col",
+            op: "im2col_into",
             lhs: vec![geom.in_h, geom.in_w],
             rhs: vec![h, w],
         });
@@ -260,24 +245,13 @@ fn im2col_windows<const K: usize>(
     }
 }
 
-/// Scatters column gradients back: the adjoint of [`im2col`].
+/// Scatters column gradients back: the adjoint of [`im2col_into`].
 ///
-/// `cols` has shape `(N·OH·OW, C·KH·KW)`; the result has shape
-/// `(N, C, H, W)` with overlapping taps accumulated.
-///
-/// # Errors
-///
-/// Returns an error if `cols` does not match the geometry.
-pub fn col2im(cols: &Tensor, n: usize, c: usize, geom: &Conv2dGeometry) -> Result<Tensor> {
-    let mut out = Tensor::zeros([n, c, geom.in_h, geom.in_w]);
-    col2im_into(cols, n, c, geom, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`col2im`] but writing into a caller-provided tensor of shape
-/// `(N, C, H, W)`. Every element of `out` is overwritten, so its prior
-/// contents do not matter; results are bit-identical to [`col2im`] and to
-/// the scatter-loop oracle [`super::conv_reference::col2im_into`].
+/// `cols` has shape `(N·OH·OW, C·KH·KW)`; `out` has shape `(N, C, H, W)`
+/// and receives the overlapping taps accumulated. Every element of `out`
+/// is overwritten, so its prior contents do not matter; results are
+/// bit-identical to the scatter-loop oracle
+/// [`super::conv_reference::col2im_into`].
 ///
 /// Each image's taps are added into a per-thread zero-padded scratch
 /// buffer one `KW`-wide window at a time, in ascending row order, and the
@@ -286,7 +260,7 @@ pub fn col2im(cols: &Tensor, n: usize, c: usize, geom: &Conv2dGeometry) -> Resul
 ///
 /// # Errors
 ///
-/// Same conditions as [`col2im`], plus a shape check on `out`.
+/// Returns an error if `cols` or `out` does not match the geometry.
 pub fn col2im_into(
     cols: &Tensor,
     n: usize,
@@ -299,7 +273,7 @@ pub fn col2im_into(
     let (oh, ow, h, w) = (geom.out_h, geom.out_w, geom.in_h, geom.in_w);
     if rows != n * oh * ow || row_len != c * kh * kw {
         return Err(TensorError::ShapeMismatch {
-            op: "col2im",
+            op: "col2im_into",
             lhs: vec![n * oh * ow, c * kh * kw],
             rhs: vec![rows, row_len],
         });
@@ -367,23 +341,12 @@ fn col2im_windows<const K: usize>(
     }
 }
 
-/// Reorders a `(N·OH·OW, OC)` GEMM output into NCHW `(N, OC, OH, OW)`.
+/// Reorders a `(N·OH·OW, OC)` GEMM output into a caller-provided NCHW
+/// tensor of shape `(N, OC, OH, OW)`. Every element is overwritten.
 ///
 /// # Errors
 ///
 /// Returns an error on inconsistent dimensions.
-pub fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Result<Tensor> {
-    let mut out = Tensor::zeros([n, oc, oh, ow]);
-    rows_to_nchw_into(rows, n, oc, oh, ow, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`rows_to_nchw`] but writing into a caller-provided tensor of shape
-/// `(N, OC, OH, OW)`. Every element is overwritten.
-///
-/// # Errors
-///
-/// Same conditions as [`rows_to_nchw`], plus a shape check on `out`.
 pub fn rows_to_nchw_into(
     rows: &Tensor,
     n: usize,
@@ -395,7 +358,7 @@ pub fn rows_to_nchw_into(
     let (r, c) = rows.shape().as_matrix()?;
     if r != n * oh * ow || c != oc {
         return Err(TensorError::ShapeMismatch {
-            op: "rows_to_nchw",
+            op: "rows_to_nchw_into",
             lhs: vec![n * oh * ow, oc],
             rhs: vec![r, c],
         });
@@ -422,26 +385,14 @@ pub fn rows_to_nchw_into(
     Ok(())
 }
 
-/// Inverse of [`rows_to_nchw`]: NCHW `(N, OC, OH, OW)` → `(N·OH·OW, OC)`.
+/// Inverse of [`rows_to_nchw_into`]: NCHW `(N, C, H, W)` → a
+/// caller-provided `(N·H·W, C)` tensor. Every element is overwritten.
 ///
 /// # Errors
 ///
-/// Returns an error if `x` is not rank-4.
-pub fn nchw_to_rows(x: &Tensor) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw("nchw_to_rows", x)?;
-    let mut out = Tensor::zeros([n * h * w, c]);
-    nchw_to_rows_into(x, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`nchw_to_rows`] but writing into a caller-provided tensor of shape
-/// `(N·H·W, C)`. Every element is overwritten.
-///
-/// # Errors
-///
-/// Same conditions as [`nchw_to_rows`], plus a shape check on `out`.
+/// Returns an error if `x` is not rank-4 or `out` has the wrong shape.
 pub fn nchw_to_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
-    let (n, c, h, w) = check_nchw("nchw_to_rows", x)?;
+    let (n, c, h, w) = check_nchw("nchw_to_rows_into", x)?;
     if out.dims() != [n * h * w, c] {
         return Err(TensorError::ShapeMismatch {
             op: "nchw_to_rows_into",
@@ -464,40 +415,16 @@ pub fn nchw_to_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Output of [`max_pool2d`]: pooled values plus flat argmax indices used by
-/// the backward pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaxPoolOutput {
-    /// Pooled tensor `(N, C, OH, OW)`.
-    pub output: Tensor,
-    /// For each output element, the flat index into the input tensor of the
-    /// element that produced it.
-    pub argmax: Vec<usize>,
-}
-
-/// 2-D max pooling over an NCHW tensor (no padding).
+/// 2-D max pooling over an NCHW tensor (no padding), writing pooled values
+/// into `out` (shape `(N, C, OH, OW)`) and, for each output element, the
+/// flat index of the input element that produced it into a caller-owned
+/// `argmax` buffer, which is cleared and refilled (its allocation is reused
+/// once it has grown to size). The backward pass reads `argmax`.
 ///
 /// # Errors
 ///
-/// Returns an error for non-rank-4 input, a zero window/stride, or a window
-/// larger than the input.
-pub fn max_pool2d(x: &Tensor, window: usize, stride: usize) -> Result<MaxPoolOutput> {
-    let (n, c, h, w) = check_nchw("max_pool2d", x)?;
-    let geom = Conv2dGeometry::new(h, w, window, window, stride, 0)?;
-    let mut output = Tensor::zeros([n, c, geom.out_h, geom.out_w]);
-    let mut argmax = Vec::new();
-    max_pool2d_into(x, window, stride, &mut output, &mut argmax)?;
-    Ok(MaxPoolOutput { output, argmax })
-}
-
-/// Like [`max_pool2d`] but writing pooled values into `out` (shape
-/// `(N, C, OH, OW)`) and argmax indices into a caller-owned `argmax`
-/// buffer, which is cleared and refilled (its allocation is reused once it
-/// has grown to size). Results are bit-identical to [`max_pool2d`].
-///
-/// # Errors
-///
-/// Same conditions as [`max_pool2d`], plus a shape check on `out`.
+/// Returns an error for non-rank-4 input, a zero window/stride, a window
+/// larger than the input, or an `out` of the wrong shape.
 pub fn max_pool2d_into(
     x: &Tensor,
     window: usize,
@@ -505,7 +432,7 @@ pub fn max_pool2d_into(
     out: &mut Tensor,
     argmax: &mut Vec<usize>,
 ) -> Result<()> {
-    let (n, c, h, w) = check_nchw("max_pool2d", x)?;
+    let (n, c, h, w) = check_nchw("max_pool2d_into", x)?;
     let geom = Conv2dGeometry::new(h, w, window, window, stride, 0)?;
     let (oh, ow) = (geom.out_h, geom.out_w);
     if out.dims() != [n, c, oh, ow] {
@@ -546,25 +473,9 @@ pub fn max_pool2d_into(
     Ok(())
 }
 
-/// Backward pass of [`max_pool2d`]: routes each output gradient to the input
-/// element that won the max.
-///
-/// # Errors
-///
-/// Returns an error if `grad` and `argmax` lengths differ.
-pub fn max_pool2d_backward(
-    grad: &Tensor,
-    argmax: &[usize],
-    input_dims: &[usize],
-) -> Result<Tensor> {
-    let mut out = Tensor::zeros(input_dims.to_vec());
-    max_pool2d_backward_into(grad, argmax, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`max_pool2d_backward`] but accumulating into a caller-provided
-/// tensor already shaped like the pooling input. `out` is zeroed first;
-/// results are bit-identical to [`max_pool2d_backward`].
+/// Backward pass of [`max_pool2d_into`]: routes each output gradient to
+/// the input element that won the max, accumulating into a caller-provided
+/// tensor already shaped like the pooling input. `out` is zeroed first.
 ///
 /// # Errors
 ///
@@ -641,14 +552,40 @@ mod tests {
         assert!(Conv2dGeometry::new(2, 2, 5, 5, 1, 0).is_err());
     }
 
+    /// [`im2col_into`] into a fresh tensor.
+    fn unrolled(x: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
+        let (n, c) = (x.dims()[0], x.dims()[1]);
+        let rows = n * geom.out_positions();
+        let mut out = Tensor::zeros([rows, c * geom.kernel_h * geom.kernel_w]);
+        im2col_into(x, geom, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`max_pool2d_into`] with a 2×2 window and stride 2 into fresh buffers.
+    fn pool_2x2(x: &Tensor) -> (Tensor, Vec<usize>) {
+        let d = x.dims();
+        let mut out = Tensor::zeros([d[0], d[1], d[2] / 2, d[3] / 2]);
+        let mut argmax = Vec::new();
+        max_pool2d_into(x, 2, 2, &mut out, &mut argmax).expect("valid window");
+        (out, argmax)
+    }
+
+    /// [`max_pool2d_backward_into`] into a fresh tensor shaped like `x`.
+    fn pool_2x2_backward(grad: &Tensor, argmax: &[usize], x: &Tensor) -> Tensor {
+        let mut gx = Tensor::full(x.dims().to_vec(), f32::NAN);
+        max_pool2d_backward_into(grad, argmax, &mut gx).expect("consistent");
+        gx
+    }
+
     #[test]
     fn im2col_gemm_matches_naive_conv() {
         let geom = Conv2dGeometry::new(6, 5, 3, 3, 1, 1).expect("valid");
         let x = Tensor::rand_uniform([2, 3, 6, 5], -1.0, 1.0, 11);
         let w = Tensor::rand_uniform([4, 3 * 3 * 3], -1.0, 1.0, 12);
-        let cols = im2col(&x, &geom).expect("geometry matches");
+        let cols = unrolled(&x, &geom).expect("geometry matches");
         let rows = matmul_nt(&cols, &w).expect("conformable");
-        let got = rows_to_nchw(&rows, 2, 4, geom.out_h, geom.out_w).expect("consistent");
+        let mut got = Tensor::full([2, 4, geom.out_h, geom.out_w], f32::NAN);
+        rows_to_nchw_into(&rows, 2, 4, geom.out_h, geom.out_w, &mut got).expect("consistent");
         let w4 = w.reshape([4, 3, 3, 3]).expect("same volume");
         let want = naive_conv(&x, &w4, &geom);
         assert!(got.approx_eq(&want, 1e-4));
@@ -658,29 +595,32 @@ mod tests {
     fn im2col_strided_no_padding() {
         let geom = Conv2dGeometry::new(4, 4, 2, 2, 2, 0).expect("valid");
         let x = Tensor::from_fn([1, 1, 4, 4], |i| i as f32);
-        let cols = im2col(&x, &geom).expect("geometry matches");
-        assert_eq!(cols.dims(), &[4, 4]);
+        let mut cols = Tensor::full([4, 4], f32::NAN);
+        im2col_into(&x, &geom, &mut cols).expect("geometry matches");
         // First patch is the top-left 2x2 block.
         assert_eq!(cols.row(0).expect("in range").data(), &[0.0, 1.0, 4.0, 5.0]);
     }
 
     #[test]
-    fn im2col_rejects_wrong_spatial_dims() {
+    fn im2col_rejects_wrong_shapes() {
         let geom = Conv2dGeometry::new(6, 6, 3, 3, 1, 1).expect("valid");
-        let x = Tensor::zeros([1, 1, 5, 5]);
-        assert!(im2col(&x, &geom).is_err());
-        assert!(im2col(&Tensor::zeros([5, 5]), &geom).is_err());
+        let mut cols = Tensor::zeros([36, 9]);
+        assert!(im2col_into(&Tensor::zeros([1, 1, 5, 5]), &geom, &mut cols).is_err());
+        assert!(im2col_into(&Tensor::zeros([5, 5]), &geom, &mut cols).is_err());
+        let mut short = Tensor::zeros([35, 9]);
+        assert!(im2col_into(&Tensor::zeros([1, 1, 6, 6]), &geom, &mut short).is_err());
     }
 
     #[test]
     fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
+        // <unrolled(x), y> == <x, col2im_into(y)> for random x, y — the defining
         // property of the adjoint, which is exactly what backprop needs.
         let geom = Conv2dGeometry::new(5, 5, 3, 3, 1, 1).expect("valid");
         let x = Tensor::rand_uniform([1, 2, 5, 5], -1.0, 1.0, 21);
-        let cols = im2col(&x, &geom).expect("geometry matches");
+        let cols = unrolled(&x, &geom).expect("geometry matches");
         let y = Tensor::rand_uniform(cols.dims().to_vec(), -1.0, 1.0, 22);
-        let xback = col2im(&y, 1, 2, &geom).expect("consistent");
+        let mut xback = Tensor::full([1, 2, 5, 5], f32::NAN);
+        col2im_into(&y, 1, 2, &geom, &mut xback).expect("consistent");
         let lhs: f32 = cols.data().iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
         let rhs: f32 = x
             .data()
@@ -694,45 +634,51 @@ mod tests {
     #[test]
     fn rows_nchw_round_trip() {
         let x = Tensor::rand_uniform([2, 3, 4, 5], -1.0, 1.0, 31);
-        let rows = nchw_to_rows(&x).expect("rank 4");
-        let back = rows_to_nchw(&rows, 2, 3, 4, 5).expect("consistent");
+        let mut rows = Tensor::full([2 * 4 * 5, 3], f32::NAN);
+        nchw_to_rows_into(&x, &mut rows).expect("rank 4");
+        let mut back = Tensor::full([2, 3, 4, 5], f32::NAN);
+        rows_to_nchw_into(&rows, 2, 3, 4, 5, &mut back).expect("consistent");
         assert_eq!(back, x);
     }
 
     #[test]
     fn max_pool_forward() {
         let x = Tensor::from_fn([1, 1, 4, 4], |i| i as f32);
-        let p = max_pool2d(&x, 2, 2).expect("valid window");
-        assert_eq!(p.output.dims(), &[1, 1, 2, 2]);
-        assert_eq!(p.output.data(), &[5.0, 7.0, 13.0, 15.0]);
+        let (out, _) = pool_2x2(&x);
+        assert_eq!(out.dims(), &[1, 1, 2, 2]);
+        assert_eq!(out.data(), &[5.0, 7.0, 13.0, 15.0]);
+        let mut wrong = Tensor::zeros([1, 1, 3, 3]);
+        assert!(max_pool2d_into(&x, 2, 2, &mut wrong, &mut Vec::new()).is_err());
     }
 
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_fn([1, 1, 4, 4], |i| i as f32);
-        let p = max_pool2d(&x, 2, 2).expect("valid window");
-        let g = Tensor::ones(p.output.dims().to_vec());
-        let gx = max_pool2d_backward(&g, &p.argmax, x.dims()).expect("consistent");
+        let (out, argmax) = pool_2x2(&x);
+        let g = Tensor::ones(out.dims().to_vec());
+        let gx = pool_2x2_backward(&g, &argmax, &x);
         assert_eq!(gx.sum(), 4.0);
         assert_eq!(gx.at(&[0, 0, 1, 1]).expect("valid"), 1.0); // element 5
         assert_eq!(gx.at(&[0, 0, 0, 0]).expect("valid"), 0.0);
+        let mut gx = Tensor::zeros([1, 1, 4, 4]);
+        assert!(max_pool2d_backward_into(&g, &argmax[1..], &mut gx).is_err());
     }
 
     #[test]
     fn pool_gradcheck_against_finite_difference() {
         let x = Tensor::rand_uniform([1, 2, 4, 4], -1.0, 1.0, 41);
-        let p = max_pool2d(&x, 2, 2).expect("valid window");
+        let (out, argmax) = pool_2x2(&x);
         // Loss = sum of pooled outputs; analytic gradient routes ones.
-        let g = Tensor::ones(p.output.dims().to_vec());
-        let gx = max_pool2d_backward(&g, &p.argmax, x.dims()).expect("consistent");
+        let g = Tensor::ones(out.dims().to_vec());
+        let gx = pool_2x2_backward(&g, &argmax, &x);
         let eps = 1e-3;
         for probe in [0usize, 5, 17, 31] {
             let mut xp = x.clone();
             xp.data_mut()[probe] += eps;
-            let lp = max_pool2d(&xp, 2, 2).expect("valid window").output.sum();
+            let lp = pool_2x2(&xp).0.sum();
             let mut xm = x.clone();
             xm.data_mut()[probe] -= eps;
-            let lm = max_pool2d(&xm, 2, 2).expect("valid window").output.sum();
+            let lm = pool_2x2(&xm).0.sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
                 (fd - gx.data()[probe]).abs() < 1e-2,

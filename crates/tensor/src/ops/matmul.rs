@@ -148,30 +148,18 @@ pub fn dot(a: &Tensor, b: &Tensor) -> Result<f32> {
     Ok(a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).sum())
 }
 
-/// Adds a rank-1 `bias` of length `n` to every row of a `(m, n)` matrix.
+/// Adds a rank-1 `bias` of length `n` to every row of a `(m, n)` matrix,
+/// in place.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the bias length differs from
 /// the column count.
-pub fn add_bias_rows(x: &Tensor, bias: &Tensor) -> Result<Tensor> {
-    let mut out = x.clone();
-    add_bias_rows_in_place(&mut out, bias)?;
-    Ok(out)
-}
-
-/// Adds a rank-1 `bias` to every row of a `(m, n)` matrix in place. The
-/// allocation-free counterpart of [`add_bias_rows`]; per-element results
-/// are identical.
-///
-/// # Errors
-///
-/// Same conditions as [`add_bias_rows`].
 pub fn add_bias_rows_in_place(x: &mut Tensor, bias: &Tensor) -> Result<()> {
     let (m, n) = x.shape().as_matrix()?;
     if bias.rank() != 1 || bias.len() != n {
         return Err(TensorError::ShapeMismatch {
-            op: "add_bias_rows",
+            op: "add_bias_rows_in_place",
             lhs: x.dims().to_vec(),
             rhs: bias.dims().to_vec(),
         });
@@ -317,22 +305,12 @@ mod tests {
 
     #[test]
     fn add_bias_broadcasts_over_rows() {
-        let x = Tensor::zeros([2, 3]);
+        let mut y = Tensor::zeros([2, 3]);
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).expect("ok");
-        let y = add_bias_rows(&x, &b).expect("conformable");
+        add_bias_rows_in_place(&mut y, &b).expect("conformable");
         assert_eq!(y.row(0).expect("in range").data(), &[1.0, 2.0, 3.0]);
         assert_eq!(y.row(1).expect("in range").data(), &[1.0, 2.0, 3.0]);
-        assert!(add_bias_rows(&x, &Tensor::zeros([2])).is_err());
-    }
-
-    #[test]
-    fn add_bias_in_place_matches_copy() {
-        let x = Tensor::rand_uniform([3, 4], -1.0, 1.0, 14);
-        let b = Tensor::rand_uniform([4], -1.0, 1.0, 15);
-        let copied = add_bias_rows(&x, &b).expect("conformable");
-        let mut inplace = x.clone();
-        add_bias_rows_in_place(&mut inplace, &b).expect("conformable");
-        assert_eq!(inplace, copied);
+        assert!(add_bias_rows_in_place(&mut y, &Tensor::zeros([2])).is_err());
     }
 
     #[test]

@@ -71,26 +71,6 @@ pub fn log_softmax_rows(x: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// One-hot encodes class labels into a `(labels.len(), classes)` matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::OutOfBounds`] if any label is `>= classes`.
-pub fn one_hot(labels: &[usize], classes: usize) -> Result<Tensor> {
-    let mut out = Tensor::zeros([labels.len(), classes]);
-    for (i, &l) in labels.iter().enumerate() {
-        if l >= classes {
-            return Err(TensorError::OutOfBounds {
-                what: "label",
-                index: l,
-                bound: classes,
-            });
-        }
-        out.data_mut()[i * classes + l] = 1.0;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +109,6 @@ mod tests {
         let a = softmax_rows(&x).expect("matrix");
         let b = softmax_rows(&shifted).expect("matrix");
         assert!(a.approx_eq(&b, 1e-5));
-    }
-
-    #[test]
-    fn one_hot_basic() {
-        let t = one_hot(&[0, 2], 3).expect("labels in range");
-        assert_eq!(t.dims(), &[2, 3]);
-        assert_eq!(t.data(), &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
-        assert!(one_hot(&[3], 3).is_err());
     }
 
     #[test]

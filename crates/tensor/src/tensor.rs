@@ -144,36 +144,9 @@ impl Tensor {
         }
     }
 
-    /// Creates a tensor of `n` evenly spaced values in `[start, end)`.
-    pub fn arange(start: f32, end: f32, step: f32) -> Self {
-        // xtask:allow(float-eq): a literal-zero step is a caller bug, checked exactly
-        assert!(step != 0.0, "arange step must be nonzero");
-        let n = if (end - start) / step > 0.0 {
-            ((end - start) / step).ceil() as usize
-        } else {
-            0
-        };
-        let data: Vec<f32> = (0..n).map(|i| start + step * i as f32).collect();
-        let len = data.len();
-        Tensor {
-            shape: Shape::from([len]),
-            data: Storage::new(data),
-        }
-    }
-
     /// Creates a tensor with i.i.d. uniform values in `[lo, hi)`, seeded.
     pub fn rand_uniform<S: Into<Shape>>(shape: S, lo: f32, hi: f32, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        Self::rand_uniform_with(shape, lo, hi, &mut rng)
-    }
-
-    /// Like [`Tensor::rand_uniform`] but drawing from a caller-owned RNG.
-    pub fn rand_uniform_with<S: Into<Shape>, R: Rng>(
-        shape: S,
-        lo: f32,
-        hi: f32,
-        rng: &mut R,
-    ) -> Self {
         let shape = shape.into();
         let n = shape.volume();
         let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
@@ -294,12 +267,6 @@ impl Tensor {
     /// copied once here and `self` becomes the sole owner.
     pub fn data_mut(&mut self) -> &mut [f32] {
         Arc::make_mut(&mut self.data.0).as_mut_slice()
-    }
-
-    /// Consumes the tensor, returning its data buffer (copying only if the
-    /// storage is shared).
-    pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data.0).unwrap_or_else(|arc| (*arc).clone())
     }
 
     /// Element at a multi-dimensional index.
@@ -790,13 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn arange_basic() {
-        let t = Tensor::arange(0.0, 1.0, 0.25);
-        assert_eq!(t.data(), &[0.0, 0.25, 0.5, 0.75]);
-        assert!(Tensor::arange(1.0, 0.0, 0.5).is_empty());
-    }
-
-    #[test]
     fn rand_is_deterministic_per_seed() {
         let a = Tensor::rand_uniform([16], -1.0, 1.0, 42);
         let b = Tensor::rand_uniform([16], -1.0, 1.0, 42);
@@ -999,14 +959,6 @@ mod tests {
         );
         let v = a.into_unique_vec().expect("sole owner detaches");
         assert_eq!(v, vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn into_vec_copies_only_when_shared() {
-        let a = Tensor::from_fn([3], |i| i as f32);
-        let b = a.clone();
-        assert_eq!(a.into_vec(), vec![0.0, 1.0, 2.0]);
-        assert_eq!(b.into_vec(), vec![0.0, 1.0, 2.0]);
     }
 
     #[test]

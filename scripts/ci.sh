@@ -2,7 +2,8 @@
 # Tier-1 verification: everything a PR must pass before merge.
 #
 #   build → tests → xtask lint (ratcheted) → xtask graph --check (effect
-#   analysis) → clippy -D warnings → fmt check
+#   analysis) → clippy -D warnings over all targets (lib, bins, tests,
+#   examples and the criterion benches) → fmt check
 #   → smoke determinism gate (parallel ≡ sequential ≡ pinned artifacts)
 #   → kill-and-resume + storage-fault sweep (every IO op crash-tested)
 #   → perfbench output gate (the benchmark builds; seed-1 outputs exact)
@@ -25,8 +26,10 @@ echo "==> cargo xtask graph --check"
 # must infer effect-free through the sanctioned islands.
 cargo xtask graph --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -q -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets: neither the build nor the test run above compiles the
+# criterion benches, so this is the stage that catches a broken bench.
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
