@@ -30,12 +30,12 @@
 //!   vs recalibrated running statistics.
 
 use reduce_bench::{finish_io_fault, parse_args, Scale};
-use reduce_core::telemetry::{self, Fanout, MetricsRecorder, Observer, RunLog, RunManifest, Stage};
+use reduce_core::telemetry::{Fanout, MetricsRecorder, Observer, RunLog, RunManifest};
 use reduce_core::{
     ExecConfig, FatRunner, FleetEvaluation, Mitigation, Pretrained, ReduceError,
-    ResilienceAnalysis, ResilienceTable, RetrainPolicy, Statistic, StopRule,
+    ResilienceAnalysis, ResilienceTable, RetrainPolicy, SeededChips, Statistic, StopRule,
 };
-use reduce_systolic::{generate_fleet, FaultMap, FaultModel};
+use reduce_systolic::{FaultMap, FaultModel};
 use std::error::Error;
 use std::sync::Arc;
 
@@ -288,14 +288,15 @@ fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
     let constraint = scale.constraint();
     let (runner, pretrained, table) = characterised(scale, exec)?;
     let array = runner.workbench().array_dims();
-    let fleet = generate_fleet(&scale.fleet_config(
+    let fleet = scale.fleet_config(
         array,
         Some(match scale {
             Scale::Smoke => 12,
             _ => 40,
         }),
-    ))?;
-    println!("A1 — selection statistic ablation ({} chips)", fleet.len());
+    );
+    let chips = SeededChips::new(fleet);
+    println!("A1 — selection statistic ablation ({} chips)", fleet.chips);
     println!("policy                satisfied  total_epochs");
     for policy in [
         RetrainPolicy::Reduce(Statistic::Mean),
@@ -304,7 +305,7 @@ fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         RetrainPolicy::Reduce(Statistic::Max),
     ] {
         let r = FleetEvaluation::new(policy, constraint)
-            .source(&fleet)
+            .source(&chips)
             .table(&table)
             .exec(exec)
             .run(&runner, &pretrained)?;
@@ -404,61 +405,43 @@ fn bn_recal() -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Early-stop extension: epochs saved by evaluating during FAT.
+/// Early-stop extension: epochs saved by evaluating during FAT — the
+/// fleet deployed as `fig3 --policy reduce-max` deploys it, once spending
+/// every budget and once with `--early-stop`.
 fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
     let constraint = scale.constraint();
     let (runner, pretrained, table) = characterised(scale, exec)?;
     let array = runner.workbench().array_dims();
-    let fleet = generate_fleet(&scale.fleet_config(
+    let fleet = scale.fleet_config(
         array,
         Some(match scale {
             Scale::Smoke => 12,
             _ => 30,
         }),
-    ))?;
+    );
+    let chips = SeededChips::new(fleet);
     println!(
         "early-stop extension ({} chips, constraint {:.0}%)",
-        fleet.len(),
+        fleet.chips,
         constraint * 100.0
     );
-    // Each chip is retrained twice (exact budget vs early stop) as one
-    // executor job; per-chip counters are summed in fleet order.
-    let per_chip = telemetry::timed_stage(exec.observer(), Stage::Deploy, || {
-        reduce_core::exec::parallel_map(&fleet, exec.threads, |_, chip| {
-            let budget = table.epochs_for(chip.fault_rate(), Statistic::Max)?.epochs;
-            let exact = runner.run(
-                &pretrained,
-                chip.fault_map(),
-                budget,
-                StopRule::Exact,
-                Mitigation::Fap,
-                chip.id() as u64,
-            )?;
-            let stopped = runner.run(
-                &pretrained,
-                chip.fault_map(),
-                budget,
-                StopRule::AtAccuracy(constraint),
-                Mitigation::Fap,
-                chip.id() as u64,
-            )?;
-            Ok((
-                exact.epochs_run(),
-                stopped.epochs_run(),
-                usize::from(exact.final_accuracy() >= constraint),
-                usize::from(stopped.final_accuracy() >= constraint),
-            ))
-        })
-    })?;
-    let (mut exact_total, mut stop_total, mut exact_sat, mut stop_sat) = (0usize, 0usize, 0, 0);
-    for (exact_epochs, stop_epochs, exact_ok, stop_ok) in per_chip {
-        exact_total += exact_epochs;
-        stop_total += stop_epochs;
-        exact_sat += exact_ok;
-        stop_sat += stop_ok;
-    }
-    println!("Reduce(max), exact budget : {exact_total} epochs, {exact_sat} satisfied");
-    println!("Reduce(max) + early stop  : {stop_total} epochs, {stop_sat} satisfied");
+    let deploy = |early_stop| {
+        FleetEvaluation::new(RetrainPolicy::Reduce(Statistic::Max), constraint)
+            .source(&chips)
+            .table(&table)
+            .early_stop(early_stop)
+            .exec(exec)
+            .run(&runner, &pretrained)
+    };
+    let (exact, stopped) = (deploy(false)?, deploy(true)?);
+    println!(
+        "Reduce(max), exact budget : {} epochs, {} satisfied",
+        exact.total_epochs, exact.satisfied
+    );
+    println!(
+        "Reduce(max) + early stop  : {} epochs, {} satisfied",
+        stopped.total_epochs, stopped.satisfied
+    );
     println!(
         "\nearly stopping trades per-epoch evaluation cost for epoch savings —\n\
          a natural extension of the paper's fixed-amount Step 3."

@@ -54,8 +54,8 @@
 //! mode picks its own policy list, it conflicts with `--policy`.
 
 use reduce_bench::{
-    apply_fault_args, finish_io_fault, install_io_fault, open_journal, parse_args,
-    reject_conflicts, resolve_run_dir, IoFault, ParsedArgs, Scale, FAULT_VALUE_KEYS,
+    apply_fault_args, finish_io_fault, install_io_fault, open_journal, parse_args, resolve_run_dir,
+    IoFault, ParsedArgs, Scale, FAULT_VALUE_KEYS,
 };
 use reduce_core::telemetry::{
     self, Fanout, FleetManifest, GridManifest, MetricsRecorder, Observer, RunLog, RunManifest,
@@ -113,13 +113,16 @@ fn parse_strategy(s: &str, mid: usize) -> Result<Vec<(RetrainPolicy, FleetStrate
     }
 }
 
-/// Parses the chip count of `--chips`, naming the flag in the error.
+/// Parses the chip count of `--chips`, naming the flag in the error. A
+/// fleet needs at least one chip, so `0` is rejected here, before any
+/// pre-training or characterisation runs.
 fn chip_count(args: &ParsedArgs) -> Result<Option<usize>, ReduceError> {
     args.value("--chips")
-        .map(|s| {
-            s.parse().map_err(|_| ReduceError::InvalidConfig {
-                what: format!("bad --chips value {s:?} (expected a chip count)"),
-            })
+        .map(|s| match s.parse() {
+            Ok(0) | Err(_) => Err(ReduceError::InvalidConfig {
+                what: format!("bad --chips value {s:?} (expected a chip count of at least 1)"),
+            }),
+            Ok(n) => Ok(n),
         })
         .transpose()
 }
@@ -153,12 +156,13 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let policy_arg = args.value("--policy").map(str::to_string);
     let strategy_arg = args.value("--strategy").map(str::to_string);
     let chips = chip_count(&args)?;
-    // A strategy comparison picks its own policy list.
-    reject_conflicts(
-        "--strategy",
-        strategy_arg.is_some(),
-        &[("--policy", policy_arg.is_some())],
-    )?;
+    if strategy_arg.is_some() && policy_arg.is_some() {
+        // A strategy comparison picks its own policy list.
+        return Err(ReduceError::InvalidConfig {
+            what: "--strategy conflicts with --policy".to_string(),
+        }
+        .into());
+    }
     let threads = args.threads()?;
     let redact = args.flag("--redact-timing");
     let (out_dir, resuming) = resolve_run_dir(&args)?;

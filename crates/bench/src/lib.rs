@@ -516,44 +516,6 @@ pub fn parse_args(
     Ok(parsed)
 }
 
-/// Rejects a command line that combines `key` with any option it
-/// excludes. `excluded` lists the full exclusion set as
-/// `(option, was_set)` pairs; the error mirrors the accepted-option
-/// grammar of [`parse_args`] by naming every mutually exclusive option
-/// (sorted, comma-joined), not just the first collision — so the user
-/// learns the whole rule from one failure.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::InvalidConfig`] when `key_set` and at least
-/// one excluded option are both present.
-pub fn reject_conflicts(
-    key: &str,
-    key_set: bool,
-    excluded: &[(&str, bool)],
-) -> Result<(), ReduceError> {
-    if !key_set {
-        return Ok(());
-    }
-    let hit: Vec<&str> = excluded
-        .iter()
-        .filter(|(_, set)| *set)
-        .map(|(k, _)| *k)
-        .collect();
-    if hit.is_empty() {
-        return Ok(());
-    }
-    let mut set: Vec<&str> = excluded.iter().map(|(k, _)| *k).collect();
-    set.sort_unstable();
-    Err(ReduceError::InvalidConfig {
-        what: format!(
-            "{key} conflicts with {} (mutually exclusive with {key}: {})",
-            hit.join(", "),
-            set.join(", ")
-        ),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,26 +546,6 @@ mod tests {
 
     fn to_args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn strategy_conflicts_with_policy() {
-        let err = reject_conflicts("--strategy", true, &[("--policy", true)])
-            .expect_err("conflicting pair must be rejected")
-            .to_string();
-        assert!(err.contains("--strategy conflicts with --policy"), "{err}");
-        assert!(
-            err.contains("mutually exclusive with --strategy: --policy"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn non_conflicting_combinations_pass() {
-        reject_conflicts("--strategy", false, &[("--policy", true)])
-            .expect("exclusions only apply when the key is set");
-        reject_conflicts("--strategy", true, &[("--policy", false)])
-            .expect("no excluded option present");
     }
 
     #[test]

@@ -51,10 +51,21 @@ fn fig2_rejects_an_unknown_part() {
 
 #[test]
 fn fig3_rejects_non_numeric_chip_counts() {
+    for count in ["x", "0"] {
+        rejects(
+            FIG3,
+            &["--scale", "smoke", "--chips", count],
+            &["--chips", &format!("{count:?}")],
+        );
+    }
+}
+
+#[test]
+fn fig3_rejects_a_strategy_with_a_policy() {
     rejects(
         FIG3,
-        &["--scale", "smoke", "--chips", "x"],
-        &["--chips", "\"x\""],
+        &["--scale=smoke", "--strategy=all", "--policy=reduce-max"],
+        &["--strategy", "--policy"],
     );
 }
 

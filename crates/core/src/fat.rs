@@ -8,9 +8,10 @@
 //! callers can reason about *epochs-to-accuracy*.
 
 use crate::error::{ReduceError, Result};
+use crate::telemetry::{EpochScope, Event};
 use crate::workbench::{Pretrained, Workbench};
 use reduce_data::Dataset;
-use reduce_nn::{Sequential, Workspace, WorkspaceStats};
+use reduce_nn::{Sequential, Workspace};
 use reduce_systolic::{fam_mapping, fap_mask, FaultMap};
 use reduce_tensor::Tensor;
 
@@ -38,11 +39,6 @@ pub struct FatOutcome {
     pub pruned_fraction: f32,
     /// Final masked weights (deployable to the chip).
     pub final_state: Vec<(String, Tensor)>,
-    /// Allocation counters of the run's model workspace: after the warm-up
-    /// iteration every additional epoch is served entirely from pooled
-    /// buffers, so `misses`/`bytes_allocated` are independent of the epoch
-    /// budget.
-    pub workspace: WorkspaceStats,
 }
 
 impl FatOutcome {
@@ -104,6 +100,18 @@ impl FatOutcome {
     /// Number of FAT epochs actually executed.
     pub fn epochs_run(&self) -> usize {
         self.accuracy_after_epoch.len()
+    }
+
+    /// One [`Event::EpochCompleted`] per executed epoch (1-based), in
+    /// epoch order: the telemetry a finished run reports under `scope`.
+    pub(crate) fn epoch_events(&self, scope: EpochScope) -> impl Iterator<Item = Event> + '_ {
+        (1..)
+            .zip(&self.accuracy_after_epoch)
+            .map(move |(epoch, &accuracy)| Event::EpochCompleted {
+                scope,
+                epoch,
+                accuracy,
+            })
     }
 }
 
@@ -350,7 +358,7 @@ impl FatRunner {
     }
 
     /// Runs fault-aware retraining for one chip, cold-started from the
-    /// pretrained weights on a private workspace with no epoch tick.
+    /// pretrained weights on a private workspace.
     ///
     /// `max_epochs` bounds the retraining budget; with
     /// [`StopRule::AtAccuracy`] the run ends as soon as the constraint is
@@ -377,14 +385,13 @@ impl FatRunner {
             stop,
             strategy,
             run_seed,
-            None,
-            &mut |_, _| {},
+            &mut Workspace::new(),
         )
     }
 
-    /// [`FatRunner::run`] starting from an arbitrary state dict, with an
-    /// optional shared workspace and an epoch tick — the general entry
-    /// point, of which `run` is the cold-start shortcut.
+    /// [`FatRunner::run`] starting from an arbitrary state dict on a
+    /// caller-owned workspace — the general entry point, of which `run` is
+    /// the cold-start shortcut.
     ///
     /// **Warm start.** `base_state` is loaded through
     /// [`FatRunner::masked_model_from_state`]: pass
@@ -394,33 +401,25 @@ impl FatRunner {
     /// already meets the constraint spends zero retraining epochs — the
     /// source of eFAT's aggregate savings.
     ///
-    /// **Pool.** With `Some(pool)` the run shares a caller-owned workspace
-    /// arena: the epoch-budget scheduler runs a whole batch of chips
-    /// through one pool, so only the first chip of a batch pays the
-    /// warm-up allocations and every later chip trains entirely from
-    /// recycled buffers. The pool is swapped into the model for the
-    /// duration of the run and swapped back out before returning, with all
-    /// the chip's allocation traffic accumulated into the pool's counters
-    /// — so [`FatOutcome::workspace`] is left at zero and the caller reads
-    /// the batch total from [`reduce_nn::Workspace::stats`] once per
-    /// batch. Accuracy results are bit-identical to an unpooled run:
-    /// recycled buffers are zeroed on `take`, so numerics never observe
-    /// the pool. If the run fails (divergence, injected chaos) the model —
-    /// holding the swapped-in arena — is dropped with it, and the pool is
-    /// left holding an empty arena; the next chip in the batch simply
-    /// warms it up again. The loss is deterministic because failures are.
-    /// With `None` the model keeps its own workspace and its counters are
-    /// returned in [`FatOutcome::workspace`].
-    ///
-    /// **Tick.** `on_epoch(epoch, accuracy)` is called after each
-    /// completed retraining epoch (1-based), which is how the telemetry
-    /// layer's `EpochCompleted` events originate. The callback cannot
-    /// influence the run.
+    /// **Pool.** The run trains out of `pool`: the arena is swapped into
+    /// the model for the duration of the run and swapped back out before
+    /// returning, with all the run's allocation traffic accumulated into
+    /// the pool's counters, which the caller reads with
+    /// [`reduce_nn::Workspace::stats`]. Step ① hands every grid cell a
+    /// fresh pool; the epoch-budget scheduler runs a whole batch of chips
+    /// through one, so only the first chip of a batch pays the warm-up
+    /// allocations and every later chip trains entirely from recycled
+    /// buffers. Accuracy results never observe the pool: recycled buffers
+    /// are zeroed on `take`. If the run fails (divergence, injected chaos)
+    /// the model — holding the swapped-in arena — is dropped with it, and
+    /// the pool is left holding an empty arena; the next chip in the batch
+    /// simply warms it up again. The loss is deterministic because
+    /// failures are.
     ///
     /// # Errors
     ///
     /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // `run`'s arguments plus state, pool and tick
+    #[allow(clippy::too_many_arguments)] // `run`'s arguments plus state and pool
     pub fn run_from_state(
         &self,
         base_state: &[(String, Tensor)],
@@ -429,14 +428,11 @@ impl FatRunner {
         stop: StopRule,
         strategy: Mitigation,
         run_seed: u64,
-        mut pool: Option<&mut Workspace>,
-        on_epoch: &mut dyn FnMut(usize, f32),
+        pool: &mut Workspace,
     ) -> Result<FatOutcome> {
         let (mut model, pruned_fraction) =
             self.masked_model_from_state(base_state, fault_map, strategy)?;
-        if let Some(pool) = pool.as_deref_mut() {
-            std::mem::swap(model.workspace_mut(), pool);
-        }
+        std::mem::swap(model.workspace_mut(), pool);
         if self.workbench.bn_recalibration_passes > 0 {
             self.recalibrate_statistics(&mut model, self.workbench.bn_recalibration_passes)?;
         }
@@ -451,7 +447,6 @@ impl FatRunner {
             accuracy_after_epoch: Vec::with_capacity(max_epochs),
             pruned_fraction,
             final_state: Vec::new(),
-            workspace: WorkspaceStats::default(),
         };
         let met_before_retraining = matches!(stop, StopRule::AtAccuracy(c) if pre >= c);
         if !met_before_retraining {
@@ -465,7 +460,6 @@ impl FatRunner {
                     });
                 }
                 outcome.accuracy_after_epoch.push(acc);
-                on_epoch(epoch, acc);
                 if let StopRule::AtAccuracy(c) = stop {
                     if acc >= c {
                         break;
@@ -480,12 +474,7 @@ impl FatRunner {
             }
         }
         outcome.final_state = model.state_dict();
-        match pool {
-            // Pooled runs hand their allocation traffic back to the shared
-            // arena; the batch accounts it once via `Workspace::stats`.
-            Some(pool) => std::mem::swap(model.workspace_mut(), pool),
-            None => outcome.workspace = model.workspace_stats(),
-        }
+        std::mem::swap(model.workspace_mut(), pool);
         Ok(outcome)
     }
 }
@@ -571,7 +560,6 @@ mod tests {
             accuracy_after_epoch: vec![0.6, 0.8, 0.9],
             pruned_fraction: 0.1,
             final_state: Vec::new(),
-            workspace: WorkspaceStats::default(),
         };
         assert_eq!(out.epochs_to_reach(0.4), Some(0));
         assert_eq!(out.epochs_to_reach(0.75), Some(2));
@@ -603,7 +591,6 @@ mod tests {
             accuracy_after_epoch: vec![0.5],
             pruned_fraction: 0.1,
             final_state: Vec::new(),
-            workspace: WorkspaceStats::default(),
         };
         match nan_pre.ensure_finite() {
             Err(ReduceError::Divergence { what }) => {
@@ -616,7 +603,6 @@ mod tests {
             accuracy_after_epoch: vec![0.6, f32::INFINITY],
             pruned_fraction: 0.1,
             final_state: Vec::new(),
-            workspace: WorkspaceStats::default(),
         };
         match nan_epoch.ensure_finite() {
             Err(ReduceError::Divergence { what }) => {
@@ -631,7 +617,6 @@ mod tests {
             accuracy_after_epoch: vec![0.6],
             pruned_fraction: 0.1,
             final_state: Vec::new(),
-            workspace: WorkspaceStats::default(),
         };
         healthy.ensure_finite().expect("finite outcome passes");
     }
@@ -725,19 +710,29 @@ mod tests {
     fn steady_state_fat_epochs_are_allocation_free() {
         let (runner, pre) = runner();
         let m = map(0.1, 9);
-        let short = runner
-            .run(&pre, &m, 1, StopRule::Exact, Mitigation::Fap, 3)
-            .expect("valid run");
-        let long = runner
-            .run(&pre, &m, 4, StopRule::Exact, Mitigation::Fap, 3)
-            .expect("valid run");
-        assert!(long.workspace.requests() > short.workspace.requests());
+        let pooled = |epochs| {
+            let mut pool = Workspace::new();
+            runner
+                .run_from_state(
+                    &pre.state,
+                    &m,
+                    epochs,
+                    StopRule::Exact,
+                    Mitigation::Fap,
+                    3,
+                    &mut pool,
+                )
+                .expect("valid run");
+            pool.stats()
+        };
+        let (short, long) = (pooled(1), pooled(4));
+        assert!(long.requests() > short.requests());
         assert_eq!(
-            long.workspace.misses, short.workspace.misses,
+            long.misses, short.misses,
             "epochs beyond warm-up must be served from the workspace pool"
         );
         assert_eq!(
-            long.workspace.bytes_allocated, short.workspace.bytes_allocated,
+            long.bytes_allocated, short.bytes_allocated,
             "epochs beyond warm-up must not allocate"
         );
     }
@@ -835,8 +830,7 @@ mod tests {
                 StopRule::Exact,
                 Mitigation::Fap,
                 1,
-                None,
-                &mut |_, _| {},
+                &mut Workspace::new(),
             )
             .expect("valid run");
         assert_eq!(
@@ -874,8 +868,7 @@ mod tests {
                 StopRule::AtAccuracy(constraint),
                 Mitigation::Fap,
                 2,
-                None,
-                &mut |_, _| {},
+                &mut Workspace::new(),
             )
             .expect("valid run");
         assert_eq!(

@@ -128,9 +128,9 @@ pub enum FleetStrategy {
 ///
 /// Implementations must be pure: `chip(id)` returns the same chip every
 /// call (the evaluator may re-pull a chip on retry or resume), and
-/// `fault_rate(id)` equals `chip(id)?.fault_rate()`. Slices satisfy this
-/// trivially; [`SeededChips`] regenerates chips from the fleet seed so a
-/// 10⁶-chip fleet never exists in memory at once.
+/// `fault_rate(id)` equals `chip(id)?.fault_rate()`. [`SeededChips`]
+/// regenerates chips from the fleet seed, so a 10⁶-chip fleet never exists
+/// in memory at once.
 pub trait ChipSource: Sync {
     /// Number of chips in the fleet.
     fn len(&self) -> usize;
@@ -157,69 +157,6 @@ pub trait ChipSource: Sync {
     /// Same domain as [`ChipSource::chip`].
     fn fault_rate(&self, id: usize) -> Result<f64> {
         Ok(self.chip(id)?.fault_rate())
-    }
-}
-
-impl ChipSource for [Chip] {
-    fn len(&self) -> usize {
-        <[Chip]>::len(self)
-    }
-
-    fn chip(&self, id: usize) -> Result<Chip> {
-        let chip = self.get(id).ok_or_else(|| ReduceError::InvalidConfig {
-            what: format!(
-                "chip id {id} outside fleet of {} chips",
-                <[Chip]>::len(self)
-            ),
-        })?;
-        if chip.id() != id {
-            return Err(ReduceError::InvalidConfig {
-                what: format!(
-                    "slice chip sources must be in id order (found chip {} at index {id})",
-                    chip.id()
-                ),
-            });
-        }
-        Ok(chip.clone())
-    }
-
-    fn fault_rate(&self, id: usize) -> Result<f64> {
-        self.get(id)
-            .map(Chip::fault_rate)
-            .ok_or_else(|| ReduceError::InvalidConfig {
-                what: format!(
-                    "chip id {id} outside fleet of {} chips",
-                    <[Chip]>::len(self)
-                ),
-            })
-    }
-}
-
-impl ChipSource for &[Chip] {
-    fn len(&self) -> usize {
-        ChipSource::len(&**self)
-    }
-
-    fn chip(&self, id: usize) -> Result<Chip> {
-        ChipSource::chip(&**self, id)
-    }
-
-    fn fault_rate(&self, id: usize) -> Result<f64> {
-        ChipSource::fault_rate(&**self, id)
-    }
-}
-
-impl ChipSource for Vec<Chip> {
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    fn chip(&self, id: usize) -> Result<Chip> {
-        ChipSource::chip(self.as_slice(), id)
-    }
-
-    fn fault_rate(&self, id: usize) -> Result<f64> {
-        ChipSource::fault_rate(self.as_slice(), id)
     }
 }
 
@@ -351,41 +288,39 @@ struct BatchResult {
 }
 
 /// Streaming accumulator behind [`FleetReport`] — absorbs sealed chips
-/// one at a time in scheduler order.
+/// one at a time in scheduler order into the report it will return, plus
+/// the running accuracy sum its mean is taken from.
 struct ReportAccumulator {
-    evaluated: usize,
-    quarantined: Vec<QuarantinedChip>,
-    total_epochs: usize,
-    satisfied: usize,
+    report: FleetReport,
     accuracy_sum: f64,
-    min_accuracy: f32,
-    max_accuracy: f32,
-    epoch_histogram: BTreeMap<usize, usize>,
-    clusters: usize,
-    warm_started: usize,
-    warm_start_epochs_saved: usize,
-    outcomes: Option<Vec<ChipOutcome>>,
 }
 
 impl ReportAccumulator {
-    fn new(collect_outcomes: bool) -> Self {
+    fn new(policy: String, constraint: f32, collect_outcomes: bool) -> Self {
         ReportAccumulator {
-            evaluated: 0,
-            quarantined: Vec::new(),
-            total_epochs: 0,
-            satisfied: 0,
+            report: FleetReport {
+                policy,
+                constraint,
+                evaluated: 0,
+                quarantined: Vec::new(),
+                total_epochs: 0,
+                satisfied: 0,
+                mean_accuracy: 0.0,
+                min_accuracy: f32::INFINITY,
+                max_accuracy: f32::NEG_INFINITY,
+                epoch_histogram: BTreeMap::new(),
+                retrain_cycles: None,
+                clusters: 0,
+                warm_started: 0,
+                warm_start_epochs_saved: 0,
+                outcomes: collect_outcomes.then(Vec::new),
+            },
             accuracy_sum: 0.0,
-            min_accuracy: f32::INFINITY,
-            max_accuracy: f32::NEG_INFINITY,
-            epoch_histogram: BTreeMap::new(),
-            clusters: 0,
-            warm_started: 0,
-            warm_start_epochs_saved: 0,
-            outcomes: collect_outcomes.then(Vec::new),
         }
     }
 
     fn absorb(&mut self, sealed: SealedChip) -> Result<()> {
+        let r = &mut self.report;
         match sealed {
             SealedChip::Retrained(c) => {
                 // FAT runs guard this at the source; re-check here so a
@@ -397,59 +332,40 @@ impl ReportAccumulator {
                         what: format!("chip {} final accuracy is {}", c.chip_id, c.final_accuracy),
                     });
                 }
-                self.evaluated += 1;
-                self.total_epochs += c.epochs_run;
+                r.evaluated += 1;
+                r.total_epochs += c.epochs_run;
                 if c.meets_constraint {
-                    self.satisfied += 1;
+                    r.satisfied += 1;
                 }
                 self.accuracy_sum += f64::from(c.final_accuracy);
-                self.min_accuracy = self.min_accuracy.min(c.final_accuracy);
-                self.max_accuracy = self.max_accuracy.max(c.final_accuracy);
-                *self.epoch_histogram.entry(c.epochs_run).or_insert(0) += 1;
+                r.min_accuracy = r.min_accuracy.min(c.final_accuracy);
+                r.max_accuracy = r.max_accuracy.max(c.final_accuracy);
+                *r.epoch_histogram.entry(c.epochs_run).or_insert(0) += 1;
                 if c.warm_started {
-                    self.warm_started += 1;
-                    self.warm_start_epochs_saved += c.epochs_budgeted.saturating_sub(c.epochs_run);
+                    r.warm_started += 1;
+                    r.warm_start_epochs_saved += c.epochs_budgeted.saturating_sub(c.epochs_run);
                 }
-                if let Some(outcomes) = &mut self.outcomes {
+                if let Some(outcomes) = &mut r.outcomes {
                     outcomes.push(c);
                 }
             }
-            SealedChip::Quarantined(q) => self.quarantined.push(q),
+            SealedChip::Quarantined(q) => r.quarantined.push(q),
         }
         Ok(())
     }
 
-    fn finish(self, policy: String, constraint: f32, retrain_cycles: Option<u64>) -> FleetReport {
-        let mean_accuracy = if self.evaluated == 0 {
-            0.0
-        } else {
-            (self.accuracy_sum / self.evaluated as f64) as f32
-        };
-        FleetReport {
-            policy,
-            constraint,
-            evaluated: self.evaluated,
-            quarantined: self.quarantined,
-            total_epochs: self.total_epochs,
-            satisfied: self.satisfied,
-            mean_accuracy,
-            min_accuracy: if self.min_accuracy.is_finite() {
-                self.min_accuracy
-            } else {
-                0.0
-            },
-            max_accuracy: if self.max_accuracy.is_finite() {
-                self.max_accuracy
-            } else {
-                0.0
-            },
-            epoch_histogram: self.epoch_histogram,
-            retrain_cycles,
-            clusters: self.clusters,
-            warm_started: self.warm_started,
-            warm_start_epochs_saved: self.warm_start_epochs_saved,
-            outcomes: self.outcomes,
+    fn finish(self, retrain_cycles: Option<u64>) -> FleetReport {
+        let mut report = self.report;
+        if report.evaluated > 0 {
+            report.mean_accuracy = (self.accuracy_sum / report.evaluated as f64) as f32;
         }
+        for extreme in [&mut report.min_accuracy, &mut report.max_accuracy] {
+            if !extreme.is_finite() {
+                *extreme = 0.0;
+            }
+        }
+        report.retrain_cycles = retrain_cycles;
+        report
     }
 }
 
@@ -661,8 +577,9 @@ impl<'a> FleetEvaluation<'a> {
     /// back in scheduler order (window-major, then ascending budget,
     /// chunk and chip id), so the report and the flushed telemetry are
     /// byte-identical at any thread count and across resume splits.
-    /// `exec`'s observer receives a `Deploy` stage pair plus per-epoch
-    /// ticks and one [`Event::ChipRetrained`] per chip.
+    /// `exec`'s observer receives a `Deploy` stage pair and, per chip, one
+    /// [`Event::EpochCompleted`] per epoch run followed by one
+    /// [`Event::ChipRetrained`].
     ///
     /// # Errors
     ///
@@ -722,7 +639,8 @@ impl<'a> FleetEvaluation<'a> {
             let start = index * self.window;
             self.schedule_window(source, index, start..(start + self.window).min(n))
         });
-        let mut accumulator = ReportAccumulator::new(self.collect_outcomes);
+        let mut accumulator =
+            ReportAccumulator::new(policy_label.clone(), self.constraint, self.collect_outcomes);
         exec::run_resumable_stage(
             exec,
             Stage::Deploy,
@@ -731,7 +649,7 @@ impl<'a> FleetEvaluation<'a> {
             |plan: &BatchPlan| replayed.remove(&(plan.window, plan.budget, plan.chunk)),
             |plan| self.run_batch(runner, pretrained, source, exec, &policy_label, plan),
             |_, batch: BatchResult| {
-                accumulator.clusters += batch.clusters.len();
+                accumulator.report.clusters += batch.clusters.len();
                 batch
                     .chips
                     .into_iter()
@@ -745,11 +663,11 @@ impl<'a> FleetEvaluation<'a> {
                 let shapes = wb.model.gemm_shapes(wb.train.batch_size)?;
                 let samples = runner.train_data().len();
                 let per_epoch = cm.epoch_cycles(&shapes, samples, wb.train.batch_size)?;
-                Some(per_epoch * accumulator.total_epochs as u64)
+                Some(per_epoch * accumulator.report.total_epochs as u64)
             }
             None => None,
         };
-        Ok(accumulator.finish(policy_label, self.constraint, retrain_cycles))
+        Ok(accumulator.finish(retrain_cycles))
     }
 
     /// The scheduling pass for one window: select a budget for every chip
@@ -1019,7 +937,6 @@ impl<'a> FleetEvaluation<'a> {
                 representative,
             });
         }
-        let mut pool = pool.borrow_mut();
         let mut outcome = runner.run_from_state(
             base_state,
             chip.fault_map(),
@@ -1029,16 +946,10 @@ impl<'a> FleetEvaluation<'a> {
             // `salt` is 0 on the first attempt; retries re-randomise the
             // chip's training shuffle without touching its fault map.
             CHIP_SEED_BASE.wrapping_add(chip.id() as u64) ^ salt,
-            Some(&mut *pool),
-            &mut |epoch, accuracy| {
-                events.push(Event::EpochCompleted {
-                    scope: EpochScope::Chip { chip_id: chip.id() },
-                    epoch,
-                    accuracy,
-                });
-            },
+            &mut pool.borrow_mut(),
         )?;
         outcome.ensure_finite()?;
+        events.extend(outcome.epoch_events(EpochScope::Chip { chip_id: chip.id() }));
         let final_accuracy = outcome.final_accuracy();
         events.push(Event::ChipRetrained {
             chip_id: chip.id(),
@@ -1069,7 +980,7 @@ mod tests {
     use super::*;
     use crate::resilience::{Statistic, TableEntry};
     use crate::workbench::Workbench;
-    use reduce_systolic::{generate_fleet, FaultModel, RateDistribution};
+    use reduce_systolic::{FaultModel, RateDistribution};
 
     fn fleet_config() -> FleetConfig {
         FleetConfig {
@@ -1082,12 +993,11 @@ mod tests {
         }
     }
 
-    fn setup() -> (FatRunner, Pretrained, Vec<Chip>) {
+    fn setup() -> (FatRunner, Pretrained, SeededChips) {
         let wb = Workbench::toy(21);
         let pre = wb.pretrain(12).expect("valid workbench");
         let runner = FatRunner::new(wb).expect("valid workbench");
-        let fleet = generate_fleet(&fleet_config()).expect("valid fleet");
-        (runner, pre, fleet)
+        (runner, pre, SeededChips::new(fleet_config()))
     }
 
     fn table() -> ResilienceTable {
@@ -1280,23 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_source_matches_materialised_fleet() {
-        let (runner, pre, fleet) = setup();
-        let materialised = FleetEvaluation::new(RetrainPolicy::Fixed(2), 0.85)
-            .source(&fleet)
-            .collect_outcomes(true)
-            .run(&runner, &pre)
-            .expect("valid run");
-        let seeded = SeededChips::new(fleet_config());
-        let streamed = FleetEvaluation::new(RetrainPolicy::Fixed(2), 0.85)
-            .source(&seeded)
-            .collect_outcomes(true)
-            .run(&runner, &pre)
-            .expect("valid run");
-        assert_eq!(streamed, materialised);
-    }
-
-    #[test]
     fn unprotected_execution_is_catastrophic() {
         let (runner, pre, _) = setup();
         // A mere 5% of stuck-at-saturated PEs without FAP...
@@ -1346,7 +1239,10 @@ mod tests {
             );
         };
         rejected(FleetEvaluation::new(RetrainPolicy::Fixed(1), 0.5));
-        let empty: Vec<Chip> = Vec::new();
+        let empty = SeededChips::new(FleetConfig {
+            chips: 0,
+            ..fleet_config()
+        });
         rejected(FleetEvaluation::new(RetrainPolicy::Fixed(1), 0.5).source(&empty));
         rejected(
             FleetEvaluation::new(RetrainPolicy::Fixed(1), 0.5)

@@ -620,8 +620,8 @@ fn scan_shard(bytes: &[u8]) -> ShardScan {
                     match parse_footer(payload) {
                         Some(n) => Line::Footer(n),
                         None => match parse_record(payload) {
-                            Ok(r) => Line::Rec(line, r),
-                            Err(_) => Line::Bad(CorruptKind::BadRecord),
+                            Some(r) => Line::Rec(line, r),
+                            None => Line::Bad(CorruptKind::BadRecord),
                         },
                     }
                 }
@@ -1378,62 +1378,35 @@ fn render_record(record: &JournalRecord) -> String {
     s
 }
 
-fn parse_record(line: &str) -> Result<JournalRecord> {
-    let value = parse(line)?;
-    let bad = |what: &str| ReduceError::InvalidConfig {
-        what: format!("malformed journal record: {what}"),
-    };
-    let u64_of = |v: &JsonValue, name: &'static str| -> Result<u64> {
-        v.field(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| bad(name))
-    };
-    let usize_of = |v: &JsonValue, name: &'static str| -> Result<usize> {
-        v.field(name)
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| bad(name))
-    };
-    let f64_of = |v: &JsonValue, name: &'static str| -> Result<f64> {
-        v.field(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| bad(name))
-    };
-    let f32_of = |v: &JsonValue, name: &'static str| -> Result<f32> {
-        v.field(name)
-            .and_then(JsonValue::as_f32)
-            .ok_or_else(|| bad(name))
-    };
-    let str_of = |v: &JsonValue, name: &'static str| -> Result<String> {
+/// Parses one record payload, or `None` if it is not a well-formed
+/// record: the scan reads that as [`CorruptKind::BadRecord`].
+fn parse_record(line: &str) -> Option<JournalRecord> {
+    let value = parse(line).ok()?;
+    let u64_of = |v: &JsonValue, name: &str| v.field(name).and_then(JsonValue::as_u64);
+    let usize_of = |v: &JsonValue, name: &str| v.field(name).and_then(JsonValue::as_usize);
+    let f64_of = |v: &JsonValue, name: &str| v.field(name).and_then(JsonValue::as_f64);
+    let f32_of = |v: &JsonValue, name: &str| v.field(name).and_then(JsonValue::as_f32);
+    let str_of = |v: &JsonValue, name: &str| {
         v.field(name)
             .and_then(JsonValue::as_str)
             .map(str::to_string)
-            .ok_or_else(|| bad(name))
     };
-    let bool_of = |v: &JsonValue, name: &'static str| -> Result<bool> {
-        v.field(name)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| bad(name))
+    let bool_of = |v: &JsonValue, name: &str| v.field(name).and_then(JsonValue::as_bool);
+    let attempts_of = |v: &JsonValue| u32::try_from(u64_of(v, "attempts")?).ok();
+    let events_of = |v: &JsonValue| match v.field("events") {
+        Some(JsonValue::Arr(items)) => items.iter().map(parse_event).collect(),
+        _ => None,
     };
-    let attempts_of = |v: &JsonValue| -> Result<u32> {
-        u64_of(v, "attempts")
-            .and_then(|n| u32::try_from(n).map_err(|_| bad("attempts exceeds u32")))
-    };
-    let events_of = |v: &JsonValue| -> Result<Vec<Event>> {
-        match v.field("events") {
-            Some(JsonValue::Arr(items)) => items.iter().map(parse_event).collect(),
-            _ => Err(bad("events")),
-        }
-    };
-    let workspace_of = |v: &JsonValue| -> Result<WorkspaceStats> {
-        let ws = v.field("workspace").ok_or_else(|| bad("workspace"))?;
-        Ok(WorkspaceStats {
+    let workspace_of = |v: &JsonValue| {
+        let ws = v.field("workspace")?;
+        Some(WorkspaceStats {
             hits: u64_of(ws, "hits")?,
             misses: u64_of(ws, "misses")?,
             bytes_allocated: u64_of(ws, "bytes_allocated")?,
         })
     };
-    let outcome_of = |c: &JsonValue| -> Result<ChipOutcome> {
-        Ok(ChipOutcome {
+    let outcome_of = |c: &JsonValue| {
+        Some(ChipOutcome {
             chip_id: usize_of(c, "chip_id")?,
             fault_rate: f64_of(c, "fault_rate")?,
             epochs_budgeted: usize_of(c, "epochs_budgeted")?,
@@ -1446,22 +1419,21 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
             warm_started: bool_of(c, "warm_started")?,
         })
     };
-    match value.field("kind").and_then(JsonValue::as_str) {
-        Some("point") => {
-            let p = value.field("point").ok_or_else(|| bad("point"))?;
+    match value.field("kind").and_then(JsonValue::as_str)? {
+        "point" => {
+            let p = value.field("point")?;
             let accuracy_after_epoch = match p.field("accuracy_after_epoch") {
                 Some(JsonValue::Arr(items)) => items
                     .iter()
-                    .map(|a| a.as_f32().ok_or_else(|| bad("accuracy_after_epoch")))
-                    .collect::<Result<Vec<f32>>>()?,
-                _ => return Err(bad("accuracy_after_epoch")),
+                    .map(JsonValue::as_f32)
+                    .collect::<Option<Vec<f32>>>()?,
+                _ => return None,
             };
-            let epochs_to_constraint = match p.field("epochs_to_constraint") {
-                Some(v) if v.is_null() => None,
-                Some(v) => Some(v.as_usize().ok_or_else(|| bad("epochs_to_constraint"))?),
-                None => return Err(bad("epochs_to_constraint")),
+            let epochs_to_constraint = match p.field("epochs_to_constraint")? {
+                v if v.is_null() => None,
+                v => Some(v.as_usize()?),
             };
-            Ok(JournalRecord::Point {
+            Some(JournalRecord::Point {
                 job: u64_of(&value, "job")?,
                 point: ResiliencePoint {
                     rate_index: usize_of(p, "rate_index")?,
@@ -1475,7 +1447,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                 events: events_of(&value)?,
             })
         }
-        Some("point_failed") => Ok(JournalRecord::PointFailed {
+        "point_failed" => Some(JournalRecord::PointFailed {
             job: u64_of(&value, "job")?,
             rate_index: usize_of(&value, "rate_index")?,
             rate: f64_of(&value, "rate")?,
@@ -1484,27 +1456,26 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
             error: str_of(&value, "error")?,
             events: events_of(&value)?,
         }),
-        Some("fleet_batch") => {
+        "fleet_batch" => {
             let chips = match value.field("chips") {
                 Some(JsonValue::Arr(items)) => items
                     .iter()
                     .map(
-                        |entry| match entry.field("status").and_then(JsonValue::as_str) {
-                            Some("ok") => {
-                                let c = entry.field("outcome").ok_or_else(|| bad("outcome"))?;
-                                Ok(SealedChip::Retrained(outcome_of(c)?))
+                        |entry| match entry.field("status").and_then(JsonValue::as_str)? {
+                            "ok" => {
+                                Some(SealedChip::Retrained(outcome_of(entry.field("outcome")?)?))
                             }
-                            Some("quarantined") => Ok(SealedChip::Quarantined(QuarantinedChip {
+                            "quarantined" => Some(SealedChip::Quarantined(QuarantinedChip {
                                 chip_id: usize_of(entry, "chip_id")?,
                                 fault_rate: f64_of(entry, "fault_rate")?,
                                 attempts: attempts_of(entry)?,
                                 error: str_of(entry, "error")?,
                             })),
-                            _ => Err(bad("chip status")),
+                            _ => None,
                         },
                     )
-                    .collect::<Result<Vec<SealedChip>>>()?,
-                _ => return Err(bad("chips")),
+                    .collect::<Option<Vec<SealedChip>>>()?,
+                _ => return None,
             };
             let clusters = match value.field("clusters") {
                 Some(JsonValue::Arr(items)) => items
@@ -1513,19 +1484,19 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                         let members = match entry.field("members") {
                             Some(JsonValue::Arr(ids)) => ids
                                 .iter()
-                                .map(|id| id.as_usize().ok_or_else(|| bad("cluster member")))
-                                .collect::<Result<Vec<usize>>>()?,
-                            _ => return Err(bad("cluster members")),
+                                .map(JsonValue::as_usize)
+                                .collect::<Option<Vec<usize>>>()?,
+                            _ => return None,
                         };
-                        Ok(Cluster {
+                        Some(Cluster {
                             representative: usize_of(entry, "representative")?,
                             members,
                         })
                     })
-                    .collect::<Result<Vec<Cluster>>>()?,
-                _ => return Err(bad("clusters")),
+                    .collect::<Option<Vec<Cluster>>>()?,
+                _ => return None,
             };
-            Ok(JournalRecord::FleetBatch {
+            Some(JournalRecord::FleetBatch {
                 policy: str_of(&value, "policy")?,
                 window: usize_of(&value, "window")?,
                 budget: usize_of(&value, "budget")?,
@@ -1536,8 +1507,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                 events: events_of(&value)?,
             })
         }
-        Some(other) => Err(bad(&format!("unknown kind {other:?}"))),
-        None => Err(bad("kind")),
+        _ => None,
     }
 }
 

@@ -31,10 +31,10 @@
 //! ```
 //! use reduce_core::exec::ExecConfig;
 //! use reduce_core::{
-//!     FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig, RetrainPolicy, Statistic,
-//!     Workbench,
+//!     FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig, RetrainPolicy,
+//!     SeededChips, Statistic, Workbench,
 //! };
-//! use reduce_systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
+//! use reduce_systolic::{FaultModel, FleetConfig, RateDistribution};
 //!
 //! # fn main() -> Result<(), reduce_core::ReduceError> {
 //! // A fast tabular workbench (tests & doc builds); see Workbench::paper_scale
@@ -53,14 +53,15 @@
 //!     .build()?;
 //! let table = ResilienceAnalysis::run(&runner, &pretrained, grid, &exec)?.table();
 //! // Steps 2+3: pick each chip's budget from the table and retrain it.
-//! let fleet = generate_fleet(&FleetConfig {
+//! // Chips stream from the seeded fleet on demand, one id at a time.
+//! let fleet = SeededChips::new(FleetConfig {
 //!     chips: 2,
 //!     rows: 8,
 //!     cols: 8,
 //!     rates: RateDistribution::Uniform { lo: 0.0, hi: 0.15 },
 //!     model: FaultModel::Random,
 //!     seed: 2,
-//! })?;
+//! });
 //! let report = FleetEvaluation::new(RetrainPolicy::Reduce(Statistic::Max), 0.88)
 //!     .source(&fleet)
 //!     .table(&table)

@@ -19,7 +19,7 @@ use crate::fat::{FatRunner, Mitigation, StopRule};
 use crate::journal::{Checkpoint, JournalRecord};
 use crate::telemetry::{EpochScope, Event, Stage};
 use crate::workbench::Pretrained;
-use reduce_nn::WorkspaceStats;
+use reduce_nn::{Workspace, WorkspaceStats};
 use reduce_systolic::{FaultMap, FaultModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -305,9 +305,9 @@ impl ResilienceAnalysis {
     /// independently seeded from `(rate index, repeat)` and the executor
     /// returns cells in grid order, so points, summaries and the derived
     /// table are byte-identical to a sequential run regardless of thread
-    /// count. `exec`'s observer receives a `Characterize` stage pair,
-    /// per-epoch ticks, and one [`Event::PointFinished`] per grid cell,
-    /// flushed in grid order.
+    /// count. `exec`'s observer receives a `Characterize` stage pair, and
+    /// per grid cell one [`Event::EpochCompleted`] per epoch of its curve
+    /// followed by one [`Event::PointFinished`], flushed in grid order.
     ///
     /// # Errors
     ///
@@ -448,6 +448,7 @@ impl ResilienceAnalysis {
                         // retries; the salt only re-randomises training.
                         let map =
                             FaultMap::generate(rows, cols, rate, config.fault_model, map_seed)?;
+                        let mut pool = Workspace::new();
                         let outcome = runner.run_from_state(
                             &pretrained.state,
                             &map,
@@ -455,19 +456,13 @@ impl ResilienceAnalysis {
                             StopRule::Exact,
                             Mitigation::Fap,
                             map_seed ^ 0x5EED ^ salt,
-                            None,
-                            &mut |epoch, accuracy| {
-                                events.push(Event::EpochCompleted {
-                                    scope: EpochScope::Point {
-                                        rate_index: ri,
-                                        repeat: rep,
-                                    },
-                                    epoch,
-                                    accuracy,
-                                });
-                            },
+                            &mut pool,
                         )?;
                         outcome.ensure_finite()?;
+                        events.extend(outcome.epoch_events(EpochScope::Point {
+                            rate_index: ri,
+                            repeat: rep,
+                        }));
                         let final_accuracy = outcome.final_accuracy();
                         let epochs_to_constraint = outcome.epochs_to_reach(config.constraint);
                         events.push(Event::PointFinished {
@@ -486,7 +481,7 @@ impl ResilienceAnalysis {
                             epochs_to_constraint,
                             accuracy_after_epoch: outcome.accuracy_after_epoch,
                         };
-                        Ok((point, outcome.workspace))
+                        Ok((point, pool.stats()))
                     },
                 )?;
                 let (result, workspace) = match report.status {

@@ -5,7 +5,7 @@ use super::{Event, Observer};
 use std::sync::Mutex;
 
 /// Aggregate of one observed quantity: count, total, min, mean, max.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StatSummary {
     /// Number of observations.
     pub count: usize,
@@ -19,16 +19,7 @@ pub struct StatSummary {
     pub max: f64,
 }
 
-/// Running min/total/max accumulator behind [`StatSummary`].
-#[derive(Debug, Clone, Default)]
-struct Accumulator {
-    count: usize,
-    total: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
+impl StatSummary {
     fn observe(&mut self, v: f64) {
         if self.count == 0 {
             self.min = v;
@@ -39,20 +30,7 @@ impl Accumulator {
         }
         self.count += 1;
         self.total += v;
-    }
-
-    fn summary(&self) -> StatSummary {
-        StatSummary {
-            count: self.count,
-            total: self.total,
-            min: if self.count == 0 { 0.0 } else { self.min },
-            mean: if self.count == 0 {
-                0.0
-            } else {
-                self.total / self.count as f64
-            },
-            max: if self.count == 0 { 0.0 } else { self.max },
-        }
+        self.mean = self.total / self.count as f64;
     }
 }
 
@@ -88,7 +66,7 @@ impl StageWorkspace {
 }
 
 /// A point-in-time copy of everything the recorder has aggregated.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Wall-clock seconds per completed stage, in the order stages
     /// finished (untimed stages — redacted or failed — do not appear).
@@ -129,28 +107,6 @@ pub struct MetricsSnapshot {
     pub records_dropped: usize,
 }
 
-#[derive(Debug, Default)]
-struct MetricsState {
-    // Insertion-ordered Vec, not a HashMap: `render` output must be
-    // deterministic and stage count is tiny.
-    stage_seconds: Vec<(String, Accumulator)>,
-    epochs_completed: usize,
-    points_finished: usize,
-    chips_retrained: usize,
-    chips_satisfied: usize,
-    epochs_per_chip: Accumulator,
-    epochs_to_constraint: Accumulator,
-    workspace: Vec<StageWorkspace>,
-    jobs_failed: usize,
-    retries_scheduled: usize,
-    divergences_recovered: usize,
-    checkpoints_written: usize,
-    clusters_formed: usize,
-    warm_start_hits: usize,
-    shards_truncated: usize,
-    records_dropped: usize,
-}
-
 /// An [`Observer`] that aggregates counters and stat summaries in memory.
 ///
 /// This replaces the ad-hoc `Instant::now()` stage timers the bench
@@ -158,7 +114,9 @@ struct MetricsState {
 /// [`MetricsRecorder::render`] the closing table.
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
-    state: Mutex<MetricsState>,
+    // `stage_seconds` is an insertion-ordered Vec, not a HashMap: `render`
+    // output must be deterministic and the stage count is tiny.
+    state: Mutex<MetricsSnapshot>,
 }
 
 impl MetricsRecorder {
@@ -167,7 +125,7 @@ impl MetricsRecorder {
         Self::default()
     }
 
-    fn with_state<R>(&self, f: impl FnOnce(&mut MetricsState) -> R) -> R {
+    fn with_state<R>(&self, f: impl FnOnce(&mut MetricsSnapshot) -> R) -> R {
         let mut state = match self.state.lock() {
             Ok(state) => state,
             Err(poisoned) => poisoned.into_inner(),
@@ -177,28 +135,7 @@ impl MetricsRecorder {
 
     /// Copies out the current aggregates.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.with_state(|s| MetricsSnapshot {
-            stage_seconds: s
-                .stage_seconds
-                .iter()
-                .map(|(name, acc)| (name.clone(), acc.summary()))
-                .collect(),
-            epochs_completed: s.epochs_completed,
-            points_finished: s.points_finished,
-            chips_retrained: s.chips_retrained,
-            chips_satisfied: s.chips_satisfied,
-            epochs_per_chip: s.epochs_per_chip.summary(),
-            epochs_to_constraint: s.epochs_to_constraint.summary(),
-            workspace: s.workspace.clone(),
-            jobs_failed: s.jobs_failed,
-            retries_scheduled: s.retries_scheduled,
-            divergences_recovered: s.divergences_recovered,
-            checkpoints_written: s.checkpoints_written,
-            clusters_formed: s.clusters_formed,
-            warm_start_hits: s.warm_start_hits,
-            shards_truncated: s.shards_truncated,
-            records_dropped: s.records_dropped,
-        })
+        self.with_state(|s| s.clone())
     }
 
     /// Renders the aggregates as a small fixed-width text table.
@@ -278,7 +215,7 @@ impl Observer for MetricsRecorder {
                         Some((_, acc)) => acc,
                         None => {
                             s.stage_seconds
-                                .push((name.to_string(), Accumulator::default()));
+                                .push((name.to_string(), StatSummary::default()));
                             match s.stage_seconds.last_mut() {
                                 Some((_, acc)) => acc,
                                 None => return, // unreachable: just pushed

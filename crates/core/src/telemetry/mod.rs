@@ -103,7 +103,7 @@ impl Stage {
     }
 }
 
-/// What ran the epoch an [`Event::EpochCompleted`] tick reports.
+/// What ran the epoch an [`Event::EpochCompleted`] event reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochScope {
     /// A Step-① grid cell.

@@ -304,80 +304,45 @@ pub(crate) fn render_event(event: &Event, redact_timing: bool) -> String {
 
 /// Parses a rendered event object back into an [`Event`] — the inverse
 /// of [`render_event`], used when replaying journaled grid-cell / chip
-/// events on resume. Wall-clock `seconds` round-trips as `None` when the
-/// source was redacted.
-pub(crate) fn parse_event(value: &JsonValue) -> Result<Event> {
-    let bad = |what: &str| ReduceError::InvalidConfig {
-        what: format!("malformed journaled event: {what}"),
-    };
-    let stage_of = |value: &JsonValue| -> Result<Stage> {
+/// events on resume — or `None` if it is not a well-formed event.
+/// Wall-clock `seconds` round-trips as `None` when the source was
+/// redacted.
+pub(crate) fn parse_event(value: &JsonValue) -> Option<Event> {
+    let stage = || {
         value
             .field("stage")
             .and_then(JsonValue::as_str)
             .and_then(Stage::from_name)
-            .ok_or_else(|| bad("missing or unknown stage"))
     };
-    let usize_of = |name: &'static str| -> Result<usize> {
-        value
-            .field(name)
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| bad(name))
-    };
-    let u64_of = |name: &'static str| -> Result<u64> {
-        value
-            .field(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| bad(name))
-    };
-    let u32_of = |name: &'static str| -> Result<u32> {
-        value
-            .field(name)
-            .and_then(JsonValue::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| bad(name))
-    };
-    let f64_of = |name: &'static str| -> Result<f64> {
-        value
-            .field(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| bad(name))
-    };
-    let f32_of = |name: &'static str| -> Result<f32> {
-        value
-            .field(name)
-            .and_then(JsonValue::as_f32)
-            .ok_or_else(|| bad(name))
-    };
-    let kind = value
-        .field("event")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| bad("missing event kind"))?;
-    match kind {
-        "stage_started" => Ok(Event::StageStarted {
-            stage: stage_of(value)?,
-        }),
+    let usize_of = |name: &str| value.field(name).and_then(JsonValue::as_usize);
+    let u64_of = |name: &str| value.field(name).and_then(JsonValue::as_u64);
+    let u32_of = |name: &str| u32::try_from(u64_of(name)?).ok();
+    let f64_of = |name: &str| value.field(name).and_then(JsonValue::as_f64);
+    let f32_of = |name: &str| value.field(name).and_then(JsonValue::as_f32);
+    match value.field("event").and_then(JsonValue::as_str)? {
+        "stage_started" => Some(Event::StageStarted { stage: stage()? }),
         "stage_finished" => {
             let seconds = match value.field("seconds") {
                 Some(JsonValue::Null) | None => None,
-                Some(v) => Some(v.as_f64().ok_or_else(|| bad("seconds"))?),
+                Some(v) => Some(v.as_f64()?),
             };
-            Ok(Event::StageFinished {
-                stage: stage_of(value)?,
+            Some(Event::StageFinished {
+                stage: stage()?,
                 seconds,
             })
         }
         "epoch_completed" => {
-            let scope = match value.field("scope").and_then(JsonValue::as_str) {
-                Some("point") => EpochScope::Point {
+            let scope = match value.field("scope").and_then(JsonValue::as_str)? {
+                "point" => EpochScope::Point {
                     rate_index: usize_of("rate_index")?,
                     repeat: usize_of("repeat")?,
                 },
-                Some("chip") => EpochScope::Chip {
+                "chip" => EpochScope::Chip {
                     chip_id: usize_of("chip_id")?,
                 },
-                _ => return Err(bad("unknown epoch scope")),
+                _ => return None,
             };
-            Ok(Event::EpochCompleted {
+            Some(Event::EpochCompleted {
                 scope,
                 epoch: usize_of("epoch")?,
                 accuracy: f32_of("accuracy")?,
@@ -386,9 +351,9 @@ pub(crate) fn parse_event(value: &JsonValue) -> Result<Event> {
         "point_finished" => {
             let epochs_to_constraint = match value.field("epochs_to_constraint") {
                 Some(JsonValue::Null) | None => None,
-                Some(v) => Some(v.as_usize().ok_or_else(|| bad("epochs_to_constraint"))?),
+                Some(v) => Some(v.as_usize()?),
             };
-            Ok(Event::PointFinished {
+            Some(Event::PointFinished {
                 rate_index: usize_of("rate_index")?,
                 rate: f64_of("rate")?,
                 repeat: usize_of("repeat")?,
@@ -397,66 +362,62 @@ pub(crate) fn parse_event(value: &JsonValue) -> Result<Event> {
                 final_accuracy: f32_of("final_accuracy")?,
             })
         }
-        "chip_retrained" => Ok(Event::ChipRetrained {
+        "chip_retrained" => Some(Event::ChipRetrained {
             chip_id: usize_of("chip_id")?,
             fault_rate: f64_of("fault_rate")?,
             epochs_budgeted: usize_of("epochs_budgeted")?,
             epochs_run: usize_of("epochs_run")?,
             final_accuracy: f32_of("final_accuracy")?,
-            satisfied: value
-                .field("satisfied")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| bad("satisfied"))?,
+            satisfied: value.field("satisfied").and_then(JsonValue::as_bool)?,
         }),
-        "cluster_formed" => Ok(Event::ClusterFormed {
+        "cluster_formed" => Some(Event::ClusterFormed {
             representative: usize_of("representative")?,
             size: usize_of("size")?,
         }),
-        "warm_start_hit" => Ok(Event::WarmStartHit {
+        "warm_start_hit" => Some(Event::WarmStartHit {
             chip_id: usize_of("chip_id")?,
             representative: usize_of("representative")?,
         }),
-        "workspace_used" => Ok(Event::WorkspaceUsed {
-            stage: stage_of(value)?,
+        "workspace_used" => Some(Event::WorkspaceUsed {
+            stage: stage()?,
             hits: u64_of("hits")?,
             misses: u64_of("misses")?,
             bytes_allocated: u64_of("bytes_allocated")?,
         }),
-        "job_failed" => Ok(Event::JobFailed {
-            stage: stage_of(value)?,
+        "job_failed" => Some(Event::JobFailed {
+            stage: stage()?,
             job: u64_of("job")?,
             attempt: u32_of("attempt")?,
             error: value
                 .field("error")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| bad("error"))?
+                .and_then(JsonValue::as_str)?
                 .to_string(),
         }),
-        "retry_scheduled" => Ok(Event::RetryScheduled {
-            stage: stage_of(value)?,
+        "retry_scheduled" => Some(Event::RetryScheduled {
+            stage: stage()?,
             job: u64_of("job")?,
             attempt: u32_of("attempt")?,
             seed: u64_of("seed")?,
         }),
-        "divergence_recovered" => Ok(Event::DivergenceRecovered {
-            stage: stage_of(value)?,
+        "divergence_recovered" => Some(Event::DivergenceRecovered {
+            stage: stage()?,
             job: u64_of("job")?,
             attempts: u32_of("attempts")?,
         }),
-        "checkpoint_written" => Ok(Event::CheckpointWritten {
-            stage: stage_of(value)?,
+        "checkpoint_written" => Some(Event::CheckpointWritten {
+            stage: stage()?,
             completed: usize_of("completed")?,
         }),
-        "shard_truncated" => Ok(Event::ShardTruncated {
+        "shard_truncated" => Some(Event::ShardTruncated {
             shard: usize_of("shard")?,
             kept: usize_of("kept")?,
             dropped_bytes: usize_of("dropped_bytes")?,
         }),
-        "record_dropped" => Ok(Event::RecordDropped {
+        "record_dropped" => Some(Event::RecordDropped {
             shard: usize_of("shard")?,
             record: usize_of("record")?,
         }),
-        other => Err(bad(&format!("unknown event kind {other:?}"))),
+        _ => None,
     }
 }
 
@@ -684,9 +645,9 @@ mod tests {
             // The replay path depends on re-rendering bit-identically.
             assert_eq!(render_event(&back, false), line);
         }
-        assert!(parse_event(&JsonValue::Null).is_err());
+        assert!(parse_event(&JsonValue::Null).is_none());
         let unknown = super::super::json::parse("{\"event\":\"warp\"}").expect("valid json");
-        assert!(parse_event(&unknown).is_err());
+        assert!(parse_event(&unknown).is_none());
     }
 
     #[test]

@@ -57,6 +57,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reduce_tensor::Shape;
 
     #[test]
     fn flatten_and_restore() {
@@ -81,7 +82,9 @@ mod tests {
     #[test]
     fn scalar_is_rejected() {
         let mut f = Flatten::new();
-        assert!(f.forward(&Tensor::scalar(1.0), Mode::Eval).is_err());
+        assert!(f
+            .forward(&Tensor::zeros(Shape::scalar()), Mode::Eval)
+            .is_err());
     }
 
     #[test]

@@ -42,13 +42,6 @@ pub enum Target<'a> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrossEntropyLoss;
 
-impl CrossEntropyLoss {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        CrossEntropyLoss
-    }
-}
-
 impl Loss for CrossEntropyLoss {
     fn evaluate(&self, predictions: &Tensor, targets: Target<'_>) -> Result<LossOutput> {
         let Target::Labels(labels) = targets;

@@ -291,17 +291,6 @@ impl Sequential {
         }
         Ok(())
     }
-
-    /// Human-readable architecture summary, one layer per line.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let n: usize = layer.params().iter().map(|p| p.len()).sum();
-            s.push_str(&format!("{i:>3}  {:<40} {n:>9} params\n", layer.name()));
-        }
-        s.push_str(&format!("     total {:>42} params\n", self.num_params()));
-        s
-    }
 }
 
 #[cfg(test)]
@@ -406,14 +395,6 @@ mod tests {
         m.load_state_dict(&state).expect("matching checkpoint");
         assert_eq!(m.weight_params()[0].value().data()[0], 0.0);
         assert!(m.mask_invariants_hold());
-    }
-
-    #[test]
-    fn summary_mentions_layers() {
-        let m = model();
-        let s = m.summary();
-        assert!(s.contains("linear(4→8)"));
-        assert!(s.contains("total"));
     }
 
     #[test]

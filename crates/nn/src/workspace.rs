@@ -137,11 +137,6 @@ impl Workspace {
         self.stats
     }
 
-    /// Drops every pooled buffer (counters are kept).
-    pub fn clear(&mut self) {
-        self.pools.clear();
-    }
-
     /// Number of buffers currently pooled.
     pub fn pooled_buffers(&self) -> usize {
         self.pools.values().map(Vec::len).sum()

@@ -2,8 +2,8 @@
 //!
 //! Each fabricated chip carries a unique permanent-fault map; the Reduce
 //! framework's whole point is to tune the retraining amount per chip. This
-//! module generates seeded fleets of such chips with configurable
-//! fault-rate distributions.
+//! module generates the chips of a seeded fleet one id at a time, with
+//! configurable fault-rate distributions.
 
 use crate::error::{Result, SystolicError};
 use crate::fault::{FaultMap, FaultModel};
@@ -113,55 +113,38 @@ impl FleetConfig {
     }
 }
 
-/// Generates a seeded fleet of chips.
-///
-/// Chip `i` gets id `i`; its fault rate is drawn from `config.rates` and
-/// its map from `config.model`, all derived from `config.seed` so fleets
-/// are reproducible.
-///
-/// # Errors
-///
-/// Returns [`SystolicError::InvalidConfig`] for zero chips or an invalid
-/// distribution, and propagates fault-map generation errors.
-///
-/// # Examples
-///
-/// ```
-/// use reduce_systolic::{generate_fleet, FleetConfig};
-///
-/// # fn main() -> Result<(), reduce_systolic::SystolicError> {
-/// let mut config = FleetConfig::paper(0.1, 42);
-/// config.chips = 5;
-/// config.rows = 32;
-/// config.cols = 32;
-/// let fleet = generate_fleet(&config)?;
-/// assert_eq!(fleet.len(), 5);
-/// # Ok(())
-/// # }
-/// ```
-pub fn generate_fleet(config: &FleetConfig) -> Result<Vec<Chip>> {
-    validate_fleet(config)?;
-    let mut fleet = Vec::with_capacity(config.chips);
-    for id in 0..config.chips {
-        fleet.push(generate_chip(config, id)?);
-    }
-    Ok(fleet)
-}
-
-/// Generates chip `id` of the fleet described by `config` without
+/// Generates chip `id` of the seeded fleet described by `config` without
 /// materialising any other chip.
 ///
-/// Each chip owns an independent RNG stream derived from
-/// `splitmix64(seed + id)`, so `generate_chip(config, i)` equals
-/// `generate_fleet(config)?[i]` while letting streaming consumers pull
-/// chips on demand in any order — the intake primitive behind
-/// constant-memory fleet evaluation.
+/// The chip's fault rate is drawn from `config.rates` and its map from
+/// `config.model`. Each chip owns an independent RNG stream derived from
+/// `splitmix64(seed + id)`, so fleets are reproducible and streaming
+/// consumers can pull chips on demand in any order — the intake primitive
+/// behind constant-memory fleet evaluation.
 ///
 /// # Errors
 ///
 /// Returns [`SystolicError::InvalidConfig`] for zero chips, an id outside
 /// the fleet, or an invalid distribution, and propagates fault-map
 /// generation errors.
+///
+/// # Examples
+///
+/// ```
+/// use reduce_systolic::{generate_chip, FleetConfig};
+///
+/// # fn main() -> Result<(), reduce_systolic::SystolicError> {
+/// let mut config = FleetConfig::paper(0.1, 42);
+/// config.chips = 5;
+/// config.rows = 32;
+/// config.cols = 32;
+/// let chip = generate_chip(&config, 4)?;
+/// assert_eq!(chip.id(), 4);
+/// assert_eq!(chip, generate_chip(&config, 4)?);
+/// assert!(generate_chip(&config, 5).is_err());
+/// # Ok(())
+/// # }
+/// ```
 pub fn generate_chip(config: &FleetConfig, id: usize) -> Result<Chip> {
     validate_fleet(config)?;
     if id >= config.chips {
@@ -238,47 +221,49 @@ mod tests {
 
     #[test]
     fn fleet_has_requested_size_and_ids() {
-        let fleet = generate_fleet(&small_config()).expect("valid");
-        assert_eq!(fleet.len(), 20);
-        for (i, chip) in fleet.iter().enumerate() {
-            assert_eq!(chip.id(), i);
+        let cfg = small_config();
+        for id in 0..cfg.chips {
+            let chip = generate_chip(&cfg, id).expect("valid id");
+            assert_eq!(chip.id(), id);
             assert!(chip.fault_rate() <= 0.21);
         }
+        assert!(generate_chip(&cfg, cfg.chips).is_err());
+        assert!(chip_rate(&cfg, cfg.chips).is_err());
     }
 
     #[test]
     fn fleet_is_deterministic_and_chips_differ() {
-        let a = generate_fleet(&small_config()).expect("valid");
-        let b = generate_fleet(&small_config()).expect("valid");
-        assert_eq!(a, b);
+        let cfg = small_config();
+        for id in 0..cfg.chips {
+            assert_eq!(
+                generate_chip(&cfg, id).expect("valid id"),
+                generate_chip(&cfg, id).expect("valid id")
+            );
+        }
         // Different chips in the same fleet have different maps.
-        assert_ne!(a[0].fault_map(), a[1].fault_map());
+        let first = generate_chip(&cfg, 0).expect("valid id");
+        let second = generate_chip(&cfg, 1).expect("valid id");
+        assert_ne!(first.fault_map(), second.fault_map());
     }
 
     #[test]
-    fn per_chip_generation_matches_the_fleet() {
+    fn chip_rate_matches_the_generated_chip() {
         let cfg = small_config();
-        let fleet = generate_fleet(&cfg).expect("valid");
-        // Any chip can be regenerated in isolation and in any order.
+        // Any chip can be regenerated in isolation and in any order, and
+        // its rate is known without generating its map.
         for id in [19usize, 0, 7, 3] {
             let chip = generate_chip(&cfg, id).expect("valid id");
-            assert_eq!(chip, fleet[id]);
             let rate = chip_rate(&cfg, id).expect("valid id");
-            assert_eq!(rate, fleet[id].fault_rate());
+            assert_eq!(rate, chip.fault_rate());
         }
-        assert!(generate_chip(&cfg, 20).is_err());
-        assert!(chip_rate(&cfg, 20).is_err());
-        let mut zero = cfg;
-        zero.chips = 0;
-        assert!(generate_chip(&zero, 0).is_err());
     }
 
     #[test]
     fn fixed_distribution_gives_constant_rate() {
         let mut cfg = small_config();
         cfg.rates = RateDistribution::Fixed(0.1);
-        let fleet = generate_fleet(&cfg).expect("valid");
-        for chip in &fleet {
+        for id in 0..cfg.chips {
+            let chip = generate_chip(&cfg, id).expect("valid id");
             assert!((chip.fault_rate() - 0.1).abs() < 0.01);
         }
     }
@@ -287,13 +272,16 @@ mod tests {
     fn invalid_configs_rejected() {
         let mut cfg = small_config();
         cfg.chips = 0;
-        assert!(generate_fleet(&cfg).is_err());
+        assert!(generate_chip(&cfg, 0).is_err());
+        assert!(chip_rate(&cfg, 0).is_err());
         let mut cfg = small_config();
         cfg.rates = RateDistribution::Uniform { lo: 0.5, hi: 0.2 };
-        assert!(generate_fleet(&cfg).is_err());
+        assert!(generate_chip(&cfg, 0).is_err());
+        assert!(chip_rate(&cfg, 0).is_err());
         let mut cfg = small_config();
         cfg.rates = RateDistribution::Fixed(1.5);
-        assert!(generate_fleet(&cfg).is_err());
+        assert!(generate_chip(&cfg, 0).is_err());
+        assert!(chip_rate(&cfg, 0).is_err());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`SystolicArray`] — a functional bypass-level emulator used as the
 //!   oracle for the mask semantics;
 //! * [`CostModel`] — cycle/energy accounting for inference and retraining;
-//! * [`Chip`]/[`generate_fleet`] — seeded fleets of faulty chips;
+//! * [`Chip`]/[`generate_chip`] — the chips of a seeded fleet, generated
+//!   one id at a time;
 //! * [`fault_map_distance`]/[`cluster_fault_maps`] — fault-map similarity
 //!   and deterministic chip clustering for eFAT-style shared retraining.
 //!
@@ -51,7 +52,7 @@ mod perf;
 mod quant;
 
 pub use array::SystolicArray;
-pub use chip::{chip_rate, generate_chip, generate_fleet, Chip, FleetConfig, RateDistribution};
+pub use chip::{chip_rate, generate_chip, Chip, FleetConfig, RateDistribution};
 pub use cluster::{cluster_fault_maps, fault_map_distance, Cluster, ClusterConfig};
 pub use dataflow::{simulate_tiled_gemm, DataflowOutput, DataflowSim};
 pub use error::{Result, SystolicError};

@@ -136,14 +136,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a scalar (rank-0) tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: Storage::new(vec![value]),
-        }
-    }
-
     /// Creates a tensor with i.i.d. uniform values in `[lo, hi)`, seeded.
     pub fn rand_uniform<S: Into<Shape>>(shape: S, lo: f32, hi: f32, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -279,35 +271,6 @@ impl Tensor {
         Ok(self.data()[self.shape.offset(idx)?])
     }
 
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors from [`Shape::offset`].
-    pub fn set(&mut self, idx: &[usize], value: f32) -> Result<()> {
-        let off = self.shape.offset(idx)?;
-        // xtask:allow(index): Shape::offset bounds-checks every coordinate
-        self.data_mut()[off] = value;
-        Ok(())
-    }
-
-    /// The single value of a scalar or single-element tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if the tensor has more than
-    /// one element.
-    pub fn item(&self) -> Result<f32> {
-        if self.len() != 1 {
-            return Err(TensorError::InvalidArgument {
-                op: "item",
-                reason: format!("tensor has {} elements, expected 1", self.len()),
-            });
-        }
-        // xtask:allow(index): the length-1 check above guarantees element 0
-        Ok(self.data()[0])
-    }
-
     // ------------------------------------------------------------------
     // Shape manipulation
     // ------------------------------------------------------------------
@@ -390,41 +353,6 @@ impl Tensor {
         }
         // xtask:allow(index): the row bound i < r is checked above
         Ok(&self.data()[i * c..(i + 1) * c])
-    }
-
-    /// Stacks rank-1 tensors of equal length into a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if `rows` is empty or rows
-    /// disagree in length or rank.
-    pub fn stack_rows(rows: &[Tensor]) -> Result<Tensor> {
-        let first = rows.first().ok_or(TensorError::InvalidArgument {
-            op: "stack_rows",
-            reason: "no rows given".to_string(),
-        })?;
-        if first.rank() != 1 {
-            return Err(TensorError::InvalidArgument {
-                op: "stack_rows",
-                reason: format!("expected rank-1 rows, got rank {}", first.rank()),
-            });
-        }
-        let c = first.len();
-        let mut data = Vec::with_capacity(rows.len() * c);
-        for row in rows {
-            if row.len() != c || row.rank() != 1 {
-                return Err(TensorError::ShapeMismatch {
-                    op: "stack_rows",
-                    lhs: first.dims().to_vec(),
-                    rhs: row.dims().to_vec(),
-                });
-            }
-            data.extend_from_slice(row.data());
-        }
-        Ok(Tensor {
-            shape: Shape::from([rows.len(), c]),
-            data: Storage::new(data),
-        })
     }
 
     // ------------------------------------------------------------------
@@ -784,12 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn item_on_scalar() {
-        assert_eq!(Tensor::scalar(3.0).item().expect("scalar"), 3.0);
-        assert!(Tensor::zeros([2]).item().is_err());
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_fn([2, 3], |i| i as f32);
         let r = t.reshape([3, 2]).expect("same volume");
@@ -814,18 +736,6 @@ mod tests {
         let t = Tensor::from_fn([3, 2], |i| i as f32);
         assert_eq!(t.row(1).expect("in range").data(), &[2.0, 3.0]);
         assert!(t.row(3).is_err());
-    }
-
-    #[test]
-    fn stack_rows_round_trip() {
-        let rows = vec![
-            Tensor::from_vec(vec![1.0, 2.0], [2]).expect("ok"),
-            Tensor::from_vec(vec![3.0, 4.0], [2]).expect("ok"),
-        ];
-        let m = Tensor::stack_rows(&rows).expect("consistent rows");
-        assert_eq!(m.dims(), &[2, 2]);
-        assert_eq!(m.row(0).expect("in range"), rows[0]);
-        assert!(Tensor::stack_rows(&[]).is_err());
     }
 
     #[test]

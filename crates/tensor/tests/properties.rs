@@ -244,14 +244,6 @@ proptest! {
     }
 
     #[test]
-    fn stack_rows_inverts_row_extraction(a in matrix(6)) {
-        let (r, _) = a.shape().as_matrix().expect("matrix");
-        let rows: Vec<Tensor> = (0..r).map(|i| a.row(i).expect("in range")).collect();
-        let restacked = Tensor::stack_rows(&rows).expect("consistent rows");
-        prop_assert_eq!(restacked, a);
-    }
-
-    #[test]
     fn packed_kernel_agrees_with_naive_oracle(
         (m, k, n) in gemm_dims(),
         seed in 0u64..1000,

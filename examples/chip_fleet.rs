@@ -8,9 +8,9 @@
 
 use reduce_core::{
     report, ExecConfig, FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig,
-    RetrainPolicy, Statistic, Workbench,
+    RetrainPolicy, SeededChips, Statistic, Workbench,
 };
-use reduce_systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
+use reduce_systolic::{FaultModel, FleetConfig, RateDistribution};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -42,14 +42,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     let table = analysis.table();
 
     println!("== Steps 2+3: deploy to a 20-chip fleet under each policy ==");
-    let fleet = generate_fleet(&FleetConfig {
+    let fleet = SeededChips::new(FleetConfig {
         chips: 20,
         rows,
         cols,
         rates: RateDistribution::Uniform { lo: 0.0, hi: 0.3 },
         model: FaultModel::Random,
         seed: 99,
-    })?;
+    });
 
     let policies = [
         RetrainPolicy::Reduce(Statistic::Max),

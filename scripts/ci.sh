@@ -5,6 +5,7 @@
 #   analysis) → clippy -D warnings over all targets (lib, bins, tests,
 #   examples and the criterion benches) → fmt check
 #   → smoke determinism gate (parallel ≡ sequential ≡ pinned artifacts)
+#   → every example and ablation study runs to completion
 #   → kill-and-resume + storage-fault sweep (every IO op crash-tested)
 #   → perfbench output gate (the benchmark builds; seed-1 outputs exact)
 #
@@ -84,6 +85,23 @@ grep -q '"event":"workspace_used"' "$det_dir/f3t1/run_log.jsonl"
 grep -q '"workspace": \[{"stage"' "$det_dir/f3t1/manifest.json"
 echo "    parallel deployment artifacts (run log incl. workspace counters,"
 echo "    manifest) are byte-identical to sequential"
+
+echo "==> examples and ablation studies (release, smoke scale)"
+# No other stage runs examples/ or an ablation study with valid arguments,
+# so every example and all seven studies must run to completion here; any
+# non-zero exit fails the stage. These are the commands behind
+# results/ablations_smoke.txt (one "=== <study> ===" block per study).
+cargo build -q --release --examples
+runs_start=$SECONDS
+examples=0
+for src in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$src" .rs)" >/dev/null
+    examples=$((examples + 1))
+done
+for study in fault-model grid mitigation margin early-stop unprotected bn-recal; do
+    cargo run -q -p reduce-bench --release --bin ablation -- "$study" --scale smoke >/dev/null
+done
+echo "    $examples examples and 7 ablation studies exited 0 in $((SECONDS - runs_start)) s"
 
 echo "==> kill-and-resume gate (fig2 chaos run, interrupted ≡ uninterrupted)"
 # A run killed mid-characterisation and resumed with --resume must

@@ -19,7 +19,7 @@ use reduce_repro::core::{
     ResilienceAnalysis, ResilienceConfig, RetrainPolicy, SeededChips, Workbench,
     DEFAULT_SHARD_RECORDS,
 };
-use reduce_repro::systolic::{generate_fleet, Chip, FaultModel, FleetConfig, RateDistribution};
+use reduce_repro::systolic::{FaultModel, FleetConfig, RateDistribution};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -55,8 +55,8 @@ fn grid_config() -> ResilienceConfig {
     }
 }
 
-fn toy_fleet(chips: usize) -> Vec<Chip> {
-    generate_fleet(&FleetConfig {
+fn toy_fleet(chips: usize) -> SeededChips {
+    SeededChips::new(FleetConfig {
         chips,
         rows: 8,
         cols: 8,
@@ -64,7 +64,6 @@ fn toy_fleet(chips: usize) -> Vec<Chip> {
         model: FaultModel::Random,
         seed: 9,
     })
-    .expect("valid fleet")
 }
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {

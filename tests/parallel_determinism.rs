@@ -5,9 +5,9 @@
 
 use reduce_repro::core::{
     exec, ExecConfig, FatRunner, FleetEvaluation, ReduceError, ResilienceAnalysis,
-    ResilienceConfig, RetrainPolicy, Workbench,
+    ResilienceConfig, RetrainPolicy, SeededChips, Workbench,
 };
-use reduce_repro::systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
+use reduce_repro::systolic::{FaultModel, FleetConfig, RateDistribution};
 
 fn grid_config() -> ResilienceConfig {
     ResilienceConfig {
@@ -51,15 +51,14 @@ fn fleet_evaluation_is_identical_across_thread_counts() {
     let wb = Workbench::toy(502);
     let pre = wb.pretrain(10).expect("valid workbench");
     let runner = FatRunner::new(wb).expect("valid workbench");
-    let fleet = generate_fleet(&FleetConfig {
+    let fleet = SeededChips::new(FleetConfig {
         chips: 5,
         rows: 8,
         cols: 8,
         rates: RateDistribution::Uniform { lo: 0.0, hi: 0.2 },
         model: FaultModel::Random,
         seed: 9,
-    })
-    .expect("valid fleet");
+    });
     // A 2-chip intake window forces several scheduler windows, so the
     // batched pipeline itself is exercised across thread counts.
     let evaluate = |exec: &ExecConfig| {

@@ -2,13 +2,11 @@
 //! ③) on the fast toy workbench, exercising every crate together.
 
 use reduce_repro::core::{
-    ExecConfig, FatRunner, FleetEvaluation, FleetReport, Mitigation, Pretrained,
-    ResilienceAnalysis, ResilienceConfig, ResilienceTable, RetrainPolicy, Statistic, StopRule,
-    Workbench,
+    ChipSource, ExecConfig, FatRunner, FleetEvaluation, FleetReport, Mitigation, Pretrained,
+    ResilienceAnalysis, ResilienceConfig, ResilienceTable, RetrainPolicy, SeededChips, Statistic,
+    StopRule, Workbench,
 };
-use reduce_repro::systolic::{
-    generate_fleet, Chip, FaultMap, FaultModel, FleetConfig, RateDistribution,
-};
+use reduce_repro::systolic::{FaultMap, FaultModel, FleetConfig, RateDistribution};
 
 /// Step ⓪ and Step ①: pre-trains `Workbench::toy(seed)` and characterises
 /// it on `rates`, returning the runner, the baseline and the table.
@@ -44,19 +42,19 @@ fn deploy(
     runner: &FatRunner,
     pretrained: &Pretrained,
     table: &ResilienceTable,
-    chips: &[Chip],
+    chips: &SeededChips,
     policy: RetrainPolicy,
 ) -> FleetReport {
     FleetEvaluation::new(policy, 0.9)
-        .source(&chips)
+        .source(chips)
         .table(table)
         .collect_outcomes(true)
         .run(runner, pretrained)
         .expect("deployment runs")
 }
 
-fn fleet(chips: usize, hi: f64, seed: u64) -> Vec<Chip> {
-    generate_fleet(&FleetConfig {
+fn fleet(chips: usize, hi: f64, seed: u64) -> SeededChips {
+    SeededChips::new(FleetConfig {
         chips,
         rows: 8,
         cols: 8,
@@ -64,7 +62,6 @@ fn fleet(chips: usize, hi: f64, seed: u64) -> Vec<Chip> {
         model: FaultModel::Random,
         seed,
     })
-    .expect("valid fleet config")
 }
 
 #[test]
@@ -104,11 +101,11 @@ fn reduce_max_never_cheaper_than_reduce_mean() {
     let (_, _, table) = characterised(102, 12, vec![0.0, 0.15, 0.3], 8, 3, 11);
     let chips = fleet(8, 0.3, 56);
     let plan = |statistic| -> Vec<_> {
-        chips
-            .iter()
-            .map(|chip| {
+        (0..chips.len())
+            .map(|id| {
+                let rate = chips.fault_rate(id).expect("chip in the fleet");
                 RetrainPolicy::Reduce(statistic)
-                    .epochs_for_chip(Some(&table), chip.fault_rate())
+                    .epochs_for_chip(Some(&table), rate)
                     .expect("table ready")
             })
             .collect()

@@ -10,8 +10,8 @@ use reduce_repro::core::{
     Workbench,
 };
 use reduce_repro::systolic::{
-    affected_weights, fam_mapping, fap_mask, generate_fleet, pruned_fraction, saliency_loss,
-    FaultMap, FaultModel, FleetConfig, RateDistribution, SystolicArray,
+    affected_weights, fam_mapping, fap_mask, pruned_fraction, saliency_loss, FaultMap, FaultModel,
+    FleetConfig, RateDistribution, SystolicArray,
 };
 use reduce_repro::tensor::{ops, Tensor};
 use std::sync::OnceLock;
@@ -287,9 +287,11 @@ proptest! {
         }
     }
 
-    /// Streaming chips from a seeded source yields a report identical to
-    /// materialising the fleet first — for any small fleet and any
-    /// window/batch partitioning of the scheduler.
+    /// A seeded fleet streams as the scheduler assumes: every chip's rate,
+    /// which the scheduler budgets by before generating any fault map,
+    /// equals the rate of the chip it later materialises (the
+    /// `ChipSource` contract), and the report is the same for any
+    /// window/batch partitioning of the scheduler as at the default one.
     #[test]
     fn streaming_equals_materialised_fleets(
         chips in 1usize..5,
@@ -299,26 +301,30 @@ proptest! {
         batch_cap in 1usize..4,
     ) {
         let (runner, pre, _) = chaos_fixture();
-        let config = FleetConfig {
+        let source = SeededChips::new(FleetConfig {
             chips,
             rows: 8,
             cols: 8,
             rates: RateDistribution::Uniform { lo: 0.0, hi },
             model: FaultModel::Random,
             seed,
-        };
-        let evaluate = |source: &dyn ChipSource| {
+        });
+        for id in 0..source.len() {
+            let chip = source.chip(id).expect("chip in the fleet");
+            prop_assert_eq!(source.fault_rate(id).expect("chip in the fleet"), chip.fault_rate());
+        }
+        let evaluation = || {
             FleetEvaluation::new(RetrainPolicy::Fixed(1), 0.85)
-                .source(source)
-                .window(window)
-                .batch_cap(batch_cap)
+                .source(&source)
                 .collect_outcomes(true)
-                .run(runner, pre)
-                .expect("valid run")
         };
-        let materialised = generate_fleet(&config).expect("valid fleet");
-        let streamed = SeededChips::new(config);
-        prop_assert_eq!(evaluate(&materialised), evaluate(&streamed));
+        let partitioned = evaluation()
+            .window(window)
+            .batch_cap(batch_cap)
+            .run(runner, pre)
+            .expect("valid run");
+        let default = evaluation().run(runner, pre).expect("valid run");
+        prop_assert_eq!(partitioned, default);
     }
 
     /// Union of fault maps is commutative and only grows the fault count.

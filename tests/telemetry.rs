@@ -8,9 +8,9 @@ use reduce_repro::core::telemetry::{
 };
 use reduce_repro::core::{
     ExecConfig, FatRunner, FleetEvaluation, ResilienceAnalysis, ResilienceConfig, RetrainPolicy,
-    Workbench,
+    SeededChips, Workbench,
 };
-use reduce_repro::systolic::{generate_fleet, FaultModel, FleetConfig, RateDistribution};
+use reduce_repro::systolic::{FaultModel, FleetConfig, RateDistribution};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -48,8 +48,8 @@ fn grid_config() -> ResilienceConfig {
         .expect("valid preset")
 }
 
-fn toy_fleet() -> Vec<reduce_repro::systolic::Chip> {
-    generate_fleet(&FleetConfig {
+fn toy_fleet() -> SeededChips {
+    SeededChips::new(FleetConfig {
         chips: 4,
         rows: 8,
         cols: 8,
@@ -57,7 +57,6 @@ fn toy_fleet() -> Vec<reduce_repro::systolic::Chip> {
         model: FaultModel::Random,
         seed: 9,
     })
-    .expect("valid fleet")
 }
 
 /// Runs characterisation + fleet evaluation with a redacted `RunLog`
@@ -138,7 +137,7 @@ fn observed_and_unobserved_runs_produce_identical_reports() {
     // And the recorder actually saw the work happen.
     let snap = metrics.snapshot();
     assert_eq!(snap.points_finished, 6, "3 rates x 2 repeats");
-    assert_eq!(snap.chips_retrained, fleet.len());
+    assert_eq!(snap.chips_retrained, fleet.config().chips);
     assert!(snap.epochs_completed > 0);
     assert!(metrics.render().contains("chips retrained"));
 }
