@@ -9,10 +9,12 @@
 //! stages of the `grid`, `margin` and `early-stop` studies on the
 //! deterministic executor (`0` = auto-size); study output is
 //! byte-identical at any thread count. `--out DIR` writes a JSON-lines
-//! `run_log.jsonl` and a `manifest.json` for the run. The other studies
-//! (`fault-model`, `mitigation`, `unprotected`, `bn-recal`) retrain
-//! single chips outside the executor and emit no telemetry, so they reject
-//! `--threads` and `--out` (exit 1) instead of ignoring them.
+//! `run_log.jsonl` and a `manifest.json` for the run, and those three
+//! studies end with the telemetry table of what they ran. The other
+//! studies (`fault-model`, `mitigation`, `unprotected`, `bn-recal`)
+//! retrain single chips outside the executor and emit no telemetry, so
+//! they print no table and reject `--threads` and `--out` (exit 1)
+//! instead of ignoring them.
 //!
 //! Studies:
 //!
@@ -29,7 +31,7 @@
 //! * `bn-recal` — a batch-normalised model's masked accuracy with stale
 //!   vs recalibrated running statistics.
 
-use reduce_bench::{finish_io_fault, parse_args, Scale};
+use reduce_bench::{finish_io_fault, parse_args, ParsedArgs, Scale};
 use reduce_core::telemetry::{Fanout, MetricsRecorder, Observer, RunLog, RunManifest};
 use reduce_core::{
     ExecConfig, FatRunner, FleetEvaluation, Mitigation, Pretrained, ReduceError,
@@ -37,6 +39,7 @@ use reduce_core::{
 };
 use reduce_systolic::{FaultMap, FaultModel};
 use std::error::Error;
+use std::io::Write;
 use std::sync::Arc;
 
 /// The studies `run` dispatches on, as the usage line and the unknown-study
@@ -75,9 +78,45 @@ fn run() -> Result<(), Box<dyn Error>> {
     }
     let scale = Scale::parse(args.value("--scale").unwrap_or("smoke"))?;
     let threads = args.threads()?;
+    let out: &mut dyn Write = &mut std::io::stdout().lock();
+    match study.as_str() {
+        "fault-model" => fault_model(out, scale),
+        "grid" => observed(out, &args, &study, scale, threads, grid),
+        "mitigation" => mitigation(out, scale),
+        "margin" => observed(out, &args, &study, scale, threads, margin),
+        "early-stop" => observed(out, &args, &study, scale, threads, early_stop),
+        "bn-recal" => bn_recal(out),
+        "unprotected" => unprotected(out, scale),
+        "help" => {
+            eprintln!(
+                "usage: ablation <{STUDIES}> \
+                 [--scale smoke|default|full] [--threads N] [--out DIR] [--redact-timing]"
+            );
+            Ok(())
+        }
+        other => Err(ReduceError::InvalidConfig {
+            what: format!("unknown study {other:?} (expected {STUDIES})"),
+        }
+        .into()),
+    }
+}
+
+/// A study that runs on the executor it is handed.
+type ObservedStudy = fn(&mut dyn Write, Scale, &ExecConfig) -> Result<(), Box<dyn Error>>;
+
+/// Runs an [`ObservedStudy`] with the metrics recorder (and, with `--out`,
+/// the run log) attached, then writes the manifest and prints the
+/// telemetry table.
+fn observed(
+    out: &mut dyn Write,
+    args: &ParsedArgs,
+    study_name: &str,
+    scale: Scale,
+    threads: usize,
+    study: ObservedStudy,
+) -> Result<(), Box<dyn Error>> {
     let redact = args.flag("--redact-timing");
     let out_dir = args.value("--out").map(std::path::PathBuf::from);
-
     let metrics = Arc::new(MetricsRecorder::new());
     let mut sinks: Vec<Arc<dyn Observer>> = vec![metrics.clone()];
     let run_log = match &out_dir {
@@ -89,60 +128,42 @@ fn run() -> Result<(), Box<dyn Error>> {
         None => None,
     };
     let observer: Arc<dyn Observer> = Arc::new(Fanout::new(sinks));
-    let exec = ExecConfig::new(threads).with_observer(observer.clone());
-
-    match study.as_str() {
-        "fault-model" => fault_model(scale)?,
-        "grid" => grid(scale, &exec)?,
-        "mitigation" => mitigation(scale)?,
-        "margin" => margin(scale, &exec)?,
-        "early-stop" => early_stop(scale, &exec)?,
-        "bn-recal" => bn_recal()?,
-        "unprotected" => unprotected(scale)?,
-        "help" => {
-            eprintln!(
-                "usage: ablation <{STUDIES}> \
-                 [--scale smoke|default|full] [--threads N] [--out DIR] [--redact-timing]"
-            );
-            return Ok(());
-        }
-        other => {
-            return Err(ReduceError::InvalidConfig {
-                what: format!("unknown study {other:?} (expected {STUDIES})"),
-            }
-            .into())
-        }
-    }
+    let exec = ExecConfig::new(threads).with_observer(observer);
+    study(out, scale, &exec)?;
     if let Some(dir) = &out_dir {
         let mut manifest = RunManifest::new(
-            &format!("ablation:{study}"),
+            &format!("ablation:{study_name}"),
             args.value("--scale").unwrap_or("smoke"),
         );
         manifest.threads = if redact { None } else { Some(threads) };
         manifest.constraint = scale.constraint();
         manifest.workbench = format!("{:?}", scale.workbench(1).model);
         manifest.save(&dir.join("manifest.json"))?;
-        println!("\nrun log and manifest written to {}", dir.display());
+        writeln!(out, "\nrun log and manifest written to {}", dir.display())?;
     }
     if let Some(log) = run_log {
         log.flush()?;
     }
-    println!("\n{}", metrics.render());
+    writeln!(out, "\n{}", metrics.render())?;
     Ok(())
 }
 
 /// A2: random vs clustered fault maps at equal fault rates.
-fn fault_model(scale: Scale) -> Result<(), Box<dyn Error>> {
+fn fault_model(out: &mut dyn Write, scale: Scale) -> Result<(), Box<dyn Error>> {
     let wb = scale.workbench(1);
     let (rows, cols) = wb.array_dims();
     let pretrained = wb.pretrain(scale.pretrain_epochs())?;
     let constraint = scale.constraint();
     let runner = FatRunner::new(wb)?;
-    println!(
+    writeln!(
+        out,
         "A2 — fault model ablation (constraint {:.0}%)",
         constraint * 100.0
-    );
-    println!("rate   model       pre_acc  epochs_to_constraint (3 maps)");
+    )?;
+    writeln!(
+        out,
+        "rate   model       pre_acc  epochs_to_constraint (3 maps)"
+    )?;
     for rate in [0.1f64, 0.2, 0.3] {
         for (name, model) in [
             ("random", FaultModel::Random),
@@ -173,26 +194,28 @@ fn fault_model(scale: Scale) -> Result<(), Box<dyn Error>> {
                 );
             }
             let mean_acc = accs.iter().sum::<f32>() / accs.len() as f32;
-            println!(
+            writeln!(
+                out,
                 "{rate:.2}   {name:<10}  {:.3}    [{}]",
                 mean_acc,
                 epochs.join(", ")
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "\nclustered faults concentrate damage in a few array columns, which\n\
          changes which weights die but (at equal rate) typically similar totals."
-    );
+    )?;
     Ok(())
 }
 
 /// A3: coarse vs fine characterisation grids.
-fn grid(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
+fn grid(out: &mut dyn Write, scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
     let wb = scale.workbench(1);
     let pretrained = wb.pretrain(scale.pretrain_epochs())?;
     let runner = FatRunner::new(wb)?;
-    println!("A3 — characterisation-grid granularity");
+    writeln!(out, "A3 — characterisation-grid granularity")?;
     let base = scale.resilience_config()?;
     // Fine grid (the reference).
     let fine = ResilienceAnalysis::run(&runner, &pretrained, base.clone(), exec)?.table();
@@ -205,36 +228,41 @@ fn grid(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         ..base.clone()
     };
     let coarse = ResilienceAnalysis::run(&runner, &pretrained, coarse_cfg, exec)?.table();
-    println!("rate    fine_max  coarse_max  delta");
+    writeln!(out, "rate    fine_max  coarse_max  delta")?;
     let mut total_abs = 0i64;
     let probes: Vec<f64> = (0..=12).map(|i| 0.3 * i as f64 / 12.0).collect();
     for r in probes {
         let f = fine.epochs_for(r, Statistic::Max)?.epochs as i64;
         let c = coarse.epochs_for(r, Statistic::Max)?.epochs as i64;
         total_abs += (f - c).abs();
-        println!("{r:.3}   {f:>8}  {c:>10}  {:>5}", c - f);
+        writeln!(out, "{r:.3}   {f:>8}  {c:>10}  {:>5}", c - f)?;
     }
-    println!(
+    writeln!(
+        out,
         "\nsummed |budget error| of the 2-point grid vs the {}-point grid: {total_abs} epochs\n\
          (a coarse grid linearises a convex epochs-vs-rate curve and over-budgets\n\
          mid-range chips).",
         base.fault_rates.len()
-    );
+    )?;
     Ok(())
 }
 
 /// A4: FAP vs FAM as the retraining starting point.
-fn mitigation(scale: Scale) -> Result<(), Box<dyn Error>> {
+fn mitigation(out: &mut dyn Write, scale: Scale) -> Result<(), Box<dyn Error>> {
     let wb = scale.workbench(1);
     let (rows, cols) = wb.array_dims();
     let constraint = scale.constraint();
     let pretrained = wb.pretrain(scale.pretrain_epochs())?;
     let runner = FatRunner::new(wb)?;
-    println!(
+    writeln!(
+        out,
         "A4 — mitigation ablation: FAP vs FAM (constraint {:.0}%)",
         constraint * 100.0
-    );
-    println!("rate   strategy  pre_acc  epochs_to_constraint (3 maps)");
+    )?;
+    writeln!(
+        out,
+        "rate   strategy  pre_acc  epochs_to_constraint (3 maps)"
+    )?;
     for rate in [0.1f64, 0.2, 0.3] {
         for (name, strategy) in [("FAP", Mitigation::Fap), ("FAM", Mitigation::Fam)] {
             let mut accs = Vec::new();
@@ -255,17 +283,19 @@ fn mitigation(scale: Scale) -> Result<(), Box<dyn Error>> {
                         .map_or("-".to_string(), |e| e.to_string()),
                 );
             }
-            println!(
+            writeln!(
+                out,
                 "{rate:.2}   {name:<8}  {:.3}    [{}]",
                 accs.iter().sum::<f32>() / accs.len() as f32,
                 epochs.join(", ")
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "\nFAM starts retraining from a better operating point, so the same\n\
          constraint is typically reached in the same or fewer epochs."
-    );
+    )?;
     Ok(())
 }
 
@@ -284,7 +314,7 @@ fn characterised(
 }
 
 /// A1: max vs mean vs mean+margin selection statistics.
-fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
+fn margin(out: &mut dyn Write, scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
     let constraint = scale.constraint();
     let (runner, pretrained, table) = characterised(scale, exec)?;
     let array = runner.workbench().array_dims();
@@ -296,8 +326,12 @@ fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         }),
     );
     let chips = SeededChips::new(fleet);
-    println!("A1 — selection statistic ablation ({} chips)", fleet.chips);
-    println!("policy                satisfied  total_epochs");
+    writeln!(
+        out,
+        "A1 — selection statistic ablation ({} chips)",
+        fleet.chips
+    )?;
+    writeln!(out, "policy                satisfied  total_epochs")?;
     for policy in [
         RetrainPolicy::Reduce(Statistic::Mean),
         RetrainPolicy::Reduce(Statistic::MeanPlusMargin(1.0)),
@@ -309,29 +343,32 @@ fn margin(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
             .table(&table)
             .exec(exec)
             .run(&runner, &pretrained)?;
-        println!(
+        writeln!(
+            out,
             "{:<22} {:>6}/{:<3}  {:>12}",
             r.policy, r.satisfied, r.evaluated, r.total_epochs
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nthe margin interpolates between mean (cheap, undertrains) and max\n\
          (robust, the paper's choice)."
-    );
+    )?;
     Ok(())
 }
 
 /// Why FAP exists: unprotected stuck-at execution vs FAP bypass vs FAP+T.
-fn unprotected(scale: Scale) -> Result<(), Box<dyn Error>> {
+fn unprotected(out: &mut dyn Write, scale: Scale) -> Result<(), Box<dyn Error>> {
     let wb = scale.workbench(1);
     let (rows, cols) = wb.array_dims();
     let pretrained = wb.pretrain(scale.pretrain_epochs())?;
     let runner = FatRunner::new(wb)?;
-    println!(
+    writeln!(
+        out,
         "motivation ablation — unprotected vs FAP vs FAP+T (baseline {:.2}%)",
         pretrained.baseline_accuracy * 100.0
-    );
-    println!("rate    unprotected  FAP(no-retrain)  FAP+T(2 epochs)");
+    )?;
+    writeln!(out, "rate    unprotected  FAP(no-retrain)  FAP+T(2 epochs)")?;
     for rate in [0.01f64, 0.02, 0.05, 0.10] {
         let (mut unp, mut fap, mut fat) = (0.0f32, 0.0f32, 0.0f32);
         let repeats = 3u64;
@@ -344,24 +381,26 @@ fn unprotected(scale: Scale) -> Result<(), Box<dyn Error>> {
             fat += out.final_accuracy();
         }
         let r = repeats as f32;
-        println!(
+        writeln!(
+            out,
             "{rate:.2}   {:>10.2}%  {:>14.2}%  {:>14.2}%",
             unp / r * 100.0,
             fap / r * 100.0,
             fat / r * 100.0
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\neven ~1-2% stuck-at faults are catastrophic without mitigation,\n\
          FAP alone degrades gracefully, and FAP+T recovers the baseline —\n\
          the accuracy hierarchy the paper's related-work section describes."
-    );
+    )?;
     Ok(())
 }
 
 /// BN-recalibration extension: masked batch-normalised networks evaluated
 /// with stale running statistics vs after statistics recalibration.
-fn bn_recal() -> Result<(), Box<dyn Error>> {
+fn bn_recal(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use reduce_core::{ModelSpec, TaskSpec, Workbench};
     use reduce_data::SynthImageConfig;
     use reduce_nn::models::VggConfig;
@@ -377,11 +416,12 @@ fn bn_recal() -> Result<(), Box<dyn Error>> {
         test_samples: 400,
     };
     let pretrained = wb.pretrain(15)?;
-    println!(
+    writeln!(
+        out,
         "BN-recalibration ablation (batch-normalised nano-VGG, baseline {:.2}%)",
         pretrained.baseline_accuracy * 100.0
-    );
-    println!("rate   stale_stats_acc  recalibrated_acc");
+    )?;
+    writeln!(out, "rate   stale_stats_acc  recalibrated_acc")?;
     let (rows, cols) = wb.array_dims();
     let stale_runner = FatRunner::new(wb.clone())?;
     wb.bn_recalibration_passes = 2;
@@ -390,25 +430,27 @@ fn bn_recal() -> Result<(), Box<dyn Error>> {
         let map = FaultMap::generate(rows, cols, rate, FaultModel::Random, 42)?;
         let stale = stale_runner.run(&pretrained, &map, 0, StopRule::Exact, Mitigation::Fap, 0)?;
         let recal = recal_runner.run(&pretrained, &map, 0, StopRule::Exact, Mitigation::Fap, 0)?;
-        println!(
+        writeln!(
+            out,
             "{rate:.2}   {:>13.2}%  {:>15.2}%",
             stale.pre_retrain_accuracy * 100.0,
             recal.pre_retrain_accuracy * 100.0
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nmasking shifts activation statistics; without recalibration a\n\
          batch-normalised network collapses at any fault rate, which is why\n\
          the headline experiments disable BN (see DESIGN.md) — with two\n\
          recalibration passes the graceful-degradation shape returns."
-    );
+    )?;
     Ok(())
 }
 
 /// Early-stop extension: epochs saved by evaluating during FAT — the
 /// fleet deployed as `fig3 --policy reduce-max` deploys it, once spending
 /// every budget and once with `--early-stop`.
-fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
+fn early_stop(out: &mut dyn Write, scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
     let constraint = scale.constraint();
     let (runner, pretrained, table) = characterised(scale, exec)?;
     let array = runner.workbench().array_dims();
@@ -420,11 +462,12 @@ fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
         }),
     );
     let chips = SeededChips::new(fleet);
-    println!(
+    writeln!(
+        out,
         "early-stop extension ({} chips, constraint {:.0}%)",
         fleet.chips,
         constraint * 100.0
-    );
+    )?;
     let deploy = |early_stop| {
         FleetEvaluation::new(RetrainPolicy::Reduce(Statistic::Max), constraint)
             .source(&chips)
@@ -434,17 +477,20 @@ fn early_stop(scale: Scale, exec: &ExecConfig) -> Result<(), Box<dyn Error>> {
             .run(&runner, &pretrained)
     };
     let (exact, stopped) = (deploy(false)?, deploy(true)?);
-    println!(
+    writeln!(
+        out,
         "Reduce(max), exact budget : {} epochs, {} satisfied",
         exact.total_epochs, exact.satisfied
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "Reduce(max) + early stop  : {} epochs, {} satisfied",
         stopped.total_epochs, stopped.satisfied
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\nearly stopping trades per-epoch evaluation cost for epoch savings —\n\
          a natural extension of the paper's fixed-amount Step 3."
-    );
+    )?;
     Ok(())
 }

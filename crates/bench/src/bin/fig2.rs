@@ -49,6 +49,7 @@ use reduce_core::telemetry::{
 };
 use reduce_core::{report, ExecConfig, FatRunner, ReduceError, ResilienceAnalysis};
 use std::error::Error;
+use std::io::Write;
 use std::sync::Arc;
 
 fn main() -> std::process::ExitCode {
@@ -58,6 +59,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
+    let out = &mut std::io::stdout().lock();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut value_keys = vec![
         "--scale",
@@ -100,85 +102,108 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let journal = open_journal(out_dir.as_deref(), resuming)?;
     if resuming {
         if let Some(cp) = &journal {
-            println!(
+            writeln!(
+                out,
                 "resuming from {} ({} grid cell(s) already journaled)\n",
                 cp.path().display(),
                 cp.records()?.len()
-            );
+            )?;
         }
     }
 
     let workbench = scale.workbench(1);
     let config = scale.resilience_config()?;
-    println!(
+    writeln!(
+        out,
         "Fig. 2 — resilience characterisation ({scale:?} scale)\n\
          model/task: paper-scale substitution per DESIGN.md; constraint {:.0}%\n",
         config.constraint * 100.0
-    );
+    )?;
 
-    println!(
+    writeln!(
+        out,
         "pre-training fault-free baseline ({} epochs)…",
         scale.pretrain_epochs()
-    );
+    )?;
     let pretrained = telemetry::timed_stage(observer.as_ref(), Stage::Pretrain, || {
         workbench.pretrain(scale.pretrain_epochs())
     })?;
-    println!(
+    writeln!(
+        out,
         "baseline accuracy {:.2}%\n",
         pretrained.baseline_accuracy * 100.0
-    );
+    )?;
 
     let runner = FatRunner::new(workbench)?;
-    println!(
+    writeln!(
+        out,
         "running {} rates × {} repeats × {} epochs ({} thread{})…",
         config.fault_rates.len(),
         config.repeats,
         config.max_epochs,
         threads,
         if threads == 1 { "" } else { "s" }
-    );
+    )?;
     let max_epochs = config.max_epochs;
     let grid_manifest = GridManifest::from_config(&config);
     let analysis =
         ResilienceAnalysis::run_resumable(&runner, &pretrained, config, &exec, journal.as_ref())?;
-    println!("characterisation done\n");
+    writeln!(out, "characterisation done\n")?;
     if !analysis.failures().is_empty() {
-        println!("quarantined grid cells (excluded from the summaries below):");
+        writeln!(
+            out,
+            "quarantined grid cells (excluded from the summaries below):"
+        )?;
         for f in analysis.failures() {
-            println!(
+            writeln!(
+                out,
                 "  rate {:.4} repeat {} — {} attempt(s): {}",
                 f.rate, f.repeat, f.attempts, f.error
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
 
     if part == "a" || part == "both" {
-        println!("— Fig. 2a: mean accuracy vs fault rate at each FAT level —");
+        writeln!(
+            out,
+            "— Fig. 2a: mean accuracy vs fault rate at each FAT level —"
+        )?;
         let levels: Vec<usize> = [0usize, 1, 2, 4, 8, max_epochs]
             .into_iter()
             .filter(|&l| l <= max_epochs)
             .collect();
-        println!("{}", report::render_resilience_curves(&analysis, &levels));
+        writeln!(
+            out,
+            "{}",
+            report::render_resilience_curves(&analysis, &levels)
+        )?;
     }
     if part == "b" || part == "both" {
-        println!("— Fig. 2b: epochs to reach the constraint (min/mean/max over repeats) —");
-        println!("{}", report::render_epochs_to_constraint(&analysis));
-        println!(
+        writeln!(
+            out,
+            "— Fig. 2b: epochs to reach the constraint (min/mean/max over repeats) —"
+        )?;
+        writeln!(out, "{}", report::render_epochs_to_constraint(&analysis))?;
+        writeln!(
+            out,
             "paper's observation: the min–max spread widens with fault rate, so\n\
              selecting retraining amounts by the mean risks undertraining —\n\
              Reduce therefore uses the max (Fig. 3a vs 3b)."
-        );
+        )?;
     }
     if let Some(dir) = args.value("--csv") {
         let (header, rows) = report::resilience_csv(&analysis);
         let path = std::path::Path::new(dir).join("fig2_resilience.csv");
         report::write_csv(&path, &header, &rows)?;
-        println!("raw points written to {}", path.display());
+        writeln!(out, "raw points written to {}", path.display())?;
     }
     if let Some(path) = args.value("--table-out") {
         analysis.table().save(std::path::Path::new(path))?;
-        println!("resilience table saved to {path} (reusable via fig3 --table)");
+        writeln!(
+            out,
+            "resilience table saved to {path} (reusable via fig3 --table)"
+        )?;
     }
     if let Some(dir) = &out_dir {
         let mut manifest = RunManifest::new("fig2", args.value("--scale").unwrap_or("default"));
@@ -190,11 +215,11 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         // manifest stays byte-identical across thread counts.
         manifest.workspace = metrics.snapshot().workspace;
         manifest.save(&dir.join("manifest.json"))?;
-        println!("run log and manifest written to {}", dir.display());
+        writeln!(out, "run log and manifest written to {}", dir.display())?;
     }
     if let Some(log) = run_log {
         log.flush()?;
     }
-    println!("{}", metrics.render());
+    writeln!(out, "{}", metrics.render())?;
     Ok(())
 }

@@ -67,6 +67,7 @@ use reduce_core::{
 };
 use reduce_systolic::ClusterConfig;
 use std::error::Error;
+use std::io::Write;
 use std::sync::Arc;
 
 fn parse_policy(s: &str) -> Result<Vec<RetrainPolicy>, ReduceError> {
@@ -134,6 +135,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
+    let out = &mut std::io::stdout().lock();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut value_keys = vec![
         "--scale",
@@ -186,11 +188,12 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let journal = open_journal(out_dir.as_deref(), resuming)?;
     if resuming {
         if let Some(cp) = &journal {
-            println!(
+            writeln!(
+                out,
                 "resuming from {} ({} job(s) already journaled)\n",
                 cp.path().display(),
                 cp.records()?.len()
-            );
+            )?;
         }
     }
 
@@ -219,19 +222,21 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let workbench_spec = format!("{:?}", workbench.model);
     let array = workbench.array_dims();
     let constraint = scale.constraint();
-    println!(
+    writeln!(
+        out,
         "Fig. 3 — policy comparison over a fleet ({scale:?} scale, constraint {:.0}%)\n",
         constraint * 100.0
-    );
+    )?;
 
-    println!("step 0: pre-training fault-free baseline…");
+    writeln!(out, "step 0: pre-training fault-free baseline…")?;
     let pretrained = telemetry::timed_stage(observer.as_ref(), Stage::Pretrain, || {
         workbench.pretrain(scale.pretrain_epochs())
     })?;
-    println!(
+    writeln!(
+        out,
         "  baseline accuracy {:.2}%",
         pretrained.baseline_accuracy * 100.0
-    );
+    )?;
     let runner = FatRunner::new(workbench)?;
 
     let needs_table = runs.iter().any(|(p, _)| p.needs_table());
@@ -239,12 +244,15 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let table = match args.value("--table") {
         Some(path) => {
             let table = ResilienceTable::load(std::path::Path::new(path))?;
-            println!("step 1: resilience table loaded from {path} (characterisation skipped)");
+            writeln!(
+                out,
+                "step 1: resilience table loaded from {path} (characterisation skipped)"
+            )?;
             table_manifest = Some(TableManifest::of(&table));
             Some(table)
         }
         None if needs_table => {
-            println!("step 1: resilience characterisation…");
+            writeln!(out, "step 1: resilience characterisation…")?;
             let config = scale.resilience_config()?;
             grid_manifest = Some(GridManifest::from_config(&config));
             let analysis = ResilienceAnalysis::run_resumable(
@@ -254,10 +262,11 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
                 &exec,
                 journal.as_ref(),
             )?;
-            println!(
+            writeln!(
+                out,
                 "  done  [{threads} thread{}]",
                 if threads == 1 { "" } else { "s" }
-            );
+            )?;
             Some(analysis.table())
         }
         None => None,
@@ -268,10 +277,11 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     // Vec — so memory stays constant at any --chips without --per-chip/--csv.
     let source = SeededChips::new(fleet_config);
     let collect_outcomes = args.flag("--per-chip") || args.value("--csv").is_some();
-    println!(
+    writeln!(
+        out,
         "steps 2+3: retraining {} chips per policy (streamed)…\n",
         fleet_config.chips
-    );
+    )?;
 
     let deploy_clock = Stopwatch::start();
     let mut reports = Vec::new();
@@ -297,12 +307,13 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         } else {
             format!("  quarantined {:>3}", report.quarantined.len())
         };
-        println!(
+        writeln!(
+            out,
             "{:<22} satisfied {:>3}/{:<3}  total epochs {:>5}{}",
             report.policy, report.satisfied, report.evaluated, report.total_epochs, quarantined,
-        );
+        )?;
         if args.flag("--per-chip") {
-            println!("{}", report::render_fleet_chips(&report));
+            writeln!(out, "{}", report::render_fleet_chips(&report))?;
         }
         reports.push(report);
     }
@@ -316,49 +327,61 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     } else {
         0.0
     };
-    println!(
+    writeln!(
+        out,
         "\ndeploy throughput: {deployed_chips} chips in {deploy_seconds:.2}s = \
          {chips_per_sec:.1} chips/sec"
-    );
+    )?;
     let rss_kb = peak_rss_kb();
     if let Some(kb) = rss_kb {
-        println!("peak_rss_kb={kb}");
+        writeln!(out, "peak_rss_kb={kb}")?;
     }
 
     if strategy_arg.is_some() {
-        println!("\n— strategy comparison (Reduce vs eFAT vs fixed) —");
-        println!("{}", report::render_strategy_comparison(&reports));
+        writeln!(out, "\n— strategy comparison (Reduce vs eFAT vs fixed) —")?;
+        writeln!(out, "{}", report::render_strategy_comparison(&reports))?;
     } else {
-        println!("\n— Fig. 3f summary —");
-        println!("{}", report::render_fleet_summary(&reports));
+        writeln!(out, "\n— Fig. 3f summary —")?;
+        writeln!(out, "{}", report::render_fleet_summary(&reports))?;
     }
     if args.flag("--cost") {
         let cm = reduce_systolic::CostModel::small(array.0, array.1);
-        println!("accelerator-side retraining cost (cost-model estimate):");
+        writeln!(
+            out,
+            "accelerator-side retraining cost (cost-model estimate):"
+        )?;
         for r in &reports {
             if let Some(cycles) = r.retrain_cycles {
-                println!(
+                writeln!(
+                    out,
                     "  {:<22} {:>16} cycles  = {:>8.2} s on-chip",
                     r.policy,
                     cycles,
                     cm.cycles_to_seconds(cycles)
-                );
+                )?;
             }
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("total retraining epochs (lower is better at equal yield):");
+    writeln!(
+        out,
+        "total retraining epochs (lower is better at equal yield):"
+    )?;
     let bars: Vec<(String, f64)> = reports
         .iter()
         .map(|r| (r.policy.clone(), r.total_epochs as f64))
         .collect();
-    println!("{}", report::render_bars(&bars, 40));
-    println!("chips meeting the {:.0}% constraint:", constraint * 100.0);
+    writeln!(out, "{}", report::render_bars(&bars, 40))?;
+    writeln!(
+        out,
+        "chips meeting the {:.0}% constraint:",
+        constraint * 100.0
+    )?;
     let bars: Vec<(String, f64)> = reports
         .iter()
         .map(|r| (r.policy.clone(), r.satisfied as f64))
         .collect();
-    println!("{}", report::render_bars(&bars, 40));
+    writeln!(out, "{}", report::render_bars(&bars, 40))?;
     if let Some(dir) = args.value("--csv") {
         for r in &reports {
             let (header, rows) = report::fleet_csv(r);
@@ -375,7 +398,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
                 .collect();
             let path = std::path::Path::new(dir).join(format!("fig3_{slug}.csv"));
             report::write_csv(&path, &header, &rows)?;
-            println!("per-chip rows written to {}", path.display());
+            writeln!(out, "per-chip rows written to {}", path.display())?;
         }
     }
     if let Some(dir) = &out_dir {
@@ -400,12 +423,12 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         };
         manifest.fleet = Some(FleetManifest::from_config(&fleet_config));
         manifest.save(&dir.join("manifest.json"))?;
-        println!("run log and manifest written to {}", dir.display());
+        writeln!(out, "run log and manifest written to {}", dir.display())?;
     }
     if let Some(log) = run_log {
         log.flush()?;
     }
-    println!("{}", metrics.render());
+    writeln!(out, "{}", metrics.render())?;
     Ok(())
 }
 

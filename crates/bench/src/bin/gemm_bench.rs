@@ -24,9 +24,11 @@ use reduce_bench::kernels::{compare, registry, workloads, Gate};
 use reduce_bench::parse_args;
 use reduce_core::{artifact, ReduceError};
 use std::error::Error;
+use std::io::Write;
 use std::path::Path;
 
 fn main() -> Result<(), Box<dyn Error>> {
+    let out = &mut std::io::stdout().lock();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&raw, &["--out", "--reps"], &["--check"], 0)?;
     let out_path = args.value("--out").unwrap_or("BENCH_gemm.json").to_string();
@@ -40,7 +42,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let kernels = registry();
     let set = workloads();
-    println!(
+    writeln!(
+        out,
         "GEMM kernel comparison: {} kernels x {} workloads x 3 variants ({})",
         kernels.len(),
         set.len(),
@@ -49,7 +52,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         } else {
             format!("{reps} timed reps per cell")
         }
-    );
+    )?;
 
     let results = compare(&kernels, &set, reps, check_only)?;
 
@@ -58,14 +61,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         for c in &r.cells {
             if !c.ok {
                 failures += 1;
-                println!(
+                writeln!(
+                    out,
                     "FAIL {:<10} {:>12} {} ({} gate, max_abs_err {:e})",
                     c.kernel,
                     r.workload.label(),
                     r.variant.name(),
                     c.gate.name(),
                     c.max_abs_err
-                );
+                )?;
             }
         }
     }
@@ -73,11 +77,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Compact stdout summary: per workload, the NN timing of each kernel
     // relative to the blocked reference (the pre-PR production kernel).
     if !check_only {
-        println!();
-        println!(
+        writeln!(out)?;
+        writeln!(
+            out,
             "{:<12} {:>12} {:>12} {:>12} {:>12}",
             "shape (nn)", "naive", "blocked", "packed", "dispatch"
-        );
+        )?;
         for r in results.iter().filter(|r| r.variant.name() == "nn") {
             let mut row = format!("{:<12}", r.workload.label());
             for name in ["naive", "blocked", "packed", "dispatch"] {
@@ -88,7 +93,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                     None => format!(" {:>12}", "-"),
                 });
             }
-            println!("{row}");
+            writeln!(out, "{row}")?;
         }
     }
 
@@ -97,17 +102,18 @@ fn main() -> Result<(), Box<dyn Error>> {
         .flat_map(|r| &r.cells)
         .filter(|c| c.gate == Gate::Exact)
         .count();
-    println!(
+    writeln!(
+        out,
         "\n{} cells checked ({} exact-gated, {} tolerance-gated), {} failure(s)",
         results.iter().map(|r| r.cells.len()).sum::<usize>(),
         gated,
         results.iter().map(|r| r.cells.len()).sum::<usize>() - gated,
         failures
-    );
+    )?;
 
     let doc = reduce_bench::kernels::render_json(&results, reps);
     artifact::write_atomic(Path::new(&out_path), &doc)?;
-    println!("comparison written to {out_path}");
+    writeln!(out, "comparison written to {out_path}")?;
 
     if failures > 0 {
         return Err(Box::new(ReduceError::InvalidConfig {

@@ -16,10 +16,12 @@
 //! performs the explicit truncation that self-healing resume refuses to do
 //! on its own (dropping valid records stranded after a corrupt middle),
 //! printing each heal action to stderr. Exit code 1 reports usage or
-//! filesystem errors.
+//! filesystem errors, a closed stdout included.
 
 use reduce_bench::HealNotices;
 use reduce_core::{inspect_journal, repair_journal, JournalStatus};
+use std::error::Error;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -36,61 +38,51 @@ fn journal_path(arg: &str) -> PathBuf {
     }
 }
 
-fn verify(path: &Path, verbose: bool) -> ExitCode {
-    let health = match inspect_journal(path) {
-        Ok(health) => health,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    println!(
+/// Prints the journal's health; the exit code is its status.
+fn verify(out: &mut impl Write, path: &Path, verbose: bool) -> Result<ExitCode, Box<dyn Error>> {
+    let health = inspect_journal(path)?;
+    writeln!(
+        out,
         "{}: {} ({} record(s), {} sealed shard(s), {} B)",
         path.display(),
         health.status.name(),
         health.records,
         health.sealed_shards,
         health.total_bytes,
-    );
+    )?;
     if verbose {
         if health.shard_records > 0 {
-            println!("  shard size: {} record(s)", health.shard_records);
+            writeln!(out, "  shard size: {} record(s)", health.shard_records)?;
         }
         for (kind, count) in &health.kinds {
-            println!("  {kind}: {count}");
+            writeln!(out, "  {kind}: {count}")?;
         }
     }
     for note in &health.notes {
-        println!("  note: {note}");
+        writeln!(out, "  note: {note}")?;
     }
-    match health.status {
+    Ok(match health.status {
         JournalStatus::Clean => ExitCode::SUCCESS,
         JournalStatus::Healable => ExitCode::from(2),
         JournalStatus::Corrupt => ExitCode::from(3),
-    }
+    })
 }
 
-fn repair(path: &Path) -> ExitCode {
-    match repair_journal(path, &HealNotices) {
-        Ok(summary) => {
-            if summary.was_clean {
-                println!("{}: already clean, nothing to repair", path.display());
-            } else {
-                println!(
-                    "{}: repaired — kept {} record(s), dropped {} record(s) / {} B",
-                    path.display(),
-                    summary.kept,
-                    summary.dropped_records,
-                    summary.dropped_bytes,
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(1)
-        }
+fn repair(out: &mut impl Write, path: &Path) -> Result<ExitCode, Box<dyn Error>> {
+    let summary = repair_journal(path, &HealNotices)?;
+    if summary.was_clean {
+        writeln!(out, "{}: already clean, nothing to repair", path.display())?;
+    } else {
+        writeln!(
+            out,
+            "{}: repaired — kept {} record(s), dropped {} record(s) / {} B",
+            path.display(),
+            summary.kept,
+            summary.dropped_records,
+            summary.dropped_bytes,
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -102,13 +94,18 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    match command {
-        "verify" => verify(&target, false),
-        "stat" => verify(&target, true),
-        "repair" => repair(&target),
+    let out = &mut std::io::stdout().lock();
+    let result = match command {
+        "verify" => verify(out, &target, false),
+        "stat" => verify(out, &target, true),
+        "repair" => repair(out, &target),
         other => {
             eprintln!("unknown command {other:?}\n{USAGE}");
-            ExitCode::from(1)
+            return ExitCode::from(1);
         }
-    }
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(1)
+    })
 }

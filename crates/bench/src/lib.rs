@@ -1,8 +1,11 @@
 //! # reduce-bench
 //!
 //! Experiment drivers for the Reduce reproduction: the figure-regeneration
-//! binaries (`fig2`, `fig3`, `ablation`) and the Criterion micro-benchmarks
-//! share the presets and argument handling defined here.
+//! binaries (`fig2`, `fig3`, `ablation`) share the presets and argument
+//! handling defined here, and [`kernels`] is the GEMM kernel-comparison
+//! harness behind `gemm_bench`. Every binary writes its stdout through
+//! `writeln!` and propagates the error, so a reader that closes the pipe
+//! early ends the run with exit code 1, not a panic.
 //!
 //! Every experiment runs at one of three [`Scale`]s:
 //!

@@ -37,8 +37,7 @@
 //!
 //! A deterministic [`ChaosPolicy`] can be injected through
 //! [`ExecConfig::with_chaos`] to force chosen `(job, attempt)` pairs to
-//! fail or panic — the test harness the containment guarantees are
-//! proved with.
+//! fail — the test harness the containment guarantees are proved with.
 //!
 //! # Resume
 //!
@@ -118,7 +117,7 @@ impl ExecConfig {
     }
 
     /// Injects a deterministic fault-injection policy: chosen
-    /// `(job, attempt)` pairs fail or panic before the job body runs.
+    /// `(job, attempt)` pairs fail before the job body runs.
     #[must_use]
     pub fn with_chaos(mut self, chaos: ChaosPolicy) -> Self {
         self.chaos = Some(Arc::new(chaos));
@@ -275,32 +274,21 @@ pub fn retry_seed(job: u64, attempt: u32) -> u64 {
     }
 }
 
-/// What a [`ChaosPolicy`] does to one `(job, attempt)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosOutcome {
-    /// Run the job body normally.
-    Pass,
-    /// Fail the attempt with a typed error before the job body runs.
-    Fail,
-    /// Panic before the job body runs (exercises panic containment).
-    Panic,
-}
-
 #[derive(Debug, Clone)]
 enum ChaosMode {
     /// Explicit `(job, attempt)` pairs.
-    Pairs(Vec<(u64, u32, ChaosOutcome)>),
+    Pairs(Vec<(u64, u32)>),
     /// Every attempt of the listed jobs (guarantees quarantine).
-    Jobs(Vec<(u64, ChaosOutcome)>),
+    Jobs(Vec<u64>),
     /// Seeded random failures at `fail_rate` per attempt.
     Seeded { seed: u64, fail_rate: f64 },
 }
 
 /// A deterministic fault-injection policy for [`run_job_resilient`]:
 /// decides, purely from the job id and attempt number, whether an
-/// attempt runs, fails, or panics.
+/// attempt fails before its job body runs.
 ///
-/// Because [`ChaosPolicy::decide`] is a pure function, injected chaos is
+/// Because [`ChaosPolicy::fails`] is a pure function, injected chaos is
 /// reproducible: the same policy produces the same failures at any
 /// thread count, and an interrupted run resumed later sees the same
 /// outcomes for the jobs it re-executes.
@@ -313,24 +301,7 @@ impl ChaosPolicy {
     /// Fails exactly the listed `(job, attempt)` pairs.
     pub fn fail_at(pairs: &[(u64, u32)]) -> Self {
         ChaosPolicy {
-            mode: ChaosMode::Pairs(
-                pairs
-                    .iter()
-                    .map(|&(j, a)| (j, a, ChaosOutcome::Fail))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Panics on exactly the listed `(job, attempt)` pairs.
-    pub fn panic_at(pairs: &[(u64, u32)]) -> Self {
-        ChaosPolicy {
-            mode: ChaosMode::Pairs(
-                pairs
-                    .iter()
-                    .map(|&(j, a)| (j, a, ChaosOutcome::Panic))
-                    .collect(),
-            ),
+            mode: ChaosMode::Pairs(pairs.to_vec()),
         }
     }
 
@@ -338,14 +309,7 @@ impl ChaosPolicy {
     /// guarantee a quarantine regardless of the retry budget.
     pub fn fail_jobs(jobs: &[u64]) -> Self {
         ChaosPolicy {
-            mode: ChaosMode::Jobs(jobs.iter().map(|&j| (j, ChaosOutcome::Fail)).collect()),
-        }
-    }
-
-    /// Panics on every attempt of the listed jobs.
-    pub fn panic_jobs(jobs: &[u64]) -> Self {
-        ChaosPolicy {
-            mode: ChaosMode::Jobs(jobs.iter().map(|&j| (j, ChaosOutcome::Panic)).collect()),
+            mode: ChaosMode::Jobs(jobs.to_vec()),
         }
     }
 
@@ -361,20 +325,12 @@ impl ChaosPolicy {
         }
     }
 
-    /// The outcome for `(job, attempt)` — a pure function of the policy
-    /// and its arguments.
-    pub fn decide(&self, job: u64, attempt: u32) -> ChaosOutcome {
+    /// Whether `(job, attempt)` fails instead of running — a pure
+    /// function of the policy and its arguments.
+    pub fn fails(&self, job: u64, attempt: u32) -> bool {
         match &self.mode {
-            ChaosMode::Pairs(pairs) => pairs
-                .iter()
-                .find(|&&(j, a, _)| j == job && a == attempt)
-                .map(|&(_, _, out)| out)
-                .unwrap_or(ChaosOutcome::Pass),
-            ChaosMode::Jobs(jobs) => jobs
-                .iter()
-                .find(|&&(j, _)| j == job)
-                .map(|&(_, out)| out)
-                .unwrap_or(ChaosOutcome::Pass),
+            ChaosMode::Pairs(pairs) => pairs.contains(&(job, attempt)),
+            ChaosMode::Jobs(jobs) => jobs.contains(&job),
             ChaosMode::Seeded { seed, fail_rate } => {
                 // Map a splitmix-style hash of (seed, job, attempt) onto
                 // [0, 1) through the top 53 bits (exact in f64).
@@ -385,11 +341,7 @@ impl ChaosPolicy {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 z ^= z >> 31;
                 let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-                if unit < *fail_rate {
-                    ChaosOutcome::Fail
-                } else {
-                    ChaosOutcome::Pass
-                }
+                unit < *fail_rate
             }
         }
     }
@@ -474,18 +426,12 @@ where
     for attempt in 0..=budget {
         let salt = retry_seed(id, attempt);
         let mut attempt_events = Vec::new();
-        let decision = exec
-            .chaos()
-            .map_or(ChaosOutcome::Pass, |c| c.decide(id, attempt));
-        let result = match decision {
-            ChaosOutcome::Fail => Err(ReduceError::Internal {
+        let result = if exec.chaos().is_some_and(|c| c.fails(id, attempt)) {
+            Err(ReduceError::Internal {
                 invariant: format!("chaos injection: forced failure (job {id}, attempt {attempt})"),
-            }),
-            ChaosOutcome::Panic => contain_unwind(id, || {
-                // xtask:allow(panic): chaos harness deliberately injects a contained panic
-                panic!("chaos injection: forced panic (job {id}, attempt {attempt})")
-            }),
-            ChaosOutcome::Pass => contain_unwind(id, || job(id, item, salt, &mut attempt_events)),
+            })
+        } else {
+            contain_unwind(id, || job(id, item, salt, &mut attempt_events))
         };
         match result {
             Ok(out) => {
@@ -815,25 +761,23 @@ mod tests {
     #[test]
     fn chaos_policy_is_deterministic() {
         let pairs = ChaosPolicy::fail_at(&[(2, 0)]);
-        assert_eq!(pairs.decide(2, 0), ChaosOutcome::Fail);
-        assert_eq!(pairs.decide(2, 1), ChaosOutcome::Pass);
-        assert_eq!(pairs.decide(1, 0), ChaosOutcome::Pass);
-        let panics = ChaosPolicy::panic_at(&[(0, 1)]);
-        assert_eq!(panics.decide(0, 1), ChaosOutcome::Panic);
+        assert!(pairs.fails(2, 0));
+        assert!(!pairs.fails(2, 1));
+        assert!(!pairs.fails(1, 0));
         let jobs = ChaosPolicy::fail_jobs(&[5]);
         for attempt in 0..4 {
-            assert_eq!(jobs.decide(5, attempt), ChaosOutcome::Fail);
-            assert_eq!(jobs.decide(6, attempt), ChaosOutcome::Pass);
+            assert!(jobs.fails(5, attempt));
+            assert!(!jobs.fails(6, attempt));
         }
         let seeded = ChaosPolicy::seeded(42, 0.5);
-        let first: Vec<ChaosOutcome> = (0..64).map(|j| seeded.decide(j, 0)).collect();
-        let again: Vec<ChaosOutcome> = (0..64).map(|j| seeded.decide(j, 0)).collect();
+        let first: Vec<bool> = (0..64).map(|j| seeded.fails(j, 0)).collect();
+        let again: Vec<bool> = (0..64).map(|j| seeded.fails(j, 0)).collect();
         assert_eq!(first, again, "seeded chaos must be pure");
-        let failures = first.iter().filter(|&&o| o == ChaosOutcome::Fail).count();
+        let failures = first.iter().filter(|&&fails| fails).count();
         assert!(failures > 0, "rate 0.5 over 64 jobs should fail some");
         assert!(failures < 64, "rate 0.5 over 64 jobs should pass some");
-        assert!((0..64).all(|j| ChaosPolicy::seeded(7, 0.0).decide(j, 0) == ChaosOutcome::Pass));
-        assert!((0..64).all(|j| ChaosPolicy::seeded(7, 1.0).decide(j, 0) == ChaosOutcome::Fail));
+        assert!((0..64).all(|j| !ChaosPolicy::seeded(7, 0.0).fails(j, 0)));
+        assert!((0..64).all(|j| ChaosPolicy::seeded(7, 1.0).fails(j, 0)));
     }
 
     /// [`run_job_resilient`] over every `(id, item)` on [`parallel_map`]:
@@ -948,24 +892,9 @@ mod tests {
     }
 
     #[test]
-    fn injected_panics_are_quarantined_not_fatal() {
-        let exec = ExecConfig::new(4).with_chaos(ChaosPolicy::panic_jobs(&[2]));
-        let reports = resilient_run(4, &exec);
-        match &reports[2].status {
-            JobStatus::Quarantined { attempts, error } => {
-                assert_eq!(*attempts, 1);
-                assert!(error.contains("panic"), "panic cause kept: {error}");
-            }
-            other => panic!("job 2 should be quarantined, got {other:?}"),
-        }
-        assert!(matches!(reports[0].status, JobStatus::Ok(_)));
-        assert!(matches!(reports[3].status, JobStatus::Ok(_)));
-    }
-
-    #[test]
     fn job_panics_are_quarantined_too() {
-        let items: Vec<(u64, u64)> = (0..3).map(|i| (i, i)).collect();
-        let exec = ExecConfig::new(2);
+        let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
+        let exec = ExecConfig::new(4);
         let reports = resilient_map(&items, &exec, Stage::Deploy, |id, _, _, _events| {
             if id == 1 {
                 panic!("boom in the job body");
@@ -973,9 +902,17 @@ mod tests {
             Ok(id)
         })
         .expect("panic is contained, not fatal");
-        assert!(
-            matches!(&reports[1].status, JobStatus::Quarantined { error, .. } if error.contains("boom"))
-        );
+        match &reports[1].status {
+            JobStatus::Quarantined { attempts, error } => {
+                assert_eq!(*attempts, 1);
+                assert!(error.contains("panicked"), "panic named: {error}");
+                assert!(error.contains("boom"), "panic cause kept: {error}");
+            }
+            other => panic!("job 1 should be quarantined, got {other:?}"),
+        }
+        for i in [0usize, 2, 3] {
+            assert_eq!(reports[i].status, JobStatus::Ok(i as u64), "sibling {i}");
+        }
     }
 
     #[test]

@@ -1732,6 +1732,54 @@ mod tests {
     }
 
     #[test]
+    fn a_record_carrying_a_stage_event_is_never_replayed() {
+        // Journaled events come from a job's buffer, which never holds the
+        // stage driver's events: a CRC-valid `point` record whose events
+        // carry a `stage_finished` is malformed, so resume refuses it in
+        // the middle of a shard and truncates it at the tail. Either way
+        // no record carries it to the replay.
+        let path = scratch("stage_event");
+        let dir = path.parent().expect("has parent");
+        std::fs::create_dir_all(dir).expect("temp dir");
+        std::fs::write(&path, render_manifest(8, &[])).expect("temp write");
+        let shard = shard_path(&path, 0);
+        let valid = frame_line(&render_record(&small_record(0)));
+        let stage_finished = render_event(
+            &Event::StageFinished {
+                stage: Stage::Characterize,
+                seconds: None,
+            },
+            false,
+        );
+        let staged = render_record(&point_record()).replacen(
+            "\"events\":[",
+            &format!("\"events\":[{},", stage_finished.trim_end()),
+            1,
+        );
+        assert!(staged.contains("\"event\":\"stage_finished\""));
+        std::fs::write(&shard, format!("{}{valid}", frame_line(&staged))).expect("temp write");
+        match Checkpoint::resume(&path) {
+            Err(ReduceError::JournalCorrupt {
+                shard,
+                record,
+                kind,
+            }) => assert_eq!((shard, record, kind), (0, 0, CorruptKind::BadRecord)),
+            other => panic!("a stage event mid-shard must be JournalCorrupt, got {other:?}"),
+        }
+        std::fs::write(&shard, format!("{valid}{}", frame_line(&staged))).expect("temp write");
+        let log = EventLog::default();
+        let journal = Checkpoint::resume_observed(&path, &log).expect("tail damage heals");
+        assert_eq!(journal.records().expect("records"), vec![small_record(0)]);
+        assert!(log.0.lock().unwrap().contains(&Event::RecordDropped {
+            shard: 0,
+            record: 1
+        }));
+        let text = std::fs::read_to_string(&shard).expect("shard exists");
+        assert!(!text.contains("stage_finished"), "the record was truncated");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn shards_bound_bytes_per_append() {
         let path = scratch("shard_bound");
         let journal = Checkpoint::create(&path).with_shard_records(4);

@@ -305,8 +305,12 @@ pub(crate) fn render_event(event: &Event, redact_timing: bool) -> String {
 /// Parses a rendered event object back into an [`Event`] — the inverse
 /// of [`render_event`], used when replaying journaled grid-cell / chip
 /// events on resume — or `None` if it is not a well-formed event.
-/// Wall-clock `seconds` round-trips as `None` when the source was
-/// redacted.
+///
+/// Only the kinds a job buffers in [`crate::exec::run_job_resilient`]
+/// parse: epoch, point, chip, cluster and warm-start results and the
+/// retry history. Stage, workspace, checkpoint and heal events are
+/// emitted by the stage driver and by resume itself, never journaled, so
+/// a record carrying one is malformed.
 pub(crate) fn parse_event(value: &JsonValue) -> Option<Event> {
     let stage = || {
         value
@@ -320,17 +324,6 @@ pub(crate) fn parse_event(value: &JsonValue) -> Option<Event> {
     let f64_of = |name: &str| value.field(name).and_then(JsonValue::as_f64);
     let f32_of = |name: &str| value.field(name).and_then(JsonValue::as_f32);
     match value.field("event").and_then(JsonValue::as_str)? {
-        "stage_started" => Some(Event::StageStarted { stage: stage()? }),
-        "stage_finished" => {
-            let seconds = match value.field("seconds") {
-                Some(JsonValue::Null) | None => None,
-                Some(v) => Some(v.as_f64()?),
-            };
-            Some(Event::StageFinished {
-                stage: stage()?,
-                seconds,
-            })
-        }
         "epoch_completed" => {
             let scope = match value.field("scope").and_then(JsonValue::as_str)? {
                 "point" => EpochScope::Point {
@@ -378,12 +371,6 @@ pub(crate) fn parse_event(value: &JsonValue) -> Option<Event> {
             chip_id: usize_of("chip_id")?,
             representative: usize_of("representative")?,
         }),
-        "workspace_used" => Some(Event::WorkspaceUsed {
-            stage: stage()?,
-            hits: u64_of("hits")?,
-            misses: u64_of("misses")?,
-            bytes_allocated: u64_of("bytes_allocated")?,
-        }),
         "job_failed" => Some(Event::JobFailed {
             stage: stage()?,
             job: u64_of("job")?,
@@ -403,19 +390,6 @@ pub(crate) fn parse_event(value: &JsonValue) -> Option<Event> {
             stage: stage()?,
             job: u64_of("job")?,
             attempts: u32_of("attempts")?,
-        }),
-        "checkpoint_written" => Some(Event::CheckpointWritten {
-            stage: stage()?,
-            completed: usize_of("completed")?,
-        }),
-        "shard_truncated" => Some(Event::ShardTruncated {
-            shard: usize_of("shard")?,
-            kept: usize_of("kept")?,
-            dropped_bytes: usize_of("dropped_bytes")?,
-        }),
-        "record_dropped" => Some(Event::RecordDropped {
-            shard: usize_of("shard")?,
-            record: usize_of("record")?,
         }),
         _ => None,
     }
@@ -592,6 +566,16 @@ mod tests {
 
     #[test]
     fn every_event_round_trips_through_parse_event() {
+        // The stage driver's and resume's own events never enter a job's
+        // buffer, so a journal record that carries one is malformed.
+        const UNBUFFERED: [&str; 6] = [
+            "checkpoint_written",
+            "record_dropped",
+            "shard_truncated",
+            "stage_finished",
+            "stage_started",
+            "workspace_used",
+        ];
         let mut all = events();
         all.extend([
             Event::JobFailed {
@@ -637,14 +621,22 @@ mod tests {
                 record: 5,
             },
         ]);
+        let mut rejected = std::collections::BTreeSet::new();
         for event in &all {
             let line = render_event(event, false);
             let value = super::super::json::parse(line.trim_end()).expect("line parses");
+            let kind = value.field("event").and_then(JsonValue::as_str);
+            if let Some(kind) = kind.filter(|k| UNBUFFERED.contains(k)) {
+                assert!(parse_event(&value).is_none(), "{event:?} parsed");
+                rejected.insert(kind.to_string());
+                continue;
+            }
             let back = parse_event(&value).expect("event parses back");
             assert_eq!(&back, event, "round trip changed {event:?}");
             // The replay path depends on re-rendering bit-identically.
             assert_eq!(render_event(&back, false), line);
         }
+        assert_eq!(rejected.len(), UNBUFFERED.len(), "{rejected:?}");
         assert!(parse_event(&JsonValue::Null).is_none());
         let unknown = super::super::json::parse("{\"event\":\"warp\"}").expect("valid json");
         assert!(parse_event(&unknown).is_none());

@@ -1,6 +1,6 @@
 //! Packed, cache-tiled, register-blocked GEMM.
 //!
-//! This module is the compute core behind [`crate::ops::matmul`] and
+//! This module is the compute core behind [`crate::ops::matmul_into`] and
 //! friends. It is organised BLIS-style in three layers:
 //!
 //! * [`pack`] — copies cache-block-sized pieces of `A` and `B` into

@@ -3,16 +3,16 @@
 //! Three GEMM variants cover everything the NN framework needs without
 //! ever materialising transposes on the hot path:
 //!
-//! * [`matmul`] / [`matmul_into`]       — `C = A · B`
-//! * [`matmul_tn`] / [`matmul_tn_into`] — `C = Aᵀ · B` (weight gradients)
+//! * [`matmul_into`]                    — `C = A · B`
+//! * [`matmul_tn_into`]                 — `C = Aᵀ · B` (weight gradients)
 //! * [`matmul_nt`] / [`matmul_nt_into`] — `C = A · Bᵀ` (input gradients)
 //!
 //! The `_into` variants write into a caller-provided output tensor so hot
 //! loops (training epochs, fleet retraining) can reuse workspace buffers
-//! instead of allocating per call. Each allocating form zeroes a fresh
-//! output and calls its `_into` twin, so results are bit-identical either
-//! way — and every error names the exact entry point it came from, so a
-//! shape bug deep in a backward pass is diagnosable from the message.
+//! instead of allocating per call. [`matmul_nt`] zeroes a fresh output
+//! and calls its `_into` twin, so results are bit-identical either way —
+//! and every error names the exact entry point it came from, so a shape
+//! bug deep in a backward pass is diagnosable from the message.
 //!
 //! The compute itself lives in [`super::gemm`]: large shapes take the
 //! packed, cache-tiled, register-blocked path; small and degenerate
@@ -25,65 +25,42 @@ use super::gemm::{self, GemmVariant};
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 
-/// Computes `C = A · B` for rank-2 tensors `A: (m, k)` and `B: (k, n)`.
+/// Computes `C = A · B` for rank-2 tensors `A: (m, k)` and `B: (k, n)`,
+/// writing into `out`, which must already have shape `(m, n)`. `out` is
+/// zeroed first, so whatever it held never reaches the result.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] for non-matrix inputs and
-/// [`TensorError::ShapeMismatch`] if the inner dimensions differ.
+/// [`TensorError::ShapeMismatch`] if the inner dimensions differ or `out`
+/// is misshapen — all naming `matmul_into`.
 ///
 /// # Examples
 ///
 /// ```
-/// use reduce_tensor::{ops::matmul, Tensor};
+/// use reduce_tensor::{ops::matmul_into, Tensor};
 ///
 /// # fn main() -> Result<(), reduce_tensor::TensorError> {
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2])?;
-/// let id = Tensor::eye(2);
-/// assert_eq!(matmul(&a, &id)?, a);
+/// let id = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2])?;
+/// let mut c = Tensor::zeros([2, 2]);
+/// matmul_into(&a, &id, &mut c)?;
+/// assert_eq!(c, a);
 /// # Ok(())
 /// # }
 /// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, _, n) = GemmVariant::NN.problem_size("matmul", a, b)?;
-    let mut c = Tensor::zeros([m, n]);
-    matmul_into(a, b, &mut c)?;
-    Ok(c)
-}
-
-/// Like [`matmul`] but writing into `out`, which must already have shape
-/// `(m, n)`. `out` is zeroed first; results are bit-identical to
-/// [`matmul`].
-///
-/// # Errors
-///
-/// Same conditions as [`matmul`], plus [`TensorError::ShapeMismatch`] for
-/// a misshapen `out` — all naming `matmul_into`.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     gemm_entry("matmul_into", GemmVariant::NN, a, b, out)
 }
 
-/// Computes `C = Aᵀ · B` for `A: (k, m)` and `B: (k, n)` without copying.
+/// Computes `C = Aᵀ · B` for `A: (k, m)` and `B: (k, n)` without copying,
+/// writing into `out` (shape `(m, n)`), which is zeroed first.
 ///
 /// This is the kernel for weight gradients: `dW = Xᵀ · dY`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`matmul`].
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, _, n) = GemmVariant::TN.problem_size("matmul_tn", a, b)?;
-    let mut c = Tensor::zeros([m, n]);
-    matmul_tn_into(a, b, &mut c)?;
-    Ok(c)
-}
-
-/// Like [`matmul_tn`] but writing into `out` (shape `(m, n)`). `out` is
-/// zeroed first; results are bit-identical to [`matmul_tn`].
-///
-/// # Errors
-///
-/// Same conditions as [`matmul_tn`], plus a shape check on `out` — all
-/// naming `matmul_tn_into`.
+/// Same conditions as [`matmul_into`], all naming `matmul_tn_into`.
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     gemm_entry("matmul_tn_into", GemmVariant::TN, a, b, out)
 }
@@ -95,7 +72,9 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`matmul`].
+/// Returns [`TensorError::InvalidArgument`] for non-matrix inputs and
+/// [`TensorError::ShapeMismatch`] if the shared dimension differs, both
+/// naming `matmul_nt`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, _, n) = GemmVariant::NT.problem_size("matmul_nt", a, b)?;
     let mut c = Tensor::zeros([m, n]);
@@ -129,23 +108,6 @@ fn gemm_entry(
     out.fill_zero();
     gemm::dispatch_into(variant, m, k, n, a.data(), b.data(), out.data_mut());
     Ok(())
-}
-
-/// Dot product of two rank-1 tensors.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if lengths differ or inputs are
-/// not rank-1.
-pub fn dot(a: &Tensor, b: &Tensor) -> Result<f32> {
-    if a.rank() != 1 || b.rank() != 1 || a.len() != b.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "dot",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    Ok(a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).sum())
 }
 
 /// Adds a rank-1 `bias` of length `n` to every row of a `(m, n)` matrix,
@@ -189,19 +151,31 @@ mod tests {
         out
     }
 
+    /// `A · B` through [`matmul_into`] on a fresh zeroed output.
+    fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, _) = a.shape().as_matrix().expect("matrix");
+        let (_, n) = b.shape().as_matrix().expect("matrix");
+        let mut out = Tensor::zeros([m, n]);
+        matmul_into(a, b, &mut out).expect("conformable");
+        out
+    }
+
     #[test]
     fn matmul_identity() {
         let a = Tensor::rand_uniform([4, 4], -1.0, 1.0, 1);
-        let c = matmul(&a, &Tensor::eye(4)).expect("conformable");
-        assert!(c.approx_eq(&a, 1e-6));
+        let eye = Tensor::from_fn([4, 4], |i| if i % 5 == 0 { 1.0 } else { 0.0 });
+        assert!(matmul(&a, &eye).approx_eq(&a, 1e-6));
     }
 
     #[test]
     fn matmul_matches_naive() {
         let a = Tensor::rand_uniform([7, 13], -1.0, 1.0, 2);
         let b = Tensor::rand_uniform([13, 5], -1.0, 1.0, 3);
-        let c = matmul(&a, &b).expect("conformable");
-        assert_eq!(c, naive_matmul(&a, &b), "small shapes are bit-exact");
+        assert_eq!(
+            matmul(&a, &b),
+            naive_matmul(&a, &b),
+            "small shapes are bit-exact"
+        );
     }
 
     #[test]
@@ -209,8 +183,7 @@ mod tests {
         // k > BLOCK_K so several blocks are exercised.
         let a = Tensor::rand_uniform([3, 200], -1.0, 1.0, 4);
         let b = Tensor::rand_uniform([200, 2], -1.0, 1.0, 5);
-        let c = matmul(&a, &b).expect("conformable");
-        assert_eq!(c, naive_matmul(&a, &b));
+        assert_eq!(matmul(&a, &b), naive_matmul(&a, &b));
     }
 
     #[test]
@@ -218,9 +191,8 @@ mod tests {
         // Big enough for the packed path, with edge tiles on every axis.
         let a = Tensor::rand_uniform([67, 129], -1.0, 1.0, 6);
         let b = Tensor::rand_uniform([129, 43], -1.0, 1.0, 7);
-        let c = matmul(&a, &b).expect("conformable");
         assert!(
-            c.approx_eq(&naive_matmul(&a, &b), 1e-3),
+            matmul(&a, &b).approx_eq(&naive_matmul(&a, &b), 1e-3),
             "packed path agrees with the oracle"
         );
     }
@@ -228,9 +200,9 @@ mod tests {
     #[test]
     fn matmul_rejects_mismatch() {
         let a = Tensor::zeros([2, 3]);
-        let b = Tensor::zeros([4, 2]);
-        assert!(matmul(&a, &b).is_err());
-        assert!(matmul(&a, &Tensor::zeros([3])).is_err());
+        let mut out = Tensor::zeros([2, 2]);
+        assert!(matmul_into(&a, &Tensor::zeros([4, 2]), &mut out).is_err());
+        assert!(matmul_into(&a, &Tensor::zeros([3]), &mut out).is_err());
     }
 
     #[test]
@@ -242,8 +214,10 @@ mod tests {
         assert!(err.to_string().contains("matmul_tn_into"), "{err}");
         let err = matmul_nt_into(&mat, &rank1, &mut out).expect_err("rank-1 rhs");
         assert!(err.to_string().contains("matmul_nt_into"), "{err}");
-        let err = matmul(&rank1, &mat).expect_err("rank-1 lhs");
-        assert!(err.to_string().contains("to matmul:"), "{err}");
+        let err = matmul_into(&rank1, &mat, &mut out).expect_err("rank-1 lhs");
+        assert!(err.to_string().contains("to matmul_into:"), "{err}");
+        let err = matmul_nt(&rank1, &mat).expect_err("rank-1 lhs");
+        assert!(err.to_string().contains("to matmul_nt:"), "{err}");
         // A misshapen out names the _into entry too.
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([3, 2]);
@@ -256,8 +230,9 @@ mod tests {
     fn matmul_tn_equals_explicit_transpose() {
         let a = Tensor::rand_uniform([9, 4], -1.0, 1.0, 6);
         let b = Tensor::rand_uniform([9, 6], -1.0, 1.0, 7);
-        let via_kernel = matmul_tn(&a, &b).expect("conformable");
-        let via_copy = matmul(&a.transpose().expect("matrix"), &b).expect("conformable");
+        let mut via_kernel = Tensor::zeros([4, 6]);
+        matmul_tn_into(&a, &b, &mut via_kernel).expect("conformable");
+        let via_copy = matmul(&a.transpose().expect("matrix"), &b);
         assert!(via_kernel.approx_eq(&via_copy, 1e-4));
     }
 
@@ -266,7 +241,7 @@ mod tests {
         let a = Tensor::rand_uniform([5, 8], -1.0, 1.0, 8);
         let b = Tensor::rand_uniform([3, 8], -1.0, 1.0, 9);
         let via_kernel = matmul_nt(&a, &b).expect("conformable");
-        let via_copy = matmul(&a, &b.transpose().expect("matrix")).expect("conformable");
+        let via_copy = matmul(&a, &b.transpose().expect("matrix"));
         assert!(via_kernel.approx_eq(&via_copy, 1e-4));
     }
 
@@ -274,15 +249,18 @@ mod tests {
     fn into_variants_bit_identical_and_reject_bad_out() {
         let a = Tensor::rand_uniform([6, 70], -1.0, 1.0, 10);
         let b = Tensor::rand_uniform([70, 5], -1.0, 1.0, 11);
-        // Dirty, reused output buffer: results must still match exactly.
+        // Dirty, reused output buffer: results must still match a zeroed
+        // one exactly.
         let mut out = Tensor::full([6, 5], f32::NAN);
         matmul_into(&a, &b, &mut out).expect("conformable");
-        assert_eq!(out, matmul(&a, &b).expect("conformable"));
+        assert_eq!(out, matmul(&a, &b));
 
         let at = Tensor::rand_uniform([70, 6], -1.0, 1.0, 12);
         let mut out_tn = Tensor::full([6, 5], 3.0);
         matmul_tn_into(&at, &b, &mut out_tn).expect("conformable");
-        assert_eq!(out_tn, matmul_tn(&at, &b).expect("conformable"));
+        let mut fresh_tn = Tensor::zeros([6, 5]);
+        matmul_tn_into(&at, &b, &mut fresh_tn).expect("conformable");
+        assert_eq!(out_tn, fresh_tn);
 
         let bt = Tensor::rand_uniform([5, 70], -1.0, 1.0, 13);
         let mut out_nt = Tensor::full([6, 5], -7.0);
@@ -293,14 +271,6 @@ mod tests {
         assert!(matmul_into(&a, &b, &mut bad).is_err());
         assert!(matmul_tn_into(&at, &b, &mut bad).is_err());
         assert!(matmul_nt_into(&a, &bt, &mut bad).is_err());
-    }
-
-    #[test]
-    fn dot_basic() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).expect("ok");
-        let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], [3]).expect("ok");
-        assert_eq!(dot(&a, &b).expect("same length"), 32.0);
-        assert!(dot(&a, &Tensor::zeros([2])).is_err());
     }
 
     #[test]
@@ -317,7 +287,6 @@ mod tests {
     fn zero_sized_matmul() {
         let a = Tensor::zeros([0, 3]);
         let b = Tensor::zeros([3, 2]);
-        let c = matmul(&a, &b).expect("conformable");
-        assert_eq!(c.dims(), &[0, 2]);
+        assert_eq!(matmul(&a, &b).dims(), &[0, 2]);
     }
 }

@@ -183,16 +183,6 @@ impl Tensor {
         }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros([n, n]);
-        for i in 0..n {
-            // xtask:allow(index): i < n so the diagonal offset is < n * n
-            t.data_mut()[i * n + i] = 1.0;
-        }
-        t
-    }
-
     // ------------------------------------------------------------------
     // Storage & aliasing
     // ------------------------------------------------------------------
@@ -521,23 +511,9 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Sum over rows of a rank-2 tensor, yielding a rank-1 tensor of length
-    /// `cols` (the column sums). This is the reduction used for bias
-    /// gradients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] for non-matrix tensors.
-    pub fn sum_rows(&self) -> Result<Tensor> {
-        let (_, c) = self.shape.as_matrix()?;
-        let mut out = Tensor::zeros([c]);
-        self.sum_rows_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Tensor::sum_rows`] but accumulating into `out`, which must
-    /// have shape `[cols]`. `out` is zeroed first; the summation order is
-    /// identical to [`Tensor::sum_rows`].
+    /// Sum over rows of a rank-2 tensor into `out`, which must have shape
+    /// `[cols]`: the column sums, the reduction used for bias gradients.
+    /// `out` is zeroed first, and rows are added in ascending order.
     ///
     /// # Errors
     ///
@@ -704,14 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn eye_has_unit_diagonal() {
-        let t = Tensor::eye(3);
-        assert_eq!(t.at(&[0, 0]).expect("valid"), 1.0);
-        assert_eq!(t.at(&[0, 1]).expect("valid"), 0.0);
-        assert_eq!(t.sum(), 3.0);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_fn([2, 3], |i| i as f32);
         let r = t.reshape([3, 2]).expect("same volume");
@@ -787,11 +755,9 @@ mod tests {
     #[test]
     fn sum_rows_gives_column_sums() {
         let t = Tensor::from_fn([2, 3], |i| i as f32);
-        let s = t.sum_rows().expect("matrix");
-        assert_eq!(s.data(), &[3.0, 5.0, 7.0]);
-        let mut out = Tensor::zeros([3]);
+        let mut out = Tensor::full([3], f32::NAN);
         t.sum_rows_into(&mut out).expect("matrix");
-        assert_eq!(out, s);
+        assert_eq!(out.data(), &[3.0, 5.0, 7.0]);
         let mut bad = Tensor::zeros([2]);
         assert!(t.sum_rows_into(&mut bad).is_err());
     }

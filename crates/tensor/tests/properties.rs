@@ -131,6 +131,15 @@ fn matrix_pair(max_dim: usize) -> impl Strategy<Value = (Tensor, Tensor)> {
     })
 }
 
+/// `A · B` through [`ops::matmul_into`] on a fresh zeroed output.
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, _) = a.shape().as_matrix().expect("matrix");
+    let (_, n) = b.shape().as_matrix().expect("matrix");
+    let mut out = Tensor::zeros([m, n]);
+    ops::matmul_into(a, b, &mut out).expect("conformable");
+    out
+}
+
 /// The bit patterns of a tensor's elements: a stricter equality than
 /// `f32 ==`, which treats `-0.0` as `+0.0` and NaN as unequal to itself.
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -156,8 +165,8 @@ proptest! {
     #[test]
     fn matmul_identity_right(a in matrix(8)) {
         let (_, c) = a.shape().as_matrix().expect("matrix");
-        let prod = ops::matmul(&a, &Tensor::eye(c)).expect("conformable");
-        prop_assert!(prod.approx_eq(&a, 1e-4));
+        let eye = Tensor::from_fn([c, c], |i| if i % (c + 1) == 0 { 1.0 } else { 0.0 });
+        prop_assert!(matmul(&a, &eye).approx_eq(&a, 1e-4));
     }
 
     #[test]
@@ -165,11 +174,8 @@ proptest! {
         // (A·B)ᵀ == Bᵀ·Aᵀ, with B generated to conform.
         let (_, k) = a.shape().as_matrix().expect("matrix");
         let b = Tensor::rand_uniform([k, 5], -1.0, 1.0, seed);
-        let lhs = ops::matmul(&a, &b).expect("conformable").transpose().expect("matrix");
-        let rhs = ops::matmul(
-            &b.transpose().expect("matrix"),
-            &a.transpose().expect("matrix"),
-        ).expect("conformable");
+        let lhs = matmul(&a, &b).transpose().expect("matrix");
+        let rhs = matmul(&b.transpose().expect("matrix"), &a.transpose().expect("matrix"));
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
     }
 
@@ -179,8 +185,12 @@ proptest! {
         let b = Tensor::rand_uniform([3, k], -1.0, 1.0, seed);
         let nt = ops::matmul_nt(&a, &b).expect("conformable");
         prop_assert_eq!(nt.dims(), &[m, 3]);
-        let explicit = ops::matmul(&a, &b.transpose().expect("matrix")).expect("conformable");
+        let explicit = matmul(&a, &b.transpose().expect("matrix"));
         prop_assert!(nt.approx_eq(&explicit, 1e-3));
+        let mut tn = Tensor::zeros([m, 3]);
+        ops::matmul_tn_into(&a.transpose().expect("matrix"), &b.transpose().expect("matrix"), &mut tn)
+            .expect("conformable");
+        prop_assert!(tn.approx_eq(&explicit, 1e-3));
     }
 
     #[test]
@@ -212,7 +222,9 @@ proptest! {
 
     #[test]
     fn sum_rows_matches_total(a in matrix(8)) {
-        let col_sums = a.sum_rows().expect("matrix");
+        let (_, c) = a.shape().as_matrix().expect("matrix");
+        let mut col_sums = Tensor::zeros([c]);
+        a.sum_rows_into(&mut col_sums).expect("matrix");
         prop_assert!((col_sums.sum() - a.sum()).abs() < 1e-2);
     }
 
@@ -307,28 +319,19 @@ proptest! {
     ) {
         // The `_into` kernels must fully overwrite a reused output
         // workspace: dirty contents (NaN poison, stale values from a
-        // previous step) must never leak into the result.
-        let results = [
-            (GemmVariant::NN, {
-                let (a, b) = variant_operands(GemmVariant::NN, m, k, n, seed);
-                let mut out = Tensor::full([m, n], fill);
-                ops::matmul_into(&a, &b, &mut out).expect("conformable");
-                (out, ops::matmul(&a, &b).expect("conformable"))
-            }),
-            (GemmVariant::TN, {
-                let (a, b) = variant_operands(GemmVariant::TN, m, k, n, seed);
-                let mut out = Tensor::full([m, n], fill);
-                ops::matmul_tn_into(&a, &b, &mut out).expect("conformable");
-                (out, ops::matmul_tn(&a, &b).expect("conformable"))
-            }),
-            (GemmVariant::NT, {
-                let (a, b) = variant_operands(GemmVariant::NT, m, k, n, seed);
-                let mut out = Tensor::full([m, n], fill);
-                ops::matmul_nt_into(&a, &b, &mut out).expect("conformable");
-                (out, ops::matmul_nt(&a, &b).expect("conformable"))
-            }),
-        ];
-        for (variant, (reused, fresh)) in results {
+        // previous step) must never leak into the result, which must equal
+        // the same call on a zeroed output bit for bit.
+        for variant in [GemmVariant::NN, GemmVariant::TN, GemmVariant::NT] {
+            let (a, b) = variant_operands(variant, m, k, n, seed);
+            let into = match variant {
+                GemmVariant::NN => ops::matmul_into,
+                GemmVariant::TN => ops::matmul_tn_into,
+                GemmVariant::NT => ops::matmul_nt_into,
+            };
+            let mut reused = Tensor::full([m, n], fill);
+            into(&a, &b, &mut reused).expect("conformable");
+            let mut fresh = Tensor::zeros([m, n]);
+            into(&a, &b, &mut fresh).expect("conformable");
             prop_assert_eq!(
                 reused.data(), fresh.data(),
                 "variant {} shape {}x{}x{} fill {}", variant.name(), m, k, n, fill

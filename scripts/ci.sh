@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything a PR must pass before merge.
 #
-#   build → tests → xtask lint (ratcheted) → xtask graph --check (effect
-#   analysis) → clippy -D warnings over all targets (lib, bins, tests,
-#   examples and the criterion benches) → fmt check
+#   build (against the committed Cargo.lock) → tests → xtask lint
+#   (ratcheted) → xtask graph --check (effect analysis) → clippy -D warnings
+#   over all targets (lib, bins, tests and examples) → fmt check
 #   → smoke determinism gate (parallel ≡ sequential ≡ pinned artifacts)
 #   → every example and ablation study runs to completion
 #   → kill-and-resume + storage-fault sweep (every IO op crash-tested)
@@ -13,8 +13,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --workspace --release"
-cargo build --workspace --release
+echo "==> cargo build --workspace --release --locked"
+# --locked: a Cargo.lock that no longer matches the manifests fails here
+# instead of being rewritten silently.
+cargo build --workspace --release --locked
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
@@ -28,8 +30,8 @@ echo "==> cargo xtask graph --check"
 cargo xtask graph --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-# --all-targets: neither the build nor the test run above compiles the
-# criterion benches, so this is the stage that catches a broken bench.
+# --all-targets: lints the tests and examples along with the library and
+# binary code.
 cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> cargo fmt --check"
@@ -328,8 +330,9 @@ echo "==> perfbench output gate (every workload once at the recorded seed)"
 # of a recorded output, would otherwise surface only when the benchmark
 # runs. One round per workload at seed 1 is checked bit for bit against
 # perfbench/expected/; the JSON line must report it correct, with no
-# failed job.
-bench() { cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- "$@"; }
+# failed job. --locked: a dependency change that would rewrite
+# perfbench/Cargo.lock fails here too.
+bench() { cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- "$@"; }
 bench_err="$det_dir/perfbench.stderr"
 for workload in characterize-vgg fleet-vgg-efat fleet-fap-resume; do
     line=$(bench --workload "$workload" --seed 1 --seconds 0.001 2>"$bench_err" | grep '^{' || true)

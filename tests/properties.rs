@@ -3,7 +3,7 @@
 //! tolerance layer, for arbitrary chaos policies.
 
 use proptest::prelude::*;
-use reduce_repro::core::exec::{ChaosOutcome, ChaosPolicy};
+use reduce_repro::core::exec::ChaosPolicy;
 use reduce_repro::core::{
     ChipSource, ExecConfig, FatRunner, FleetEvaluation, Pretrained, ResilienceAnalysis,
     ResilienceConfig, ResilienceTable, RetrainPolicy, SeededChips, Statistic, TableEntry,
@@ -264,7 +264,7 @@ proptest! {
         // to the chaos-free run, no matter what happened to its siblings.
         for p in reference.points() {
             let job = (p.rate_index * 2 + p.repeat) as u64;
-            if matches!(chaos.decide(job, 0), ChaosOutcome::Pass) {
+            if !chaos.fails(job, 0) {
                 let clean_point = clean
                     .points()
                     .iter()
@@ -280,7 +280,7 @@ proptest! {
             prop_assert_eq!(f.attempts, budget + 1);
             for attempt in 0..=budget {
                 prop_assert!(
-                    !matches!(chaos.decide(job, attempt), ChaosOutcome::Pass),
+                    chaos.fails(job, attempt),
                     "cell {} quarantined despite a passing attempt {}", job, attempt
                 );
             }
